@@ -689,7 +689,7 @@ func BenchmarkCEGARVerifyAll(b *testing.B) {
 	}
 }
 
-// --- BENCH_dist.json series: sharded, disk-spillable exploration ---
+// --- BENCH_dist.json series: disk-spillable exploration ---
 
 // benchExploreOnce runs one full state-space exploration (a trivially
 // true invariant, so nothing short-circuits) under the given options
@@ -710,23 +710,19 @@ func benchExploreOnce(b *testing.B, sys *ts.System, opts mc.Options) (states, re
 	return int64(res.StatesExplored), o.Metrics().Gauge("mc.peak_resident_state_bytes").Value()
 }
 
-// BenchmarkExploreSharded sweeps the shard count over a full in-memory
-// exploration of the composed model, reporting throughput and the
-// arena's resident footprint per state. Compare bytes/state against
-// BenchmarkStateBytesMapBaseline for the storage-layer win.
-func BenchmarkExploreSharded(b *testing.B) {
+// BenchmarkExplore times a full in-memory exploration of the composed
+// model, reporting throughput and the arena's resident footprint per
+// state. Compare bytes/state against BenchmarkStateBytesMapBaseline for
+// the storage-layer win.
+func BenchmarkExplore(b *testing.B) {
 	m := benchModel(b, ue.ProfileConformant)
 	sys := m.Composed.System
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards_%d", shards), func(b *testing.B) {
-			var states, resident int64
-			for i := 0; i < b.N; i++ {
-				states, resident = benchExploreOnce(b, sys, mc.Options{Workers: 4, Shards: shards})
-			}
-			b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
-			b.ReportMetric(float64(resident)/float64(states), "bytes/state")
-		})
+	var states, resident int64
+	for i := 0; i < b.N; i++ {
+		states, resident = benchExploreOnce(b, sys, mc.Options{Workers: 4})
 	}
+	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
+	b.ReportMetric(float64(resident)/float64(states), "bytes/state")
 }
 
 // BenchmarkExploreSpill explores under a deliberately tight memory
@@ -738,7 +734,6 @@ func BenchmarkExploreSpill(b *testing.B) {
 	dir := b.TempDir()
 	opts := mc.Options{
 		Workers:           4,
-		Shards:            4,
 		MemBudget:         1 << 15,
 		SpillDir:          dir,
 		SpillSegmentBytes: 1 << 12,
@@ -762,7 +757,7 @@ var baselineSink struct {
 // replaced — a 64-stripe string-keyed visited map plus a []ts.State
 // clone per interned state — by BFS-exploring the same composed model
 // and reading the live-heap delta per state. The arena representation
-// (BenchmarkExploreSharded's bytes/state) stores each state once, in
+// (BenchmarkExplore's bytes/state) stores each state once, in
 // place, with a 12-byte open-addressing slot instead of a map entry
 // plus a second string copy of the state bytes.
 func BenchmarkStateBytesMapBaseline(b *testing.B) {

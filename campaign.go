@@ -95,15 +95,13 @@ func RunJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 }
 
 // JobRunnerConfig tunes how the job service executes each analysis:
-// worker-pool width, exploration sharding, the resident-memory budget
+// worker-pool width, the resident-memory budget
 // for state storage, and a snapshot root under which every job keeps
 // its own exploration checkpoints so a crashed or killed service
 // resumes mid-exploration instead of recomputing from scratch.
 type JobRunnerConfig struct {
 	// Workers bounds the per-job worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Shards is the exploration owner-shard count (0/1 = unsharded).
-	Shards int
 	// MemBudget caps resident state-arena bytes per exploration; cold
 	// segments spill to disk beyond it (0 = unbounded).
 	MemBudget int64
@@ -120,7 +118,7 @@ func JobRunner(workers int) jobs.Runner {
 }
 
 // JobRunnerWith adapts RunJob into the job service's Runner hook with
-// full control over sharding, spilling and snapshot placement.
+// full control over spilling and snapshot placement.
 func JobRunnerWith(cfg JobRunnerConfig) jobs.Runner {
 	return func(ctx context.Context, spec jobs.Spec) (*jobs.Result, error) {
 		return runJob(ctx, spec, cfg)
@@ -130,7 +128,7 @@ func JobRunnerWith(cfg JobRunnerConfig) jobs.Runner {
 // NewFleetWorker assembles a fleet worker agent around the production
 // job runner: it pulls jobs from the coordinator over the lease
 // protocol and executes each through the same RunJob machinery a local
-// pool uses — per-job snapshot directories, sharding and memory budgets
+// pool uses — per-job snapshot directories and memory budgets
 // included. The returned worker is ready for further tuning (Poll,
 // Backoff, Seed) before Run.
 func NewFleetWorker(coord dist.Coordinator, id string, concurrency int, rcfg JobRunnerConfig, reg *obs.Registry) *dist.Worker {
@@ -159,7 +157,7 @@ func runJob(ctx context.Context, spec JobSpec, rcfg JobRunnerConfig) (*JobResult
 	snapDir := jobs.SnapshotDirFor(rcfg.SnapshotRoot, spec.Key())
 	opts := []Option{
 		WithWorkers(rcfg.Workers), WithFaults(cfg),
-		WithShards(rcfg.Shards), WithMemBudget(rcfg.MemBudget), WithSnapshotDir(snapDir),
+		WithMemBudget(rcfg.MemBudget), WithSnapshotDir(snapDir),
 	}
 	if spec.NoVacuityPrune {
 		opts = append(opts, WithNoVacuityPrune())

@@ -35,6 +35,11 @@ fi
 echo "== go test -race =="
 go test -race -count=1 -shuffle=on ./...
 
+echo "== explorer fuzz (bounded) =="
+# Generated systems against the sequential oracle in every exploration
+# mode, beyond the seed corpus the test runs above already covered.
+go test -run '^$' -fuzz '^FuzzExploreMatchesSequential$' -fuzztime 20s ./internal/mc
+
 echo "== model-lint gate =="
 # Every shipped profile must lint clean at ERROR severity on a benign
 # extraction; the CLI exits 6 (model-lint) otherwise.
@@ -408,7 +413,7 @@ echo "== memory-budget spill smoke =="
 # record that spilling actually happened.
 spill_snap="$smoke_dir/spill-snap"
 GOMEMLIMIT=128MiB "$smoke_dir/prochecker" -impl srsLTE -check S06 -quiet \
-    -workers 2 -shards 4 -mem-budget 32768 -snapshot-dir "$spill_snap" \
+    -workers 2 -mem-budget 32768 -snapshot-dir "$spill_snap" \
     -manifest "$smoke_dir/spill.json" \
     || { echo "smoke: budgeted run failed"; exit 1; }
 spill_bytes=$(sed -n 's/.*"mc.spill_bytes": *\([0-9]*\).*/\1/p' "$smoke_dir/spill.json" | head -1)
@@ -417,7 +422,7 @@ spill_bytes=$(sed -n 's/.*"mc.spill_bytes": *\([0-9]*\).*/\1/p' "$smoke_dir/spil
 # A second run over the completed-exploration snapshots must resume
 # instead of recomputing, and still reach the same verdict set.
 "$smoke_dir/prochecker" -impl srsLTE -check S06 -quiet \
-    -workers 2 -shards 4 -mem-budget 32768 -snapshot-dir "$spill_snap" \
+    -workers 2 -mem-budget 32768 -snapshot-dir "$spill_snap" \
     -manifest "$smoke_dir/spill2.json" \
     || { echo "smoke: resumed budgeted run failed"; exit 1; }
 resume_level=$(sed -n 's/.*"mc.resume_level": *\([0-9]*\).*/\1/p' "$smoke_dir/spill2.json" | head -1)
@@ -483,7 +488,7 @@ END {
 }' > BENCH_mc.json
 echo "wrote BENCH_mc.json"
 
-# Regression gate: the arena/shard/spill storage layer must not cost the
+# Regression gate: the arena/spill storage layer must not cost the
 # engine its parallel speedup — the refreshed number may not fall more
 # than 10% below the committed baseline.
 new_speedup=$(sed -n 's/.*"checkall_speedup_vs_sequential": *\([0-9.]*\).*/\1/p' BENCH_mc.json | head -1)
@@ -493,19 +498,19 @@ if [[ -n "$prev_speedup" && -n "$new_speedup" ]]; then
     echo "checkall speedup gate OK ($new_speedup vs baseline $prev_speedup)"
 fi
 
-echo "== distributed-exploration bench baseline =="
-dist_bench_out=$(go test -run '^$' -bench 'BenchmarkExploreSharded|BenchmarkExploreSpill$|BenchmarkStateBytesMapBaseline$' -benchtime 1x .)
+echo "== exploration storage bench baseline =="
+dist_bench_out=$(go test -run '^$' -bench 'BenchmarkExplore$|BenchmarkExploreSpill$|BenchmarkStateBytesMapBaseline$' -benchtime 1x .)
 echo "$dist_bench_out"
 
 # Render into BENCH_dist.json. Benchmark lines carry ReportMetric pairs
 # after ns/op — bytes/state (peak resident state bytes over states
 # explored) and states/sec:
-#   BenchmarkExploreSharded/shards_8  1  702924395 ns/op  14.66 bytes/state  394355 states/sec
+#   BenchmarkExplore  1  702924395 ns/op  14.66 bytes/state  394355 states/sec
 # The headline ratio divides the map-era representation's bytes/state
 # (measured live by BenchmarkStateBytesMapBaseline) by the arena's; the
 # acceptance floor for the storage rework is 4x.
 echo "$dist_bench_out" | awk '
-BEGIN { print "{"; print "  \"series\": \"sharded disk-spillable exploration, composed srsLTE model\","; print "  \"benchmarks\": [" }
+BEGIN { print "{"; print "  \"series\": \"disk-spillable exploration, composed srsLTE model\","; print "  \"benchmarks\": [" }
 /^Benchmark/ {
     gsub(/-[0-9]+$/, "", $1)
     line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $1, $2, $3)
@@ -522,8 +527,8 @@ BEGIN { print "{"; print "  \"series\": \"sharded disk-spillable exploration, co
 END {
     for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
     print "  ],"
-    if (bps["BenchmarkStateBytesMapBaseline"] > 0 && bps["BenchmarkExploreSharded/shards_1"] > 0)
-        printf "  \"state_bytes_reduction_vs_map\": %.2f\n", bps["BenchmarkStateBytesMapBaseline"] / bps["BenchmarkExploreSharded/shards_1"]
+    if (bps["BenchmarkStateBytesMapBaseline"] > 0 && bps["BenchmarkExplore"] > 0)
+        printf "  \"state_bytes_reduction_vs_map\": %.2f\n", bps["BenchmarkStateBytesMapBaseline"] / bps["BenchmarkExplore"]
     else
         print "  \"state_bytes_reduction_vs_map\": null"
     print "}"

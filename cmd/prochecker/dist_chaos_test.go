@@ -53,11 +53,11 @@ func verdictTriples(doc manifestDoc) [][3]string {
 }
 
 // checkArgs is the analysis command under test: a full catalogue check
-// with sharded exploration and level checkpoints.
+// with level checkpoints.
 func checkArgs(snapDir, manifestPath string) []string {
 	return []string{
 		"-impl", "srsLTE", "-check", "all",
-		"-workers", "2", "-shards", "2",
+		"-workers", "2",
 		"-snapshot-dir", snapDir,
 		"-manifest", manifestPath,
 		"-quiet",

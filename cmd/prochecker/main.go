@@ -104,7 +104,6 @@ func run(args []string) (err error) {
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no deadline)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"worker pool size for -check: bounds both property-level parallelism and the model checker's exploration pool (1 = fully sequential)")
-	shards := fs.Int("shards", 1, "shard the model checker's visited set and frontier across N hash-owned shards (rounded down to a power of two, max 64); results are byte-identical at any count")
 	memBudget := fs.Int64("mem-budget", 0, "bound the model checker's resident exploration state bytes; cold arena segments spill to disk beyond it (0 = unbounded)")
 	snapshotDir := fs.String("snapshot-dir", "", "checkpoint model-checker exploration at level boundaries into this directory and resume from the newest snapshot; with -serve, the root for per-job snapshot directories")
 	quiet := fs.Bool("quiet", false, "suppress progress output on stderr (results only)")
@@ -133,6 +132,9 @@ func run(args []string) (err error) {
 	concurrency := fs.Int("concurrency", 1, "with -worker, parallel jobs pulled at once")
 	workerID := fs.String("worker-id", "", "with -worker, stable worker identity in leases/metrics (default host-pid)")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h/-help: usage already printed, not a failure
+		}
 		return err
 	}
 	// -workers 0 is the pure-coordinator form of -serve: no local pool,
@@ -192,7 +194,6 @@ func run(args []string) (err error) {
 			retryBackoff: *retryBackoff,
 			seed:         *seed,
 			manifestPath: *manifestPath,
-			shards:       *shards,
 			memBudget:    *memBudget,
 			snapshotDir:  *snapshotDir,
 			metricsAddr:  *metricsAddr,
@@ -207,7 +208,6 @@ func run(args []string) (err error) {
 			id:           *workerID,
 			concurrency:  *concurrency,
 			workers:      *workers,
-			shards:       *shards,
 			memBudget:    *memBudget,
 			snapshotDir:  *snapshotDir,
 			retries:      *retries,
@@ -293,9 +293,6 @@ func run(args []string) (err error) {
 		}
 		if *timeout > 0 {
 			cfg["timeout"] = timeout.String()
-		}
-		if *shards > 1 {
-			cfg["shards"] = strconv.Itoa(*shards)
 		}
 		if *memBudget > 0 {
 			cfg["mem_budget"] = strconv.FormatInt(*memBudget, 10)
@@ -391,7 +388,7 @@ func run(args []string) (err error) {
 	analysisOpts := []prochecker.Option{
 		prochecker.WithWorkers(*workers), prochecker.WithObserver(o),
 		prochecker.WithFaults(faultCfg),
-		prochecker.WithShards(*shards), prochecker.WithMemBudget(*memBudget),
+		prochecker.WithMemBudget(*memBudget),
 		prochecker.WithSnapshotDir(*snapshotDir),
 	}
 	if *noVacuityPrune {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,6 +33,24 @@ func capture(t *testing.T, f func() error) (string, error) {
 	w.Close()
 	os.Stdout = old
 	return <-done, runErr
+}
+
+// TestHelpExitsCleanly: -h and -help print the usage and exit 0, with no
+// failure-class line.
+func TestHelpExitsCleanly(t *testing.T) {
+	bin, err := buildBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, flag := range []string{"-h", "-help"} {
+		out, err := exec.Command(bin, flag).CombinedOutput()
+		if err != nil {
+			t.Fatalf("prochecker %s: %v, want exit 0\n%s", flag, err, out)
+		}
+		if !strings.Contains(string(out), "Usage of prochecker") || strings.Contains(string(out), "prochecker: failure class:") {
+			t.Errorf("prochecker %s output:\n%s", flag, out)
+		}
+	}
 }
 
 func TestListProperties(t *testing.T) {

@@ -38,7 +38,6 @@ type serveConfig struct {
 	retryBackoff time.Duration // base retry backoff
 	seed         int64         // retry-jitter seed
 	manifestPath string        // "" disables the shutdown manifest
-	shards       int           // exploration owner-shards per job
 	memBudget    int64         // resident state-arena bytes per job (0 = unbounded)
 	snapshotDir  string        // root for per-job exploration checkpoints ("" disables)
 	metricsAddr  string        // debug endpoint (expvar/pprof/metrics/healthz); "" disables
@@ -73,7 +72,6 @@ func runServe(cfg serveConfig) (err error) {
 	svc, err := jobs.New(jobs.Config{
 		Runner: prochecker.JobRunnerWith(prochecker.JobRunnerConfig{
 			Workers:      cfg.workers,
-			Shards:       cfg.shards,
 			MemBudget:    cfg.memBudget,
 			SnapshotRoot: cfg.snapshotDir,
 		}),
@@ -165,6 +163,10 @@ func runServe(cfg serveConfig) (err error) {
 		}()
 	}
 
+	// The handler goes in before the port opens: a SIGTERM that arrives
+	// once requests can be answered must drain, never kill the process.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return fmt.Errorf("listening on %s: %w", cfg.addr, err)
@@ -175,8 +177,6 @@ func runServe(cfg serveConfig) (err error) {
 	fmt.Fprintf(os.Stderr, "prochecker: serving jobs API on http://%s/v1/jobs (store: %s, workers: %d)\n",
 		ln.Addr(), storeLabel(cfg.storeDir), cfg.workers)
 
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return fmt.Errorf("serving: %w", err)

@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"regexp"
 	"strings"
 	"syscall"
@@ -215,6 +217,89 @@ func TestServeModeSIGTERMDrain(t *testing.T) {
 	}
 	if reopened.Len() != 1 {
 		t.Fatalf("store holds %d results after drain, want 1", reopened.Len())
+	}
+}
+
+// TestServeSIGTERMAfterFirstResponse runs the real binary in -serve
+// mode and delivers SIGTERM the moment the API has answered its first
+// request: the signal handler must already be installed, so the process
+// drains and exits 0 instead of dying to the default signal action.
+func TestServeSIGTERMAfterFirstResponse(t *testing.T) {
+	bin, err := buildBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cmd := exec.Command(bin, "-serve", "127.0.0.1:0", "-workers", "1")
+	cmd.Stderr = w
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	exit := make(chan error, 1)
+	go func() { exit <- cmd.Wait() }()
+	t.Cleanup(func() { cmd.Process.Kill() }) //nolint:errcheck // already-exited is fine
+
+	lines := make(chan string, 64)
+	go func() {
+		sc := bufio.NewScanner(r)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+	}()
+	re := regexp.MustCompile(`serving jobs API on (http://[^/]+)/`)
+	var base string
+	for base == "" {
+		select {
+		case line, ok := <-lines:
+			if !ok {
+				t.Fatal("serve exited before announcing its address")
+			}
+			if m := re.FindStringSubmatch(line); m != nil {
+				base = m[1]
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("serve never announced its address")
+		}
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get(base + "/v1/jobs")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no successful API response within 30s (last error %v)", err)
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+
+	var stderr []string
+	for line := range lines {
+		stderr = append(stderr, line)
+	}
+	select {
+	case err := <-exit:
+		if err != nil {
+			t.Fatalf("serve after SIGTERM: %v, want exit 0\n%s", err, strings.Join(stderr, "\n"))
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("serve did not drain within 60s of SIGTERM")
+	}
+	out := strings.Join(stderr, "\n")
+	for _, want := range []string{"prochecker: draining", "prochecker: drained (0 queued job(s) cancelled)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, out)
+		}
 	}
 }
 

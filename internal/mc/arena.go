@@ -19,9 +19,8 @@ import (
 	"prochecker/internal/obs"
 )
 
-// maxArenaStates bounds interned states so ids always fit the id+1 /
-// -(pending+1) packing of index slots. Far above any Options.MaxStates
-// in use.
+// maxArenaStates bounds interned states so ids always fit the id+1
+// packing of index slots. Far above any Options.MaxStates in use.
 const maxArenaStates = 1<<30 - 2
 
 // arenaSegmentTargetBytes sizes segments: small enough that spilling is
@@ -306,23 +305,18 @@ func (b bloomFilter) mayContain(h uint64) bool {
 }
 
 // stateIndex is an open-addressing hash index over interned states:
-// packed 4-byte slot values only (0 empty, id+1 committed, -(pending+1)
-// for states interned mid-level whose global id is not assigned yet).
-// No hashes are stored — identity is confirmed against the arena (or a
-// pending entry's retained bytes) via the probe callback, and growth
-// re-derives slot positions by re-hashing the states themselves in one
-// sequential arena pass (levelExplorer.ensureShard). With small state
-// strides the index is the residency floor under a memory budget, so
-// 4 bytes per slot is what keeps the arena layout several times
-// smaller than the map-based design it replaced.
+// packed 4-byte slot values only (0 empty, id+1 occupied). No hashes are
+// stored — identity is confirmed against the arena via the probe
+// callback, and growth re-derives slot positions by re-hashing the
+// states themselves in one sequential arena pass
+// (levelExplorer.ensureIndex). With small state strides the index is the
+// residency floor under a memory budget, so 4 bytes per slot is what
+// keeps the arena layout several times smaller than the map-based
+// design it replaced.
 type stateIndex struct {
 	slots []int32
 	used  int
 }
-
-// indexShardBits are the low hash bits reserved for shard selection;
-// probe positions start above them so a shard's table is not clustered.
-const indexShardBits = 6
 
 func newStateIndex() *stateIndex {
 	return &stateIndex{slots: make([]int32, 64)}
@@ -330,7 +324,7 @@ func newStateIndex() *stateIndex {
 
 // reserve sizes the table for n total entries at under 3/4 load. Only
 // valid while the table is empty — growth with live entries goes
-// through levelExplorer.ensureShard, which re-hashes from the arena.
+// through levelExplorer.ensureIndex, which re-hashes from the arena.
 func (x *stateIndex) reserve(n int) {
 	size := len(x.slots)
 	for n*4 >= size*3 {
@@ -341,32 +335,39 @@ func (x *stateIndex) reserve(n int) {
 	}
 }
 
-// probe walks the chain for h, calling eq on every occupied slot, and
-// returns the matching slot value, or 0 with the insertion position.
-func (x *stateIndex) probe(h uint64, eq func(v int32) (bool, error)) (int32, int, error) {
+// probe walks the chain for h, calling eq on the id in every occupied
+// slot, and returns the matching id, or -1 with the insertion position.
+func (x *stateIndex) probe(h uint64, eq func(id int32) (bool, error)) (int32, int, error) {
 	mask := len(x.slots) - 1
-	pos := int(h>>indexShardBits) & mask
+	pos := int(h) & mask
 	for {
 		v := x.slots[pos]
 		if v == 0 {
-			return 0, pos, nil
+			return -1, pos, nil
 		}
-		ok, err := eq(v)
+		ok, err := eq(v - 1)
 		if err != nil {
-			return 0, pos, err
+			return -1, pos, err
 		}
 		if ok {
-			return v, pos, nil
+			return v - 1, pos, nil
 		}
 		pos = (pos + 1) & mask
 	}
 }
 
-// set fills a slot previously returned by probe. Callers must have
-// reserved capacity (reserve or levelExplorer.ensureShard) first.
-func (x *stateIndex) set(pos int, v int32) {
-	x.slots[pos] = v
+// set fills a slot previously returned by probe with id. Callers must
+// have reserved capacity (reserve or levelExplorer.ensureIndex) first.
+func (x *stateIndex) set(pos int, id int32) {
+	x.slots[pos] = id + 1
 	x.used++
+}
+
+// add inserts id (hash h) without an identity check, for rebuilding the
+// index from arena states, which are distinct by construction.
+func (x *stateIndex) add(h uint64, id int32) {
+	_, pos, _ := x.probe(h, func(int32) (bool, error) { return false, nil })
+	x.set(pos, id)
 }
 
 // memBytes reports the table's resident footprint.

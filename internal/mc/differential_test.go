@@ -14,13 +14,15 @@ import (
 // the system.
 
 // randomSystem builds a deterministic pseudo-random guarded-command
-// system from a seed.
-func randomSystem(t *testing.T, seed int64) *ts.System {
+// system from a seed, with extraVars more variables and extraRules more
+// rules than the seed alone picks (zero extras reproduce the plain
+// seeded system).
+func randomSystem(t *testing.T, seed int64, extraVars, extraRules int) *ts.System {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sys := ts.NewSystem(fmt.Sprintf("rand-%d", seed))
 
-	nVars := 2 + rng.Intn(2)
+	nVars := 2 + rng.Intn(2) + extraVars
 	domains := make([][]string, nVars)
 	for v := 0; v < nVars; v++ {
 		n := 2 + rng.Intn(3)
@@ -33,7 +35,7 @@ func randomSystem(t *testing.T, seed int64) *ts.System {
 			t.Fatal(err)
 		}
 	}
-	nRules := 3 + rng.Intn(6)
+	nRules := 3 + rng.Intn(6) + extraRules
 	for r := 0; r < nRules; r++ {
 		// Guard: conjunction over a random subset of variables.
 		var guard ts.And
@@ -103,7 +105,7 @@ func replayTrace(t *testing.T, sys *ts.System, tr *Trace) ts.State {
 
 func TestDifferentialInvariants(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		sys := randomSystem(t, seed)
+		sys := randomSystem(t, seed, 0, 0)
 		reach := naiveReachable(sys)
 
 		// Invariant: a random (var, value) is never reached.
@@ -139,7 +141,7 @@ func TestDifferentialInvariants(t *testing.T) {
 
 func TestDifferentialNeverFires(t *testing.T) {
 	for seed := int64(100); seed < 140; seed++ {
-		sys := randomSystem(t, seed)
+		sys := randomSystem(t, seed, 0, 0)
 		reach := naiveReachable(sys)
 		target := "r1"
 
@@ -172,7 +174,7 @@ func TestDifferentialResponseCounterexamplesReplay(t *testing.T) {
 	// Response semantics are harder to reference-check; at minimum every
 	// reported lasso must be a genuine run.
 	for seed := int64(200); seed < 240; seed++ {
-		sys := randomSystem(t, seed)
+		sys := randomSystem(t, seed, 0, 0)
 		res := Check(sys, Response{
 			PropName: "diff",
 			Trigger:  func(n string) bool { return n == "r0" },

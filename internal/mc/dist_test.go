@@ -1,5 +1,5 @@
-// Differential tests for the sharded, disk-spillable storage layer:
-// whatever the shard count, memory budget or snapshot/resume history,
+// Differential tests for the disk-spillable storage layer: whatever the
+// worker count, memory budget or snapshot/resume history,
 // the engine must return byte-identical verdicts, StatesExplored counts
 // and counterexample traces to the sequential reference. Run under
 // -race in CI, these also exercise the frozen-index reads of the
@@ -16,19 +16,19 @@ import (
 	"prochecker/internal/obs"
 )
 
-// TestShardedMatchesSequentialOnCatalogue sweeps shard counts over the
+// TestWorkersMatchSequentialOnCatalogue sweeps worker counts over the
 // full threat-composed model and catalogue: ids, verdicts and traces
-// must not depend on the sharding layout.
-func TestShardedMatchesSequentialOnCatalogue(t *testing.T) {
+// must not depend on how the parallel expansion splits the frontier.
+func TestWorkersMatchSequentialOnCatalogue(t *testing.T) {
 	sys := composedSystem(t)
 	list := catalogueMC(t)
-	for _, shards := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		engine := mc.NewEngine()
-		opts := mc.Options{Workers: 4, Shards: shards}
+		opts := mc.Options{Workers: workers}
 		for _, p := range list {
 			got, err := engine.CheckContext(context.Background(), sys, p, opts)
 			if err != nil {
-				t.Fatalf("shards=%d %s: engine error: %v", shards, p.Name(), err)
+				t.Fatalf("workers=%d %s: engine error: %v", workers, p.Name(), err)
 			}
 			want := mc.CheckSequential(sys, p, mc.Options{})
 			assertSameResult(t, p.Name(), got, want)
@@ -48,7 +48,6 @@ func TestSpillMatchesSequential(t *testing.T) {
 	engine := mc.NewEngine()
 	opts := mc.Options{
 		Workers:           4,
-		Shards:            4,
 		MemBudget:         1 << 12, // far below the composed model's state bytes
 		SpillDir:          t.TempDir(),
 		SpillSegmentBytes: 1 << 10, // many small segments, so most of them seal and spill
@@ -78,7 +77,7 @@ func TestSnapshotResumeMatchesSequential(t *testing.T) {
 
 	// Phase 1: a budget small enough to truncate, leaving snapshots of
 	// every completed level behind.
-	small := mc.Options{Workers: 4, Shards: 2, MaxStates: 500, SnapshotDir: dir}
+	small := mc.Options{Workers: 4, MaxStates: 500, SnapshotDir: dir}
 	if _, err := mc.NewEngine().CheckContext(context.Background(), sys, list[0], small); err == nil {
 		t.Fatal("small budget did not truncate; raise the model size or lower MaxStates")
 	}
@@ -90,7 +89,7 @@ func TestSnapshotResumeMatchesSequential(t *testing.T) {
 	// Phase 2: full budget, same directory — must resume, not restart.
 	o := obs.New()
 	ctx := obs.NewContext(context.Background(), o)
-	full := mc.Options{Workers: 4, Shards: 2, SnapshotDir: dir}
+	full := mc.Options{Workers: 4, SnapshotDir: dir}
 	engine := mc.NewEngine()
 	for _, p := range list {
 		got, err := engine.CheckContext(ctx, sys, p, full)

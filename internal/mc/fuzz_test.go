@@ -1,0 +1,88 @@
+package mc
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"prochecker/internal/obs"
+	"prochecker/internal/ts"
+)
+
+// FuzzExploreMatchesSequential checks the level explorer against the
+// sequential reference on generated systems. The fuzz input picks the
+// seed and scales the variable and rule counts, so larger inputs grow
+// frontiers wider than 2*workers and exercise the parallel expansion.
+// Every exploration mode — one or four workers, spilling under a tight
+// memory budget, resuming from the snapshots of a truncated build — must
+// agree with CheckSequential on the verdict, the states explored and
+// the counterexample's rule path, for an invariant, a never-fires and a
+// response property.
+func FuzzExploreMatchesSequential(f *testing.F) {
+	f.Add(int64(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(2), uint8(30))
+	f.Add(int64(6), uint8(4), uint8(60))
+	f.Add(int64(5), uint8(6), uint8(60))
+	f.Fuzz(func(t *testing.T, seed int64, extraVars, extraRules uint8) {
+		sys := randomSystem(t, seed, int(extraVars%7), int(extraRules%61))
+		rng := rand.New(rand.NewSource(seed))
+		v := sys.Vars()[rng.Intn(len(sys.Vars()))]
+		props := []Property{
+			Invariant{PropName: "inv", Holds: ts.Neq{Var: v.Name, Value: v.Domain[rng.Intn(len(v.Domain))]}},
+			NeverFires{PropName: "never", Match: func(n string) bool { return n == "r1" }},
+			Response{
+				PropName: "resp",
+				Trigger:  func(n string) bool { return n == "r0" },
+				Goal:     func(n string) bool { return n == "r2" },
+			},
+		}
+		want := make([]Result, len(props))
+		for i, p := range props {
+			want[i] = CheckSequential(sys, p, Options{})
+		}
+		check := func(mode string, ctx context.Context, opts Options) {
+			t.Helper()
+			engine := NewEngine()
+			for i, p := range props {
+				got, err := engine.CheckContext(ctx, sys, p, opts)
+				if err != nil {
+					t.Fatalf("%s %s: engine error: %v", mode, p.Name(), err)
+				}
+				w := want[i]
+				if got.Verified != w.Verified || got.StatesExplored != w.StatesExplored {
+					t.Fatalf("%s %s: engine verified=%v states=%d, sequential verified=%v states=%d",
+						mode, p.Name(), got.Verified, got.StatesExplored, w.Verified, w.StatesExplored)
+				}
+				if (got.Counterexample == nil) != (w.Counterexample == nil) {
+					t.Fatalf("%s %s: counterexample presence: engine %v, sequential %v",
+						mode, p.Name(), got.Counterexample != nil, w.Counterexample != nil)
+				}
+				if w.Counterexample != nil && !reflect.DeepEqual(got.Counterexample.RuleNames(), w.Counterexample.RuleNames()) {
+					t.Fatalf("%s %s: rule path: engine %v, sequential %v",
+						mode, p.Name(), got.Counterexample.RuleNames(), w.Counterexample.RuleNames())
+				}
+			}
+		}
+
+		ctx := context.Background()
+		check("workers=1", ctx, Options{Workers: 1})
+		check("workers=4", ctx, Options{Workers: 4})
+		check("spill", ctx, Options{Workers: 4, MemBudget: 1, SpillDir: t.TempDir(), SpillSegmentBytes: 1})
+
+		// Truncate a first build at about half the reachable states, then
+		// resume the full build from the snapshots it left behind.
+		g, err := buildGraph(ctx, sys, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		truncated := Options{Workers: 4, MaxStates: max(1, g.NumStates()/2), SnapshotDir: dir}
+		NewEngine().CheckContext(ctx, sys, props[0], truncated) // a budget error is expected
+		o := obs.New()
+		check("resume", obs.NewContext(ctx, o), Options{Workers: 4, SnapshotDir: dir})
+		if lvl := o.Metrics().Gauge("mc.resume_level").Value(); lvl < 1 {
+			t.Fatalf("resume: build did not resume from a snapshot (level %d)", lvl)
+		}
+	})
+}

@@ -4,8 +4,8 @@
 // first-reach parent tree and per-state edge order must be identical to
 // the sequential explorer's so that counterexample traces come out
 // byte-identical. States live in the compact arena/index storage layer
-// (arena.go); the sharded level-synchronised explorer that fills the
-// graph is in shard.go, and snapshot/resume in snapshot.go.
+// (arena.go); the level-synchronised explorer that fills the graph is
+// in explore.go, and snapshot/resume in snapshot.go.
 package mc
 
 import (
@@ -101,9 +101,8 @@ func (g *StateGraph) statesWhenProcessing(id, ri int32) int {
 }
 
 // hashState is FNV-1a over the packed state bytes: computed once per
-// candidate in the worker and reused for shard selection, index probing
-// and bloom membership, instead of re-serialising the full assignment
-// per intern.
+// candidate in the worker and reused for index probing and bloom
+// membership, instead of re-serialising the full assignment per intern.
 func hashState(s ts.State) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range s {

@@ -142,11 +142,6 @@ type Options struct {
 	// parallelism of CheckAll; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 
-	// Shards partitions the visited set and frontier across hash-owned
-	// index shards. Rounded down to a power of two, capped at 64; 0 or 1
-	// keeps a single shard. Sharding never changes results — state ids,
-	// the parent tree and traces stay byte-identical to CheckSequential.
-	Shards int
 	// MemBudget bounds resident exploration state bytes; beyond it, cold
 	// arena segments spill to disk (an unlinked temp file under
 	// SpillDir). <= 0 disables spilling.
@@ -183,21 +178,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// maxShards caps sharding so shard selection fits the low hash bits
-// reserved by the state index (indexShardBits).
-const maxShards = 64
-
-func (o Options) shardCount() int {
-	if o.Shards <= 1 {
-		return 1
-	}
-	n := 1
-	for n*2 <= min(o.Shards, maxShards) {
-		n *= 2
-	}
-	return n
 }
 
 func (o Options) snapshotEvery() int {

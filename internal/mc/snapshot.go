@@ -209,7 +209,7 @@ func (s *snapReader) u32() uint32 {
 func (s *snapReader) i32() int32 { return int32(s.u32()) }
 
 // tryResume loads the newest valid snapshot of this system from
-// opts.SnapshotDir into the explorer, rebuilding the shard indexes and
+// opts.SnapshotDir into the explorer, rebuilding the index and
 // per-segment blooms by re-hashing the restored arena. A missing,
 // corrupt or mismatched snapshot is not an error — exploration simply
 // starts fresh; only I/O failure of the directory itself propagates.
@@ -298,7 +298,6 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 		adj[id] = edges
 	}
 	frontier := make([]int32, int(r.u32()))
-	fOwners := make([]uint8, len(frontier))
 	for i := range frontier {
 		id := r.i32()
 		if id < 0 || int(id) >= n {
@@ -310,46 +309,28 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 		return 0, false
 	}
 
-	// Rebuild the arena, per-segment blooms and shard indexes by
-	// re-hashing the restored states; frontier owners fall out of the
-	// same hashes. A first pass counts per-shard ownership so each
-	// (still empty) index is sized once up front — the slot-only tables
-	// cannot rehash in place. The arena is empty here (resume runs
-	// before any interning), so ids come out dense and in order by
-	// construction.
+	// Rebuild the arena, per-segment blooms and the index by re-hashing
+	// the restored states; the (still empty) index is sized once up
+	// front, since the slot-only table cannot rehash in place. The arena
+	// is empty here (resume runs before any interning), so ids come out
+	// dense and in order by construction.
 	if g.arena.len() != 0 {
 		return 0, false
 	}
-	owners := make([]uint8, n)
-	hashes := make([]uint64, n)
-	counts := make([]int, len(e.shards))
-	for id := 0; id < n; id++ {
-		h := hashState(ts.State(states[id*stride : (id+1)*stride]))
-		hashes[id] = h
-		owners[id] = uint8(h & e.mask)
-		counts[h&e.mask]++
-	}
-	for k, x := range e.shards {
-		x.reserve(counts[k])
-	}
+	e.index.reserve(n)
 	for id := 0; id < n; id++ {
 		s := states[id*stride : (id+1)*stride]
-		aid, err := g.arena.append(s, hashes[id])
+		h := hashState(ts.State(s))
+		aid, err := g.arena.append(s, h)
 		if err != nil || int(aid) != id {
 			return 0, false
 		}
-		x := e.shards[owners[id]]
-		_, pos, _ := x.probe(hashes[id], func(int32) (bool, error) { return false, nil })
-		x.set(pos, int32(id)+1)
-	}
-	for i, id := range frontier {
-		fOwners[i] = owners[id]
+		e.index.add(h, aid)
 	}
 	g.parentState = parentState
 	g.parentRule = parentRule
 	g.adj = adj
 	e.frontier = frontier
-	e.fOwners = fOwners
 	e.level = level
 	return level, true
 }

@@ -4,7 +4,6 @@ import (
 	"expvar"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -30,19 +29,13 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Labeled renders a per-instance instrument name inside the registry's
-// flat namespace: Labeled("mc.frontier_width", "shard", 3) yields
-// "mc.frontier_width{shard=3}". The registry has no label dimension —
-// this convention keeps a labelled family greppable under one prefix
-// while every instance stays an independent lock-free instrument.
-func Labeled(base, key string, v int) string {
-	return LabeledStr(base, key, strconv.Itoa(v))
-}
-
-// LabeledStr is Labeled for string label values:
-// LabeledStr("jobs.terminal_by_impl", "impl", "srslte") yields
-// "jobs.terminal_by_impl{impl=srslte}". WritePrometheus parses the
-// convention back into real Prometheus labels.
+// LabeledStr renders a per-instance instrument name inside the
+// registry's flat namespace: LabeledStr("jobs.terminal_by_impl", "impl",
+// "srslte") yields "jobs.terminal_by_impl{impl=srslte}". The registry
+// has no label dimension — this convention keeps a labelled family
+// greppable under one prefix while every instance stays an independent
+// lock-free instrument. WritePrometheus parses the convention back into
+// real Prometheus labels.
 func LabeledStr(base, key, val string) string {
 	return fmt.Sprintf("%s{%s=%s}", base, key, val)
 }

@@ -38,15 +38,15 @@ func TestWritePrometheusFlatInstruments(t *testing.T) {
 
 func TestWritePrometheusParsesLabelConvention(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Labeled("mc.states", "shard", 0)).Add(10)
-	r.Counter(Labeled("mc.states", "shard", 1)).Add(20)
+	r.Counter(LabeledStr("mc.states", "worker", "0")).Add(10)
+	r.Counter(LabeledStr("mc.states", "worker", "1")).Add(20)
 	r.Counter(LabeledStr("jobs.terminal_by_impl", "impl", "srsue")).Inc()
 
 	lines := promLines(t, r)
 	wantLines := []string{
 		`prochecker_jobs_terminal_by_impl{impl="srsue"} 1`,
-		`prochecker_mc_states{shard="0"} 10`,
-		`prochecker_mc_states{shard="1"} 20`,
+		`prochecker_mc_states{worker="0"} 10`,
+		`prochecker_mc_states{worker="1"} 20`,
 	}
 	for _, want := range wantLines {
 		found := false
@@ -60,7 +60,7 @@ func TestWritePrometheusParsesLabelConvention(t *testing.T) {
 			t.Errorf("exposition missing sample %q in:\n%s", want, strings.Join(lines, "\n"))
 		}
 	}
-	// Both shard instances must sit under ONE family header.
+	// Both worker instances must sit under ONE family header.
 	headers := 0
 	for _, line := range lines {
 		if strings.HasPrefix(line, "# TYPE prochecker_mc_states ") {
@@ -96,8 +96,8 @@ func TestWritePrometheusHistogramCumulative(t *testing.T) {
 func TestWritePrometheusLabelledHistogramKeepsBucketOrder(t *testing.T) {
 	r := NewRegistry()
 	// Bounds where lexical ordering would scramble: "2" > "10" lexically.
-	r.Histogram(Labeled("mc.level_ms", "shard", 1), []float64{2, 10}).Observe(1)
-	r.Histogram(Labeled("mc.level_ms", "shard", 0), []float64{2, 10}).Observe(5)
+	r.Histogram(LabeledStr("mc.level_ms", "worker", "1"), []float64{2, 10}).Observe(1)
+	r.Histogram(LabeledStr("mc.level_ms", "worker", "0"), []float64{2, 10}).Observe(5)
 
 	lines := promLines(t, r)
 	var buckets []string
@@ -107,12 +107,12 @@ func TestWritePrometheusLabelledHistogramKeepsBucketOrder(t *testing.T) {
 		}
 	}
 	want := []string{
-		`prochecker_mc_level_ms_bucket{shard="0",le="2"} 0`,
-		`prochecker_mc_level_ms_bucket{shard="0",le="10"} 1`,
-		`prochecker_mc_level_ms_bucket{shard="0",le="+Inf"} 1`,
-		`prochecker_mc_level_ms_bucket{shard="1",le="2"} 1`,
-		`prochecker_mc_level_ms_bucket{shard="1",le="10"} 1`,
-		`prochecker_mc_level_ms_bucket{shard="1",le="+Inf"} 1`,
+		`prochecker_mc_level_ms_bucket{worker="0",le="2"} 0`,
+		`prochecker_mc_level_ms_bucket{worker="0",le="10"} 1`,
+		`prochecker_mc_level_ms_bucket{worker="0",le="+Inf"} 1`,
+		`prochecker_mc_level_ms_bucket{worker="1",le="2"} 1`,
+		`prochecker_mc_level_ms_bucket{worker="1",le="10"} 1`,
+		`prochecker_mc_level_ms_bucket{worker="1",le="+Inf"} 1`,
 	}
 	if len(buckets) != len(want) {
 		t.Fatalf("got %d bucket lines, want %d:\n%s", len(buckets), len(want), strings.Join(buckets, "\n"))
@@ -187,10 +187,10 @@ func TestPrometheusHandler(t *testing.T) {
 func TestWritePrometheusValidates(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("obs.events_published").Add(3)
-	r.Counter(Labeled("mc.states", "shard", 2)).Add(9)
+	r.Counter(LabeledStr("mc.states", "worker", "2")).Add(9)
 	r.Counter(LabeledStr("jobs.terminal_by_impl", "impl", `we"ird`)).Inc()
 	r.Gauge("jobs.queue_depth").Set(1)
-	h := r.Histogram(Labeled("mc.level_ms", "shard", 0), nil)
+	h := r.Histogram(LabeledStr("mc.level_ms", "worker", "0"), nil)
 	for _, v := range []float64{0.5, 3, 40, 9999, 123456} {
 		h.Observe(v)
 	}

@@ -237,10 +237,9 @@ func (e *Evaluator) SetWorkers(n int) {
 	e.cfg.Workers = n
 }
 
-// SetMC tunes the model checker's exploration storage: shard count,
-// memory budget and spill directory, snapshot/resume directory. Worker
-// bounds still come from SetWorkers unless opts.Workers is set
-// explicitly. Call it before evaluations start; it is not synchronised
+// SetMC tunes the model checker's exploration storage: memory budget
+// and spill directory, snapshot/resume directory. Worker bounds still
+// come from SetWorkers unless opts.Workers is set explicitly. Call it before evaluations start; it is not synchronised
 // with them.
 func (e *Evaluator) SetMC(opts mc.Options) {
 	workers := e.cfg.MC.Workers

@@ -353,6 +353,47 @@ func TestFollowJobTailsToCompletion(t *testing.T) {
 	}
 }
 
+// TestFollowNilCallback: both follow methods treat a nil callback as
+// "no callback" and still tail the stream to its terminal event.
+func TestFollowNilCallback(t *testing.T) {
+	cl, _, _, _, release := gatedBusService(t, 1, 8, 0)
+	release()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cases := []struct {
+		name   string
+		follow func() (jobs.State, error)
+	}{
+		{"job", func() (jobs.State, error) {
+			job, err := cl.SubmitJob(ctx, jobs.Spec{Impl: "a", Seed: 1})
+			if err != nil {
+				return "", err
+			}
+			final, err := cl.FollowJob(ctx, job.ID, nil)
+			return final.State, err
+		}},
+		{"campaign", func() (jobs.State, error) {
+			camp, err := cl.SubmitCampaign(ctx, prochecker.CampaignSpec{
+				Impls: []string{"conformant", "srsLTE"}, Faults: []string{""}, Seed: 7,
+			})
+			if err != nil {
+				return "", err
+			}
+			final, err := cl.FollowCampaign(ctx, camp.ID, nil)
+			return final.State, err
+		}},
+	}
+	for _, c := range cases {
+		state, err := c.follow()
+		if err != nil {
+			t.Fatalf("%s: follow with nil callback: %v", c.name, err)
+		}
+		if state != jobs.StateDone {
+			t.Fatalf("%s: final state = %s, want done", c.name, state)
+		}
+	}
+}
+
 func TestJobEventsUnknownJob404(t *testing.T) {
 	cl, _, _, _, _ := gatedBusService(t, 1, 8, 0)
 	_, err := cl.StreamJobEvents(context.Background(), "j-9999", "")

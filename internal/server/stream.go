@@ -118,8 +118,8 @@ func (s *EventStream) LastEventID() string { return s.lastID }
 // Close releases the underlying connection.
 func (s *EventStream) Close() error { return s.body.Close() }
 
-// follow tails one stream to completion: events go to fn, transport
-// drops reconnect from the last identified frame, and isDone decides
+// follow tails one stream to completion: events go to fn (when
+// non-nil), transport drops reconnect from the last identified frame, and isDone decides
 // which event ends the tail. Consecutive connection failures are
 // bounded by the client's retry budget (a delivered event resets it).
 func (c *Client) follow(ctx context.Context, open func(lastID string) (*EventStream, error),
@@ -172,7 +172,9 @@ func (c *Client) follow(ctx context.Context, open func(lastID string) (*EventStr
 			}
 			failures = 0
 			lastID = es.LastEventID()
-			fn(ev)
+			if fn != nil {
+				fn(ev)
+			}
 			if isDone(ev) {
 				es.Close()
 				return nil
@@ -184,7 +186,7 @@ func (c *Client) follow(ctx context.Context, open func(lastID string) (*EventStr
 // FollowJob tails a job live: every event (lifecycle, spans, per-level
 // exploration progress) is handed to fn until the job goes terminal,
 // reconnecting with Last-Event-ID across connection drops. It returns
-// the final job snapshot.
+// the final job snapshot. A nil fn just waits for the terminal event.
 func (c *Client) FollowJob(ctx context.Context, id string, fn func(obs.BusEvent)) (jobs.Job, error) {
 	err := c.follow(ctx,
 		func(lastID string) (*EventStream, error) { return c.StreamJobEvents(ctx, id, lastID) },
@@ -200,7 +202,8 @@ func (c *Client) FollowJob(ctx context.Context, id string, fn func(obs.BusEvent)
 
 // FollowCampaign tails a campaign live until the synthetic campaign
 // summary event reports every member terminal, then returns the final
-// campaign (with the differential report).
+// campaign (with the differential report). A nil fn just waits for the
+// terminal event.
 func (c *Client) FollowCampaign(ctx context.Context, id string, fn func(obs.BusEvent)) (Campaign, error) {
 	err := c.follow(ctx,
 		func(lastID string) (*EventStream, error) { return c.StreamCampaignEvents(ctx, id, lastID) },

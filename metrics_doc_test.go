@@ -142,7 +142,7 @@ func docCovers(entries map[string]bool, name string) bool {
 		return true
 	}
 	// A labelled base is documented with its label suffix:
-	// mc.frontier_width -> `mc.frontier_width{shard=<k>}`.
+	// jobs.terminal_by_impl -> `jobs.terminal_by_impl{impl=<v>}`.
 	for e := range entries {
 		if open := strings.IndexByte(e, '{'); open > 0 && e[:open] == name {
 			return true

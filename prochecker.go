@@ -160,15 +160,6 @@ func WithWorkers(n int) Option {
 	return func(a *Analysis) { a.workers = n }
 }
 
-// WithShards partitions the model checker's visited set and frontier
-// across n hash-owned shards (rounded down to a power of two, capped at
-// 64). Sharding changes throughput and memory locality only — verdicts,
-// state ids and counterexample traces are byte-identical at any shard
-// count.
-func WithShards(n int) Option {
-	return func(a *Analysis) { a.mcOpts.Shards = n }
-}
-
 // WithMemBudget bounds the model checker's resident exploration state
 // bytes; beyond the budget, cold arena segments spill to an unlinked
 // temp file so large compositions complete in bounded memory. <= 0 (the
