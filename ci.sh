@@ -79,6 +79,24 @@ for impl in conformant srsLTE OAI; do
 done
 echo "dataflow lint gate OK (conformant PC101-clean, srsLTE/OAI exposures reproduced deterministically)"
 
+echo "== CEGAR exploration counts =="
+# Pin each profile's -check all exploration, iteration and refinement
+# counts: clones that apply the same refinements share one graph, so a
+# lost reuse shows up here as extra explorations instead of only as a
+# slower run.
+for want in "srsLTE 7 45 20" "conformant 6 25 5" "OAI 8 34 7"; do
+    read -r impl explorations iterations refinements <<<"$want"
+    "$lint_dir/prochecker" -impl "$impl" -check all -quiet -manifest "$lint_dir/$impl-checkall.json" > /dev/null \
+        || { echo "exploration counts: $impl -check all failed"; exit 1; }
+    got=""
+    for metric in mc.explorations cegar.iterations cegar.refinements; do
+        got="$got $(sed -n "s/.*\"$metric\": *\([0-9]*\).*/\1/p" "$lint_dir/$impl-checkall.json" | head -1)"
+    done
+    [[ "$got" == " $explorations $iterations $refinements" ]] \
+        || { echo "exploration counts: $impl explorations/iterations/refinements =$got, want $explorations $iterations $refinements"; exit 1; }
+done
+echo "CEGAR exploration counts OK (srsLTE 7/45/20, conformant 6/25/5, OAI 8/34/7)"
+
 echo "== observability smoke =="
 # Start a real run with the live metrics endpoint, scrape /debug/vars
 # from outside while -serve-wait keeps it up, and assert the core

@@ -139,7 +139,9 @@ func Verify(composed *threat.Composed, prop mc.Property, cfg Config) (Outcome, e
 //
 // Each run is one "cegar.verify" span with one "cegar.iteration" child
 // per refinement-loop pass (each wrapping the model-checker run and,
-// when a counterexample needs validating, a "cpv.validate" child), and
+// when a counterexample needs validating, a "cpv.validate" child; its
+// graph attribute says whether the pass built, hit or shared the
+// reachability graph), and
 // the loop's totals land in the cegar.* registry counters.
 func VerifyContext(ctx context.Context, composed *threat.Composed, prop mc.Property, cfg Config) (Outcome, error) {
 	ctx, span := obs.Start(ctx, "cegar.verify", obs.A("property", prop.Name()))
@@ -177,7 +179,9 @@ func verifyContext(ctx context.Context, composed *threat.Composed, prop mc.Prope
 	}
 	// The composed system is used read-only until the first refinement
 	// actually mutates it; cloning lazily lets every property's first
-	// iteration share one cached reachability graph.
+	// iteration share one cached reachability graph; the engine's
+	// structural lookup lets clones that apply the same refinements
+	// share one graph as well.
 	sys := composed.System
 	owned := false
 	opts := cfg.mcOptions()
@@ -190,7 +194,10 @@ func verifyContext(ctx context.Context, composed *threat.Composed, prop mc.Prope
 		}
 		out.Iterations++
 		iterCtx, iterSpan := obs.Start(ctx, "cegar.iteration", obs.A("n", strconv.Itoa(out.Iterations)))
-		res, err := mc.CheckContext(iterCtx, sys, prop, opts)
+		res, src, err := mc.CheckSourced(iterCtx, sys, prop, opts)
+		if src != "" {
+			iterSpan.SetAttr("graph", string(src))
+		}
 		out.StatesExplored = res.StatesExplored
 		if err != nil {
 			iterSpan.EndErr(err)

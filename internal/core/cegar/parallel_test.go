@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"prochecker/internal/mc"
+	"prochecker/internal/obs"
 	"prochecker/internal/resilience"
 )
 
@@ -105,5 +106,61 @@ func TestVerifyContextBudgetExhausted(t *testing.T) {
 	}
 	if resilience.ExitCode(err) != resilience.ExitBudgetExhausted {
 		t.Errorf("exit code %d, want %d", resilience.ExitCode(err), resilience.ExitBudgetExhausted)
+	}
+}
+
+// TestRefinedClonesShareOneGraph: two properties that apply the same
+// refinements refine separate clones of the composed system, and the
+// second one's refined iterations are served the graphs the first one
+// built. Every cegar.iteration span says where its graph came from.
+func TestRefinedClonesShareOneGraph(t *testing.T) {
+	c := composed(t, false)
+	match := ruleContains("ue:recv:authentication_request@inject")
+	props := []mc.Property{
+		mc.NeverFires{PropName: "first", Match: match},
+		mc.NeverFires{PropName: "second", Match: match},
+	}
+	o := obs.New()
+	outs, err := VerifyAllContext(obs.NewContext(context.Background(), o), c, props, Config{PreCapture: true, Workers: 1})
+	if err != nil {
+		t.Fatalf("VerifyAllContext: %v", err)
+	}
+	if len(outs[1].Refinements) == 0 || !reflect.DeepEqual(outs[0].Refinements, outs[1].Refinements) {
+		t.Fatalf("the two properties must apply the same refinements: %+v vs %+v", outs[0].Refinements, outs[1].Refinements)
+	}
+
+	m := o.Manifest()
+	var sources [][]string
+	m.Spans.Walk(func(n *obs.SpanNode) {
+		switch n.Name {
+		case "cegar.verify":
+			sources = append(sources, nil)
+		case "cegar.iteration":
+			last := len(sources) - 1
+			sources[last] = append(sources[last], n.Attrs["graph"])
+		}
+	})
+	if len(sources) != 2 {
+		t.Fatalf("want two cegar.verify spans, got %d", len(sources))
+	}
+	for _, src := range sources[0] {
+		if src != string(mc.GraphBuilt) && src != string(mc.GraphHit) && src != string(mc.GraphShared) {
+			t.Errorf("first property: iteration graph source %q", src)
+		}
+	}
+	// The second property's first iteration hits the composed system's
+	// own graph; each refined clone shares the first property's graph.
+	want := []string{string(mc.GraphHit)}
+	for range outs[1].Refinements {
+		want = append(want, string(mc.GraphShared))
+	}
+	if !reflect.DeepEqual(sources[1], want) {
+		t.Errorf("second property's iteration graph sources %v, want %v", sources[1], want)
+	}
+	shared, _ := m.Metrics["mc.graph_cache_shared"].(int64)
+	hits, _ := m.Metrics["mc.graph_cache_hits"].(int64)
+	if shared < int64(len(outs[1].Refinements)) || shared > hits {
+		t.Errorf("mc.graph_cache_shared=%d, mc.graph_cache_hits=%d: want shared >= %d and a subset of hits",
+			shared, hits, len(outs[1].Refinements))
 	}
 }

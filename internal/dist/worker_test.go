@@ -26,6 +26,7 @@ type fakeCoord struct {
 	renews    int
 	completes []completeCall
 	fails     []failCall
+	unsettled int           // grants handed out and not yet settled
 	settled   chan struct{} // closed once every grant has settled
 }
 
@@ -56,6 +57,7 @@ func (c *fakeCoord) AcquireLease(ctx context.Context, worker string) (*Grant, er
 	}
 	g := c.grants[0]
 	c.grants = c.grants[1:]
+	c.unsettled++
 	return g, nil
 }
 
@@ -87,7 +89,8 @@ func (c *fakeCoord) FailLease(ctx context.Context, leaseID, class, msg string) e
 }
 
 func (c *fakeCoord) settleLocked() {
-	if len(c.grants) == 0 {
+	c.unsettled--
+	if len(c.grants) == 0 && c.unsettled == 0 {
 		select {
 		case <-c.settled:
 		default:
@@ -282,6 +285,7 @@ func TestWorkerConcurrencyDrainsInParallel(t *testing.T) {
 	c := newFakeCoord(grants...)
 	var mu sync.Mutex
 	inflight, peak := 0, 0
+	released := false // later grants bring inflight back to 2
 	gate := make(chan struct{})
 	w := &Worker{
 		Coordinator: c,
@@ -291,7 +295,8 @@ func TestWorkerConcurrencyDrainsInParallel(t *testing.T) {
 			if inflight > peak {
 				peak = inflight
 			}
-			if inflight == 2 { // both slots busy at once: release everyone
+			if inflight == 2 && !released { // both slots busy at once: release everyone
+				released = true
 				close(gate)
 			}
 			mu.Unlock()

@@ -205,6 +205,13 @@ func CheckContext(ctx context.Context, sys *ts.System, prop Property, opts Optio
 	return DefaultEngine.CheckContext(ctx, sys, prop, opts)
 }
 
+// CheckSourced is CheckContext that also reports where the graph came
+// from: built by this check, a hit on the system's own cached graph, or
+// shared from a structurally identical system.
+func CheckSourced(ctx context.Context, sys *ts.System, prop Property, opts Options) (Result, GraphSource, error) {
+	return DefaultEngine.CheckSourced(ctx, sys, prop, opts)
+}
+
 // CheckSequential verifies one property with the original per-property
 // exploration: a fresh explicit-state BFS per call, no sharing, no
 // cache. It is the reference implementation the shared-frontier engine
