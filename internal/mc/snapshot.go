@@ -90,7 +90,7 @@ func (e *levelExplorer) writeSnapshot() (err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mc: creating snapshot dir: %w", err)
 	}
-	fp := systemFingerprint(g.Sys)
+	fp := g.fp
 	final := filepath.Join(dir, fmt.Sprintf("%s%08d.ckpt", snapshotPrefix(fp), e.level))
 
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
@@ -222,7 +222,7 @@ func (e *levelExplorer) tryResume() (int, bool, error) {
 		}
 		return 0, false, fmt.Errorf("mc: reading snapshot dir: %w", err)
 	}
-	fp := systemFingerprint(e.g.Sys)
+	fp := e.g.fp
 	prefix := snapshotPrefix(fp)
 	var names []string
 	for _, ent := range entries {
