@@ -671,20 +671,27 @@ func BenchmarkCheckAllVacuityPruned(b *testing.B) {
 }
 
 // BenchmarkCEGARVerifyAll times the full MC ⇄ CPV loop over the same
-// property set, where unrefined properties share one cached exploration
-// via lazy clone-on-refine.
+// property set through the catalogue pool, where unrefined properties
+// share one cached exploration via lazy clone-on-refine. The vacuity
+// pre-pass is off so every property runs the loop.
 func BenchmarkCEGARVerifyAll(b *testing.B) {
 	m := benchModel(b, ue.ProfileConformant)
-	list := catalogueMCProperties(b)
-	cfg := cegar.Config{PreCapture: true}
+	var list []props.Property
+	for _, p := range props.Catalogue() {
+		if p.Kind == props.KindMC {
+			list = append(list, p)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs, err := cegar.VerifyAllContext(context.Background(), m.Composed, list, cfg)
+		ev := report.NewEvaluator(m)
+		ev.SetMC(mc.Options{NoVacuityPrune: true})
+		verdicts, err := ev.EvaluateAllContext(context.Background(), list)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(outs) != len(list) {
-			b.Fatalf("completed %d of %d", len(outs), len(list))
+		if len(verdicts) != len(list) {
+			b.Fatalf("completed %d of %d", len(verdicts), len(list))
 		}
 	}
 }

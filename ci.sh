@@ -448,23 +448,59 @@ resume_level=$(sed -n 's/.*"mc.resume_level": *\([0-9]*\).*/\1/p' "$smoke_dir/sp
     || { echo "smoke: second run did not resume from snapshots"; exit 1; }
 echo "memory-budget spill smoke OK (${spill_bytes} bytes spilled under GOMEMLIMIT=128MiB, resumed at level ${resume_level})"
 
+# bench_json SERIES OUT [KEY NUM DEN [DIGITS [FIELD]]] renders the
+# `go test -bench` output on stdin into OUT, a BENCH_*.json file. Each
+# benchmark line becomes one entry: its name without the GOMAXPROCS
+# suffix, iterations, ns_per_op, and every further (value, unit) pair
+# that b.ReportMetric/ReportAllocs added, keyed by its unit with "/op"
+# -> "_per_op", "/" -> "_per_", "-" -> "_":
+#   BenchmarkExplore-2  1  702924395 ns/op  14.66 bytes/state
+#   -> {"name": "BenchmarkExplore", "iterations": 1, "ns_per_op": 702924395, "bytes_per_state": 14.66}
+# With KEY, the file also records KEY = FIELD (default ns_per_op) of
+# benchmark NUM over that of benchmark DEN, to DIGITS decimals (default
+# 2), or null when either is missing; an empty DEN records NUM as is.
+bench_json() {
+    awk -v series="$1" -v key="${3:-}" -v num="${4:-}" -v den="${5:-}" \
+        -v digits="${6:-2}" -v field="${7:-ns_per_op}" '
+BEGIN { print "{"; printf "  \"series\": \"%s\",\n", series; print "  \"benchmarks\": [" }
+/^Benchmark/ {
+    gsub(/-[0-9]+$/, "", $1)
+    val[$1, "ns_per_op"] = $3
+    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $1, $2, $3)
+    for (i = 5; i + 1 <= NF; i += 2) {
+        unit = $(i+1)
+        gsub(/\/op$/, "_per_op", unit)
+        gsub(/\//, "_per_", unit)
+        gsub(/-/, "_", unit)
+        val[$1, unit] = $i
+        line = line sprintf(", \"%s\": %s", unit, $i)
+    }
+    lines[n++] = line "}"
+}
+END {
+    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
+    if (key == "") {
+        print "  ]"
+    } else {
+        print "  ],"
+        if (den == "")
+            printf "  \"%s\": %s\n", key, num
+        else if (val[num, field] > 0 && val[den, field] > 0)
+            printf "  \"%s\": %." digits "f\n", key, val[num, field] / val[den, field]
+        else
+            printf "  \"%s\": null\n", key
+    }
+    print "}"
+}' > "$2"
+}
+
 echo "== fault-injection bench baseline =="
 bench_out=$(go test -run '^$' -bench 'BenchmarkConformance(Faults|Benign)$' -benchtime 20x .)
 echo "$bench_out"
 
 # Render the benchmark lines into BENCH_faults.json:
 #   BenchmarkConformanceFaults   20   4522434 ns/op
-echo "$bench_out" | awk '
-BEGIN { print "{"; print "  \"series\": \"fault-injected conformance suite (srsLTE, drop=0.10 corrupt=0.10, seed 42)\","; print "  \"benchmarks\": [" }
-/^Benchmark/ {
-    gsub(/-[0-9]+$/, "", $1)
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s}", $1, $2, $3)
-    lines[n++] = line
-}
-END {
-    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
-    print "  ]"; print "}"
-}' > BENCH_faults.json
+echo "$bench_out" | bench_json "fault-injected conformance suite (srsLTE, drop=0.10 corrupt=0.10, seed 42)" BENCH_faults.json
 echo "wrote BENCH_faults.json"
 
 echo "== model-checker bench baseline =="
@@ -480,30 +516,8 @@ echo "$mc_bench_out"
 # first, then any b.ReportMetric extras such as the graph-cache
 # counters:
 #   BenchmarkCheckAllParallel  3  652243412 ns/op  8.00 cache-hits/op  1.00 cache-misses/op
-echo "$mc_bench_out" | awk '
-BEGIN { print "{"; print "  \"series\": \"shared-frontier model checking, full MC catalogue (conformant profile)\","; print "  \"benchmarks\": [" }
-/^Benchmark/ {
-    gsub(/-[0-9]+$/, "", $1)
-    ns[$1] = $3
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $1, $2, $3)
-    for (i = 5; i + 1 <= NF; i += 2) {
-        unit = $(i+1)
-        gsub(/\/op$/, "_per_op", unit)
-        gsub(/-/, "_", unit)
-        line = line sprintf(", \"%s\": %s", unit, $i)
-    }
-    line = line "}"
-    lines[n++] = line
-}
-END {
-    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
-    print "  ],"
-    if (ns["BenchmarkCheckAllSequential"] > 0 && ns["BenchmarkCheckAllParallel"] > 0)
-        printf "  \"checkall_speedup_vs_sequential\": %.2f\n", ns["BenchmarkCheckAllSequential"] / ns["BenchmarkCheckAllParallel"]
-    else
-        print "  \"checkall_speedup_vs_sequential\": null"
-    print "}"
-}' > BENCH_mc.json
+echo "$mc_bench_out" | bench_json "shared-frontier model checking, full MC catalogue (conformant profile)" BENCH_mc.json \
+    checkall_speedup_vs_sequential BenchmarkCheckAllSequential BenchmarkCheckAllParallel
 echo "wrote BENCH_mc.json"
 
 # Regression gate: the arena/spill storage layer must not cost the
@@ -527,30 +541,8 @@ echo "$dist_bench_out"
 # The headline ratio divides the map-era representation's bytes/state
 # (measured live by BenchmarkStateBytesMapBaseline) by the arena's; the
 # acceptance floor for the storage rework is 4x.
-echo "$dist_bench_out" | awk '
-BEGIN { print "{"; print "  \"series\": \"disk-spillable exploration, composed srsLTE model\","; print "  \"benchmarks\": [" }
-/^Benchmark/ {
-    gsub(/-[0-9]+$/, "", $1)
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $1, $2, $3)
-    for (i = 5; i + 1 <= NF; i += 2) {
-        unit = $(i+1)
-        gsub(/\//, "_per_", unit)
-        gsub(/-/, "_", unit)
-        line = line sprintf(", \"%s\": %s", unit, $i)
-        if (unit == "bytes_per_state") bps[$1] = $i
-    }
-    line = line "}"
-    lines[n++] = line
-}
-END {
-    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
-    print "  ],"
-    if (bps["BenchmarkStateBytesMapBaseline"] > 0 && bps["BenchmarkExplore"] > 0)
-        printf "  \"state_bytes_reduction_vs_map\": %.2f\n", bps["BenchmarkStateBytesMapBaseline"] / bps["BenchmarkExplore"]
-    else
-        print "  \"state_bytes_reduction_vs_map\": null"
-    print "}"
-}' > BENCH_dist.json
+echo "$dist_bench_out" | bench_json "disk-spillable exploration, composed srsLTE model" BENCH_dist.json \
+    state_bytes_reduction_vs_map BenchmarkStateBytesMapBaseline BenchmarkExplore 2 bytes_per_state
 echo "wrote BENCH_dist.json"
 
 reduction=$(sed -n 's/.*"state_bytes_reduction_vs_map": *\([0-9.]*\).*/\1/p' BENCH_dist.json | head -1)
@@ -565,23 +557,8 @@ echo "$serve_bench_out"
 # Render into BENCH_serve.json with the cache speedup (cold campaign
 # recomputes every cell; cached serves all of them from the store):
 #   BenchmarkServeCampaign/cold-8     2   6046071920 ns/op
-echo "$serve_bench_out" | awk '
-BEGIN { print "{"; print "  \"series\": \"HTTP campaign round trip, 3 impls x 2 fault specs, property S06\","; print "  \"benchmarks\": [" }
-/^Benchmark/ {
-    gsub(/-[0-9]+$/, "", $1)
-    ns[$1] = $3
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s}", $1, $2, $3)
-    lines[n++] = line
-}
-END {
-    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
-    print "  ],"
-    if (ns["BenchmarkServeCampaign/cold"] > 0 && ns["BenchmarkServeCampaign/cached"] > 0)
-        printf "  \"cache_speedup_vs_cold\": %.2f\n", ns["BenchmarkServeCampaign/cold"] / ns["BenchmarkServeCampaign/cached"]
-    else
-        print "  \"cache_speedup_vs_cold\": null"
-    print "}"
-}' > BENCH_serve.json
+echo "$serve_bench_out" | bench_json "HTTP campaign round trip, 3 impls x 2 fault specs, property S06" BENCH_serve.json \
+    cache_speedup_vs_cold BenchmarkServeCampaign/cold BenchmarkServeCampaign/cached
 echo "wrote BENCH_serve.json"
 
 echo "== durability bench baseline =="
@@ -598,23 +575,8 @@ echo "$wal_bench_out"
 # off the hot path):
 #   BenchmarkWALAppend             2000   24712 ns/op
 #   BenchmarkServeCampaignDurable     3   6102481920 ns/op
-echo "$wal_bench_out" | awk '
-BEGIN { print "{"; print "  \"series\": \"write-ahead log durability: record append fsync path and WAL-enabled campaign round trip\","; print "  \"benchmarks\": [" }
-/^Benchmark/ {
-    gsub(/-[0-9]+$/, "", $1)
-    ns[$1] = $3
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s}", $1, $2, $3)
-    lines[n++] = line
-}
-END {
-    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
-    print "  ],"
-    if (ns["BenchmarkServeCampaignDurable"] > 0 && ns["BenchmarkServeCampaign/cold"] > 0)
-        printf "  \"durable_overhead_vs_in_memory\": %.3f\n", ns["BenchmarkServeCampaignDurable"] / ns["BenchmarkServeCampaign/cold"]
-    else
-        print "  \"durable_overhead_vs_in_memory\": null"
-    print "}"
-}' > BENCH_wal.json
+echo "$wal_bench_out" | bench_json "write-ahead log durability: record append fsync path and WAL-enabled campaign round trip" BENCH_wal.json \
+    durable_overhead_vs_in_memory BenchmarkServeCampaignDurable BenchmarkServeCampaign/cold 3
 echo "wrote BENCH_wal.json"
 
 echo "== model-lint bench baseline =="
@@ -624,19 +586,8 @@ echo "$lint_bench_out"
 # Render into BENCH_lint.json, with the wall-time the three-profile CI
 # gate took above (model build included, which dominates):
 #   BenchmarkLintModel   50   183042 ns/op
-echo "$lint_bench_out" | awk -v gate_ms="$((lint_end_ms - lint_start_ms))" '
-BEGIN { print "{"; print "  \"series\": \"model lint pre-check, all passes over the srsLTE composition\","; print "  \"benchmarks\": [" }
-/^Benchmark/ {
-    gsub(/-[0-9]+$/, "", $1)
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s}", $1, $2, $3)
-    lines[n++] = line
-}
-END {
-    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
-    print "  ],"
-    printf "  \"ci_gate_wall_ms_three_profiles\": %s\n", gate_ms
-    print "}"
-}' > BENCH_lint.json
+echo "$lint_bench_out" | bench_json "model lint pre-check, all passes over the srsLTE composition" BENCH_lint.json \
+    ci_gate_wall_ms_three_profiles "$((lint_end_ms - lint_start_ms))" ""
 echo "wrote BENCH_lint.json"
 
 echo "== static-analysis bench baseline =="
@@ -651,30 +602,8 @@ echo "$sa_bench_out"
 # criterion reads (>= 1.15x). Lines carry the pruned-property count as a
 # ReportMetric pair after ns/op:
 #   BenchmarkCheckAllVacuityPruned   5   38467217 ns/op   30.00 pruned/op
-echo "$sa_bench_out" | awk '
-BEGIN { print "{"; print "  \"series\": \"static vacuity pre-pruning, full MC catalogue (plain LTEInspector composition, warm engine, 1 worker)\","; print "  \"benchmarks\": [" }
-/^Benchmark/ {
-    gsub(/-[0-9]+$/, "", $1)
-    ns[$1] = $3
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $1, $2, $3)
-    for (i = 5; i + 1 <= NF; i += 2) {
-        unit = $(i+1)
-        gsub(/\/op$/, "_per_op", unit)
-        gsub(/-/, "_", unit)
-        line = line sprintf(", \"%s\": %s", unit, $i)
-    }
-    line = line "}"
-    lines[n++] = line
-}
-END {
-    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
-    print "  ],"
-    if (ns["BenchmarkCheckAllVacuityUnpruned"] > 0 && ns["BenchmarkCheckAllVacuityPruned"] > 0)
-        printf "  \"vacuity_prune_speedup\": %.2f\n", ns["BenchmarkCheckAllVacuityUnpruned"] / ns["BenchmarkCheckAllVacuityPruned"]
-    else
-        print "  \"vacuity_prune_speedup\": null"
-    print "}"
-}' > BENCH_sa.json
+echo "$sa_bench_out" | bench_json "static vacuity pre-pruning, full MC catalogue (plain LTEInspector composition, warm engine, 1 worker)" BENCH_sa.json \
+    vacuity_prune_speedup BenchmarkCheckAllVacuityUnpruned BenchmarkCheckAllVacuityPruned
 echo "wrote BENCH_sa.json"
 
 sa_speedup=$(sed -n 's/.*"vacuity_prune_speedup": *\([0-9.]*\).*/\1/p' BENCH_sa.json | head -1)
@@ -696,31 +625,8 @@ echo "$obs_bench_out"
 # under a mutex and never blocks on consumers):
 #   BenchmarkEventBusPublish                 200000   163.4 ns/op   0 B/op   0 allocs/op
 #   BenchmarkCheckAllParallelWithSubscriber       4   2063234018 ns/op   35.00 events/op
-echo "$obs_bench_out" | awk '
-BEGIN { print "{"; print "  \"series\": \"live observability plane: event-bus publish path and streaming overhead on the full MC catalogue\","; print "  \"benchmarks\": [" }
-/^Benchmark/ {
-    gsub(/-[0-9]+$/, "", $1)
-    ns[$1] = $3
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $1, $2, $3)
-    for (i = 5; i + 1 <= NF; i += 2) {
-        unit = $(i+1)
-        gsub(/\/op$/, "_per_op", unit)
-        gsub(/\//, "_per_", unit)
-        gsub(/-/, "_", unit)
-        line = line sprintf(", \"%s\": %s", unit, $i)
-    }
-    line = line "}"
-    lines[n++] = line
-}
-END {
-    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
-    print "  ],"
-    if (ns["BenchmarkCheckAllParallel"] > 0 && ns["BenchmarkCheckAllParallelWithSubscriber"] > 0)
-        printf "  \"subscriber_overhead_vs_bare\": %.3f\n", ns["BenchmarkCheckAllParallelWithSubscriber"] / ns["BenchmarkCheckAllParallel"]
-    else
-        print "  \"subscriber_overhead_vs_bare\": null"
-    print "}"
-}' > BENCH_obs.json
+echo "$obs_bench_out" | bench_json "live observability plane: event-bus publish path and streaming overhead on the full MC catalogue" BENCH_obs.json \
+    subscriber_overhead_vs_bare BenchmarkCheckAllParallelWithSubscriber BenchmarkCheckAllParallel 3
 echo "wrote BENCH_obs.json"
 
 overhead=$(sed -n 's/.*"subscriber_overhead_vs_bare": *\([0-9.]*\).*/\1/p' BENCH_obs.json | head -1)
@@ -739,23 +645,8 @@ echo "$fleet_bench_out"
 # Render into BENCH_fleet.json with the 2-worker speedup the acceptance
 # criterion reads (>= 1.5x):
 #   BenchmarkFleetCampaign/workers=1   3   378667631 ns/op
-echo "$fleet_bench_out" | awk '
-BEGIN { print "{"; print "  \"series\": \"distributed campaign over the lease protocol, 9 cells x 40ms fixed service time\","; print "  \"benchmarks\": [" }
-/^Benchmark/ {
-    gsub(/-[0-9]+$/, "", $1)
-    ns[$1] = $3
-    line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s}", $1, $2, $3)
-    lines[n++] = line
-}
-END {
-    for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
-    print "  ],"
-    if (ns["BenchmarkFleetCampaign/workers=1"] > 0 && ns["BenchmarkFleetCampaign/workers=2"] > 0)
-        printf "  \"fleet_speedup_2_workers_vs_1\": %.2f\n", ns["BenchmarkFleetCampaign/workers=1"] / ns["BenchmarkFleetCampaign/workers=2"]
-    else
-        print "  \"fleet_speedup_2_workers_vs_1\": null"
-    print "}"
-}' > BENCH_fleet.json
+echo "$fleet_bench_out" | bench_json "distributed campaign over the lease protocol, 9 cells x 40ms fixed service time" BENCH_fleet.json \
+    fleet_speedup_2_workers_vs_1 BenchmarkFleetCampaign/workers=1 BenchmarkFleetCampaign/workers=2
 echo "wrote BENCH_fleet.json"
 
 fleet_speedup=$(sed -n 's/.*"fleet_speedup_2_workers_vs_1": *\([0-9.]*\).*/\1/p' BENCH_fleet.json | head -1)

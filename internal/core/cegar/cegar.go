@@ -7,15 +7,17 @@
 // refined away by pruning the offending adversary rule, and the loop
 // continues until the property verifies or a realizable counterexample —
 // an attack — is found.
+//
+// The loop verifies one property per call. Checking a whole catalogue
+// is report.Evaluator's job: its pool fans the properties out over
+// mc.Options.Workers goroutines, which also bound each exploration.
 package cegar
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
-	"sync"
 
 	"prochecker/internal/core/threat"
 	"prochecker/internal/cpv"
@@ -43,12 +45,8 @@ type Config struct {
 	SQN sqn.Config
 	// MaxIterations bounds the refinement loop.
 	MaxIterations int
-	// MC tunes the model checker.
+	// MC tunes the model checker, including its exploration worker pool.
 	MC mc.Options
-	// Workers bounds the property-level parallelism of VerifyAllContext
-	// and, unless MC.Workers overrides it, the checker's exploration
-	// pool. 0 means runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 func (c Config) maxIterations() int {
@@ -56,23 +54,6 @@ func (c Config) maxIterations() int {
 		return c.MaxIterations
 	}
 	return DefaultMaxIterations
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// mcOptions threads the catalogue-level worker budget down to the
-// checker when the caller has not tuned mc.Options.Workers explicitly.
-func (c Config) mcOptions() mc.Options {
-	opts := c.MC
-	if opts.Workers == 0 {
-		opts.Workers = c.Workers
-	}
-	return opts
 }
 
 func (c Config) sqnConfig() sqn.Config {
@@ -184,7 +165,6 @@ func verifyContext(ctx context.Context, composed *threat.Composed, prop mc.Prope
 	// share one graph as well.
 	sys := composed.System
 	owned := false
-	opts := cfg.mcOptions()
 	out := Outcome{Property: prop.Name()}
 
 	for out.Iterations < cfg.maxIterations() {
@@ -194,7 +174,7 @@ func verifyContext(ctx context.Context, composed *threat.Composed, prop mc.Prope
 		}
 		out.Iterations++
 		iterCtx, iterSpan := obs.Start(ctx, "cegar.iteration", obs.A("n", strconv.Itoa(out.Iterations)))
-		res, src, err := mc.CheckSourced(iterCtx, sys, prop, opts)
+		res, src, err := mc.CheckSourced(iterCtx, sys, prop, cfg.MC)
 		if src != "" {
 			iterSpan.SetAttr("graph", string(src))
 		}
@@ -353,85 +333,4 @@ func applyRefinement(sys *ts.System, ref Refinement) error {
 	default:
 		return fmt.Errorf("cegar: unknown refinement kind %d", ref.Kind)
 	}
-}
-
-// VerifyAll runs the loop for each property in order.
-func VerifyAll(composed *threat.Composed, props []mc.Property, cfg Config) ([]Outcome, error) {
-	return VerifyAllContext(context.Background(), composed, props, cfg)
-}
-
-// VerifyAllContext runs the loop for each property over a bounded worker
-// pool (cfg.Workers, default GOMAXPROCS) with graceful degradation:
-// per-property failures are collected while the remaining properties
-// still run, and the completed outcomes are returned in property order —
-// identical to a sequential walk — alongside the aggregated error.
-// Unrefined properties share one cached exploration of the composed
-// system, so the batch is cheaper than the sum of its parts.
-// Cancellation stops the catalogue walk promptly.
-func VerifyAllContext(ctx context.Context, composed *threat.Composed, props []mc.Property, cfg Config) ([]Outcome, error) {
-	type slot struct {
-		out  Outcome
-		err  error
-		done bool
-	}
-	slots := make([]slot, len(props))
-	workers := cfg.workers()
-	if workers > len(props) {
-		workers = len(props)
-	}
-
-	if workers <= 1 {
-		for i, p := range props {
-			if ctx.Err() != nil {
-				break
-			}
-			slots[i].out, slots[i].err = VerifyContext(ctx, composed, p, cfg)
-			slots[i].done = true
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					slots[i].out, slots[i].err = VerifyContext(ctx, composed, props[i], cfg)
-					slots[i].done = true
-				}
-			}()
-		}
-		for i := range props {
-			if ctx.Err() != nil {
-				break
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	out := make([]Outcome, 0, len(props))
-	var errs resilience.Collector
-	for i, p := range props {
-		s := slots[i]
-		switch {
-		case !s.done || resilience.Cancelled(s.err):
-			// Accounted for by the single catalogue-stopped entry below.
-		case s.err == nil:
-			out = append(out, s.out)
-		case errors.Is(s.err, resilience.ErrBudgetExhausted):
-			// The outcome still carries its Unknown verdict; keep it and
-			// surface the typed error alongside.
-			out = append(out, s.out)
-			errs.Add(fmt.Errorf("cegar: verifying %s: %w", p.Name(), s.err))
-		default:
-			errs.Add(fmt.Errorf("cegar: verifying %s: %w", p.Name(), s.err))
-		}
-	}
-	if ctx.Err() != nil {
-		errs.Add(fmt.Errorf("cegar: catalogue stopped after %d of %d properties: %w",
-			len(out), len(props), resilience.ErrCancelled))
-	}
-	return out, errs.Err()
 }

@@ -220,22 +220,6 @@ func TestFreshnessLimitClosesP1(t *testing.T) {
 	}
 }
 
-// TestVerifyAllOrdering exercises the batch API.
-func TestVerifyAllOrdering(t *testing.T) {
-	c := composed(t, false)
-	props := []mc.Property{
-		mc.NeverFires{PropName: "a", Match: func(string) bool { return false }},
-		mc.NeverFires{PropName: "b", Match: func(string) bool { return false }},
-	}
-	outs, err := VerifyAll(c, props, Config{})
-	if err != nil {
-		t.Fatalf("VerifyAll: %v", err)
-	}
-	if len(outs) != 2 || outs[0].Property != "a" || outs[1].Property != "b" {
-		t.Errorf("VerifyAll = %+v", outs)
-	}
-}
-
 // minimalSQNUE builds a tiny UE model whose authentication transition
 // carries the sqn_in_range predicate, like the automatically extracted
 // models do.

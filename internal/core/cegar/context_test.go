@@ -49,28 +49,3 @@ func TestVerifyContextAlreadyCancelled(t *testing.T) {
 		t.Error("cancelled run reported a verdict")
 	}
 }
-
-func TestVerifyAllContextCollectsAndStops(t *testing.T) {
-	composed := composedForTest(t)
-	prop := firstMCProperty(t)
-
-	// Live context: the property verifies and VerifyAll succeeds.
-	outs, err := VerifyAllContext(context.Background(), composed, []mc.Property{prop}, Config{})
-	if err != nil {
-		t.Fatalf("VerifyAllContext: %v", err)
-	}
-	if len(outs) != 1 {
-		t.Fatalf("got %d outcomes, want 1", len(outs))
-	}
-
-	// Cancelled context: prompt return, no outcomes, typed error.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	outs, err = VerifyAllContext(ctx, composed, []mc.Property{prop, prop}, Config{})
-	if !errors.Is(err, resilience.ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
-	}
-	if len(outs) != 0 {
-		t.Errorf("cancelled catalogue produced %d outcomes", len(outs))
-	}
-}

@@ -11,51 +11,6 @@ import (
 	"prochecker/internal/resilience"
 )
 
-// catalogueLikeProps builds a small mixed batch: a property that needs a
-// refinement, one that verifies outright, and one with an attack.
-func catalogueLikeProps() []mc.Property {
-	return []mc.Property{
-		mc.NeverFires{
-			PropName: "refined-forgery",
-			Match:    ruleContains("ue:recv:authentication_request@inject"),
-		},
-		mc.NeverFires{
-			PropName: "trivially-verified",
-			Match:    func(string) bool { return false },
-		},
-		mc.NeverFires{
-			PropName: "replay-attack",
-			Match:    ruleContains("ue:recv:authentication_request@replay"),
-		},
-	}
-}
-
-// TestVerifyAllParallelMatchesSequential: the batch under a worker pool
-// returns the same outcomes, in the same order, as the sequential walk.
-func TestVerifyAllParallelMatchesSequential(t *testing.T) {
-	c := composed(t, false)
-	props := catalogueLikeProps()
-	seq, err := VerifyAllContext(context.Background(), c, props, Config{PreCapture: true, Workers: 1})
-	if err != nil {
-		t.Fatalf("sequential VerifyAllContext: %v", err)
-	}
-	par, err := VerifyAllContext(context.Background(), c, props, Config{PreCapture: true, Workers: 4})
-	if err != nil {
-		t.Fatalf("parallel VerifyAllContext: %v", err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel outcomes diverge:\n  sequential %+v\n  parallel   %+v", seq, par)
-	}
-	if len(par) != len(props) {
-		t.Fatalf("completed %d of %d properties", len(par), len(props))
-	}
-	for i, p := range props {
-		if par[i].Property != p.Name() {
-			t.Errorf("outcome %d is %s, want %s (ordering lost)", i, par[i].Property, p.Name())
-		}
-	}
-}
-
 // TestVerifyAllSharedExploration: with lazy clone-on-refine, the first
 // iteration of every property discharges on one cached graph.
 func TestVerifyAllSharedExploration(t *testing.T) {
@@ -71,7 +26,7 @@ func TestVerifyAllSharedExploration(t *testing.T) {
 			t.Fatalf("CheckContext: %v", err)
 		}
 	}
-	if hits, builds := engine.CacheStats(); builds != 1 || hits != len(props)-1 {
+	if hits, builds, _ := engine.CacheCounters(); builds != 1 || hits != len(props)-1 {
 		t.Fatalf("hits=%d builds=%d, want %d/1: properties did not share one exploration",
 			hits, builds, len(props)-1)
 	}
@@ -92,18 +47,6 @@ func TestVerifyContextBudgetExhausted(t *testing.T) {
 	if !out.Unknown {
 		t.Errorf("budget-exhausted outcome not marked Unknown: %+v", out)
 	}
-
-	// The batch API keeps the inconclusive outcome and surfaces the error.
-	outs, err := VerifyAllContext(context.Background(), c, []mc.Property{prop}, Config{
-		PreCapture: true,
-		MC:         mc.Options{MaxStates: 3},
-	})
-	if !errors.Is(err, resilience.ErrBudgetExhausted) {
-		t.Fatalf("batch: want ErrBudgetExhausted, got %v", err)
-	}
-	if len(outs) != 1 || !outs[0].Unknown {
-		t.Errorf("batch outcomes = %+v, want one Unknown", outs)
-	}
 	if resilience.ExitCode(err) != resilience.ExitBudgetExhausted {
 		t.Errorf("exit code %d, want %d", resilience.ExitCode(err), resilience.ExitBudgetExhausted)
 	}
@@ -121,9 +64,14 @@ func TestRefinedClonesShareOneGraph(t *testing.T) {
 		mc.NeverFires{PropName: "second", Match: match},
 	}
 	o := obs.New()
-	outs, err := VerifyAllContext(obs.NewContext(context.Background(), o), c, props, Config{PreCapture: true, Workers: 1})
-	if err != nil {
-		t.Fatalf("VerifyAllContext: %v", err)
+	ctx := obs.NewContext(context.Background(), o)
+	outs := make([]Outcome, len(props))
+	for i, p := range props {
+		out, err := VerifyContext(ctx, c, p, Config{PreCapture: true, MC: mc.Options{Workers: 1}})
+		if err != nil {
+			t.Fatalf("VerifyContext(%s): %v", p.Name(), err)
+		}
+		outs[i] = out
 	}
 	if len(outs[1].Refinements) == 0 || !reflect.DeepEqual(outs[0].Refinements, outs[1].Refinements) {
 		t.Fatalf("the two properties must apply the same refinements: %+v vs %+v", outs[0].Refinements, outs[1].Refinements)

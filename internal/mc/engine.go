@@ -95,19 +95,11 @@ func NewEngine() *Engine {
 	return &Engine{cache: make(map[*ts.System]*graphEntry)}
 }
 
-// CacheStats reports cache hits (a check served by an already-built or
-// in-flight graph, its own or a structurally identical system's,
-// counted once that graph is ready) and builds (explorations actually
-// run).
-func (e *Engine) CacheStats() (hits, builds int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hits, e.builds
-}
-
-// CacheCounters reports the full cache-effectiveness triple: hits,
-// misses (= graph builds) and evictions of the bounded LRU order — the
-// numbers the BENCH_mc series and the obs registry record.
+// CacheCounters reports the cache-effectiveness triple: hits (a check
+// served by an already-built or in-flight graph, its own or a
+// structurally identical system's, counted once that graph is ready),
+// misses (explorations actually run) and evictions of the bounded LRU
+// order — the numbers the BENCH_mc series and the obs registry record.
 func (e *Engine) CacheCounters() (hits, misses, evictions int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -288,10 +280,11 @@ func (e *Engine) CheckAll(sys *ts.System, props []Property, opts Options) []Resu
 }
 
 // CheckAllContext fans the property list out over a bounded worker pool
-// sharing one exploration. The result slice is indexed 1:1 with props —
-// ordering is deterministic regardless of worker interleaving — and the
-// aggregated error collects per-property budget exhaustion plus a single
-// cancellation entry when the walk was cut short.
+// (resilience.FanOut, Options.Workers wide) sharing one exploration. The
+// result slice is indexed 1:1 with props — ordering is deterministic
+// regardless of worker interleaving — and the aggregated error collects
+// per-property budget exhaustion plus a single cancellation entry when
+// the walk was cut short.
 func (e *Engine) CheckAllContext(ctx context.Context, sys *ts.System, props []Property, opts Options) ([]Result, error) {
 	out := make([]Result, len(props))
 	perErr := make([]error, len(props))
@@ -313,45 +306,11 @@ func (e *Engine) CheckAllContext(ctx context.Context, sys *ts.System, props []Pr
 		}
 	}
 
-	workers := opts.workers()
-	if workers > len(props) {
-		workers = len(props)
-	}
-
-	if workers <= 1 {
-		for i, p := range props {
-			if pruned[i] {
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			out[i], perErr[i] = e.CheckContext(ctx, sys, p, opts)
+	resilience.FanOut(ctx, len(props), opts.workers(), func(i int) {
+		if !pruned[i] {
+			out[i], perErr[i] = e.CheckContext(ctx, sys, props[i], opts)
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					out[i], perErr[i] = e.CheckContext(ctx, sys, props[i], opts)
-				}
-			}()
-		}
-		for i := range props {
-			if pruned[i] {
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	})
 
 	var errs resilience.Collector
 	completed := 0

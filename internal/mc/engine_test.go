@@ -119,7 +119,7 @@ func TestWaiterRebuildsAfterBuilderCancelled(t *testing.T) {
 			}
 			// The waiter's check is one miss, not also a hit: no graph
 			// it waited on was ever served.
-			if hits, builds := engine.CacheStats(); hits != 0 || builds != 2 {
+			if hits, builds, _ := engine.CacheCounters(); hits != 0 || builds != 2 {
 				t.Errorf("hits = %d, builds = %d; want 0 hits, 2 builds (cancelled build + waiter's rebuild)", hits, builds)
 			}
 			reg := o.Metrics()
@@ -199,7 +199,7 @@ func TestSharedGraphTracesCarryCallerTags(t *testing.T) {
 		}
 	}
 	shared := o.Metrics().Counter("mc.graph_cache_shared").Value()
-	if hits, builds := engine.CacheStats(); builds != 1 || hits != len(props)*2-1 || shared != 1 {
+	if hits, builds, _ := engine.CacheCounters(); builds != 1 || hits != len(props)*2-1 || shared != 1 {
 		t.Errorf("hits=%d builds=%d shared=%d, want %d/1/1", hits, builds, shared, len(props)*2-1)
 	}
 }
@@ -301,7 +301,7 @@ func TestConcurrentClonesShareOneBuild(t *testing.T) {
 			built++
 		}
 	}
-	if _, builds := engine.CacheStats(); builds != 1 || built != 1 {
+	if _, builds, _ := engine.CacheCounters(); builds != 1 || built != 1 {
 		t.Fatalf("builds=%d, %d checks report %q; want one build (sources %v)", builds, built, GraphBuilt, srcs)
 	}
 }

@@ -19,12 +19,15 @@ import (
 // clone served the graph another clone built before refining itself —
 // must agree with CheckSequential on the verdict, the states explored
 // and the counterexample trace, for an invariant, a never-fires and a
-// response property.
+// response property. CheckAllContext with the vacuity pre-pass on must
+// match the full run on every property it does not prune, and prune
+// only properties CheckSequential verifies.
 func FuzzExploreMatchesSequential(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint8(0))
 	f.Add(int64(3), uint8(2), uint8(30))
 	f.Add(int64(6), uint8(4), uint8(60))
 	f.Add(int64(5), uint8(6), uint8(60))
+	f.Add(int64(4), uint8(0), uint8(0)) // the pre-pass prunes never and resp
 	f.Fuzz(func(t *testing.T, seed int64, extraVars, extraRules uint8) {
 		sys := randomSystem(t, seed, int(extraVars%7), int(extraRules%61))
 		rng := rand.New(rand.NewSource(seed))
@@ -108,6 +111,28 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		}
 		checkOn("reuse", ctx, engine, b, want, Options{Workers: 4})
 		checkOn("refined", ctx, engine, a, sequential(a), Options{Workers: 4})
+
+		// Vacuity pruning: with the static pre-pass on, every property it
+		// does not prune gets the result of the full run, and every
+		// property it prunes is one the sequential checker verifies.
+		pruned, err := NewEngine().CheckAllContext(ctx, sys, props, Options{Workers: 4})
+		if err != nil {
+			t.Fatalf("vacuity: pruned run: %v", err)
+		}
+		full, err := NewEngine().CheckAllContext(ctx, sys, props, Options{Workers: 4, NoVacuityPrune: true})
+		if err != nil {
+			t.Fatalf("vacuity: full run: %v", err)
+		}
+		for i, p := range props {
+			switch {
+			case full[i].Vacuous:
+				t.Fatalf("vacuity %s: pruned with the pre-pass off", p.Name())
+			case pruned[i].Vacuous && !want[i].Verified:
+				t.Fatalf("vacuity %s: pruned, but the sequential checker finds it violated", p.Name())
+			case !pruned[i].Vacuous && !reflect.DeepEqual(pruned[i], full[i]):
+				t.Fatalf("vacuity %s: pre-pass on %+v, off %+v", p.Name(), pruned[i], full[i])
+			}
+		}
 	})
 }
 

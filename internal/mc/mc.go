@@ -139,7 +139,8 @@ type Result struct {
 type Options struct {
 	MaxStates int
 	// Workers bounds the exploration worker pool and the property-level
-	// parallelism of CheckAll; 0 means runtime.GOMAXPROCS(0).
+	// parallelism of CheckAll and of the report.Evaluator catalogue
+	// pool; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 
 	// MemBudget bounds resident exploration state bytes; beyond it, cold

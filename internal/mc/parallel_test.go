@@ -253,7 +253,7 @@ func TestEngineCacheReuseAndInvalidation(t *testing.T) {
 			t.Fatalf("CheckContext: %v", err)
 		}
 	}
-	if hits, builds := engine.CacheStats(); builds != 1 || hits != 1 {
+	if hits, builds, _ := engine.CacheCounters(); builds != 1 || hits != 1 {
 		t.Fatalf("after two checks: hits=%d builds=%d, want 1/1", hits, builds)
 	}
 	if !sys.RemoveRule("wrap") {
@@ -262,7 +262,7 @@ func TestEngineCacheReuseAndInvalidation(t *testing.T) {
 	if _, err := engine.CheckContext(context.Background(), sys, inv, opts); err != nil {
 		t.Fatalf("CheckContext after edit: %v", err)
 	}
-	if _, builds := engine.CacheStats(); builds != 2 {
+	if _, builds, _ := engine.CacheCounters(); builds != 2 {
 		t.Fatalf("stale graph served after RemoveRule: builds=%d, want 2", builds)
 	}
 }

@@ -8,8 +8,8 @@ package report
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -197,7 +197,9 @@ type Verdict struct {
 // Evaluator runs properties against a built model, caching outcomes.
 // It is safe for concurrent use: concurrent evaluations of distinct
 // properties proceed in parallel, while concurrent evaluations of the
-// same property are collapsed into one run.
+// same property are collapsed into one run. Its EvaluateAllContext is
+// the pipeline's one catalogue pool: Analysis.CheckAll, full-catalogue
+// jobs and VerifyAllProperties all fan the catalogue out through it.
 type Evaluator struct {
 	model *Model
 	cfg   cegar.Config
@@ -205,6 +207,7 @@ type Evaluator struct {
 	mu       sync.Mutex
 	cache    map[string]Verdict
 	inflight map[string]*evalCall
+	waiting  int // callers blocked on an in-flight evaluation; tests synchronise on it
 	// reach caches the static reachability fixpoint per system
 	// generation for the vacuity pre-check.
 	reach    *dataflow.RuleReach
@@ -230,30 +233,12 @@ func NewEvaluator(m *Model) *Evaluator {
 	}
 }
 
-// SetWorkers bounds the evaluator's property-level parallelism and the
-// model checker's exploration pool (0 restores the GOMAXPROCS default).
-// Call it before evaluations start; it is not synchronised with them.
-func (e *Evaluator) SetWorkers(n int) {
-	e.cfg.Workers = n
-}
-
-// SetMC tunes the model checker's exploration storage: memory budget
-// and spill directory, snapshot/resume directory. Worker bounds still
-// come from SetWorkers unless opts.Workers is set explicitly. Call it before evaluations start; it is not synchronised
-// with them.
+// SetMC tunes the model checker: worker pool, memory budget and spill
+// directory, snapshot/resume directory, vacuity pre-pass. opts.Workers
+// (0 = GOMAXPROCS) also bounds EvaluateAllContext's property pool. Call
+// it before evaluations start; it is not synchronised with them.
 func (e *Evaluator) SetMC(opts mc.Options) {
-	workers := e.cfg.MC.Workers
 	e.cfg.MC = opts
-	if e.cfg.MC.Workers == 0 {
-		e.cfg.MC.Workers = workers
-	}
-}
-
-func (e *Evaluator) workers() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Evaluate runs one catalogue property.
@@ -263,21 +248,40 @@ func (e *Evaluator) Evaluate(p props.Property) (Verdict, error) {
 
 // EvaluateContext is Evaluate with cancellation threaded into the CEGAR
 // loop and the live equivalence scenarios. Cancelled evaluations are
-// not cached, so a later call with a live context re-runs the property.
+// not cached, so a later call with a live context re-runs the property;
+// a caller that was waiting on a cancelled run of the same property
+// evaluates it itself when its own context is live.
 func (e *Evaluator) EvaluateContext(ctx context.Context, p props.Property) (Verdict, error) {
 	e.mu.Lock()
-	if v, ok := e.cache[p.ID]; ok {
+	for {
+		if v, ok := e.cache[p.ID]; ok {
+			e.mu.Unlock()
+			return v, nil
+		}
+		c, ok := e.inflight[p.ID]
+		if !ok {
+			break
+		}
+		e.waiting++
 		e.mu.Unlock()
-		return v, nil
-	}
-	if c, ok := e.inflight[p.ID]; ok {
-		e.mu.Unlock()
+		done := false
 		select {
 		case <-c.done:
-			return c.v, c.err
+			done = true
 		case <-ctx.Done():
-			return Verdict{}, fmt.Errorf("report: verifying %s: %w", p.ID, resilience.ErrCancelled)
 		}
+		e.mu.Lock()
+		e.waiting--
+		switch {
+		case !done:
+			e.mu.Unlock()
+			return Verdict{}, fmt.Errorf("report: verifying %s: %w", p.ID, resilience.ErrCancelled)
+		case !resilience.Cancelled(c.err) || ctx.Err() != nil:
+			e.mu.Unlock()
+			return c.v, c.err
+		}
+		// The run this caller waited on was cancelled by its own caller;
+		// this caller's context is live, so it evaluates the property.
 	}
 	c := &evalCall{done: make(chan struct{})}
 	e.inflight[p.ID] = c
@@ -326,9 +330,13 @@ func (e *Evaluator) evaluate(ctx context.Context, p props.Property) (_ Verdict, 
 			}
 			return v, nil
 		}
-		out, err := cegar.VerifyContext(ctx, e.model.Composed, p.MC(), e.cfg)
-		if err != nil {
-			return Verdict{}, fmt.Errorf("report: verifying %s: %w", p.ID, err)
+		out, verr := cegar.VerifyContext(ctx, e.model.Composed, p.MC(), e.cfg)
+		if verr != nil {
+			err = fmt.Errorf("report: verifying %s: %w", p.ID, verr)
+			if !out.Unknown {
+				return Verdict{}, err
+			}
+			// A budget-exhausted run keeps its inconclusive verdict.
 		}
 		v.Verified = out.Verified
 		v.Detected = out.Attack != nil
@@ -365,7 +373,7 @@ func (e *Evaluator) evaluate(ctx context.Context, p props.Property) (_ Verdict, 
 			reg.Counter("report.attacks_found").Inc()
 		}
 	}
-	return v, nil
+	return v, err
 }
 
 // vacuityCheck runs the static vacuity pre-pass for a model-checked
@@ -403,55 +411,40 @@ func verdictWord(v Verdict) string {
 }
 
 // EvaluateAllContext evaluates the properties over a bounded worker pool
-// (SetWorkers, default GOMAXPROCS), returning verdicts in list order.
-// The first evaluation error (in list order) is returned, matching a
-// sequential walk; cancellation surfaces as resilience.ErrCancelled.
+// (mc.Options.Workers from SetMC, default GOMAXPROCS) with graceful
+// degradation: a property whose evaluation fails does not stop the
+// others. It returns the completed verdicts in list order — the same
+// verdicts a sequential walk returns — alongside the aggregated error
+// (a resilience.ErrorList when several failed). A budget-exhausted
+// property counts as completed: its inconclusive verdict is kept and
+// its error collected. Once ctx is done no further property starts, and
+// the error gains one entry wrapping resilience.ErrCancelled that says
+// how many properties completed.
 func (e *Evaluator) EvaluateAllContext(ctx context.Context, list []props.Property) ([]Verdict, error) {
 	verdicts := make([]Verdict, len(list))
 	errs := make([]error, len(list))
-	workers := e.workers()
-	if workers > len(list) {
-		workers = len(list)
-	}
+	ran := resilience.FanOut(ctx, len(list), e.cfg.MC.Workers, func(i int) {
+		verdicts[i], errs[i] = e.EvaluateContext(ctx, list[i])
+	})
 
-	if workers <= 1 {
-		for i, p := range list {
-			if ctx.Err() != nil {
-				break
-			}
-			verdicts[i], errs[i] = e.EvaluateContext(ctx, p)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					verdicts[i], errs[i] = e.EvaluateContext(ctx, list[i])
-				}
-			}()
-		}
-		for i := range list {
-			if ctx.Err() != nil {
-				break
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	out := verdicts[:0]
+	var failed resilience.Collector
+	for i, err := range errs {
+		switch {
+		case !ran[i] || resilience.Cancelled(err):
+			// Accounted for by the single catalogue-stopped entry below.
+		case err == nil || errors.Is(err, resilience.ErrBudgetExhausted):
+			out = append(out, verdicts[i])
+			failed.Add(err)
+		default:
+			failed.Add(err)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("report: catalogue stopped: %w", resilience.ErrCancelled)
+	if ctx.Err() != nil {
+		failed.Add(fmt.Errorf("catalogue stopped after %d of %d properties: %w",
+			len(out), len(list), resilience.ErrCancelled))
 	}
-	return verdicts, nil
+	return out, failed.Err()
 }
 
 // AttackInfo is one Table I row's metadata.

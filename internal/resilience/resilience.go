@@ -31,7 +31,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 )
 
 // Sentinel errors of the failure taxonomy. Wrap them with %w so
@@ -325,3 +327,41 @@ func (c *Collector) Err() error {
 // Cancelled reports whether err (or any member of an aggregate)
 // classifies as a cancellation.
 func Cancelled(err error) bool { return Classify(err) == KindCancelled }
+
+// FanOut calls fn(i) for every i in [0, n) over a bounded worker pool
+// (workers <= 0 means runtime.GOMAXPROCS(0); with one worker the calls
+// run in order on the caller's goroutine). Indices are dispatched in
+// order and dispatching stops once ctx is done; calls already running
+// finish. ran[i] reports whether fn(i) was called, so a degraded run
+// can collect what completed and count what never started.
+func FanOut(ctx context.Context, n, workers int, fn func(i int)) (ran []bool) {
+	ran = make([]bool, n)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+			ran[i] = true
+		}
+		return ran
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+				ran[i] = true
+			}
+		}()
+	}
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	return ran
+}

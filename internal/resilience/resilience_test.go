@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -160,5 +162,44 @@ func TestCancelledHelper(t *testing.T) {
 	}
 	if Cancelled(errors.New("other")) {
 		t.Error("plain error recognised as cancellation")
+	}
+}
+
+// TestFanOutDispatchAndStop: every index runs once, in order on one
+// worker; once ctx is done no further index is dispatched, and ran says
+// exactly which indices were called.
+func TestFanOutDispatchAndStop(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		var order []int
+		ran := FanOut(context.Background(), 10, workers, func(i int) {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+		})
+		if len(order) != 10 || !reflect.DeepEqual(ran, []bool{true, true, true, true, true, true, true, true, true, true}) {
+			t.Errorf("workers=%d: called %v, ran %v; want every index once", workers, order, ran)
+		}
+		if workers == 1 && !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+			t.Errorf("one worker called %v, want list order", order)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		called := make([]bool, 10)
+		ran = FanOut(ctx, len(called), workers, func(i int) {
+			called[i] = true
+			if i == 2 {
+				cancel()
+			}
+		})
+		if !reflect.DeepEqual(ran, called) {
+			t.Errorf("workers=%d: ran %v, but called %v", workers, ran, called)
+		}
+		if workers == 1 && !reflect.DeepEqual(ran, []bool{true, true, true, false, false, false, false, false, false, false}) {
+			t.Errorf("one worker ran %v after cancelling at index 2, want 0..2 only", ran)
+		}
+		if ran = FanOut(ctx, 10, workers, func(int) { t.Error("called under a cancelled context") }); ran[0] {
+			t.Errorf("workers=%d: ran %v under a cancelled context", workers, ran)
+		}
 	}
 }

@@ -29,9 +29,7 @@ package prochecker
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"prochecker/internal/channel"
@@ -141,13 +139,12 @@ type PropertyResult struct {
 // Analysis is a built pipeline for one implementation: extracted model,
 // threat composition and cached verdicts.
 type Analysis struct {
-	impl    Implementation
-	model   *report.Model
-	eval    *report.Evaluator
-	workers int
-	mcOpts  mc.Options
-	faults  channel.FaultConfig
-	obsv    *obs.Observer
+	impl   Implementation
+	model  *report.Model
+	eval   *report.Evaluator
+	mcOpts mc.Options
+	faults channel.FaultConfig
+	obsv   *obs.Observer
 }
 
 // Option tunes an Analysis at construction time.
@@ -157,7 +154,7 @@ type Option func(*Analysis)
 // model checker's exploration pool. 0 (the default) means
 // runtime.GOMAXPROCS(0); 1 forces a fully sequential run.
 func WithWorkers(n int) Option {
-	return func(a *Analysis) { a.workers = n }
+	return func(a *Analysis) { a.mcOpts.Workers = n }
 }
 
 // WithMemBudget bounds the model checker's resident exploration state
@@ -251,16 +248,8 @@ func AnalyzeContext(ctx context.Context, impl Implementation, opts ...Option) (*
 	}
 	a.model = m
 	a.eval = report.NewEvaluator(m)
-	a.eval.SetWorkers(a.workers)
 	a.eval.SetMC(a.mcOpts)
 	return a, nil
-}
-
-func (a *Analysis) workerCount() int {
-	if a.workers > 0 {
-		return a.workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // ErrCancelled marks analyses cut short by context cancellation or
@@ -328,6 +317,11 @@ func (a *Analysis) CheckPropertyContext(ctx context.Context, id string) (Propert
 	if err != nil {
 		return PropertyResult{}, fmt.Errorf("prochecker: %w", err)
 	}
+	return propertyResult(p, v), nil
+}
+
+// propertyResult maps an evaluator verdict onto the public result.
+func propertyResult(p props.Property, v report.Verdict) PropertyResult {
 	return PropertyResult{
 		ID:          p.ID,
 		Class:       string(p.Class),
@@ -337,7 +331,7 @@ func (a *Analysis) CheckPropertyContext(ctx context.Context, id string) (Propert
 		Vacuous:     v.Vacuous,
 		Detail:      v.Detail,
 		Duration:    v.Duration,
-	}, nil
+	}
 }
 
 // CheckAll verifies the complete 62-property catalogue with graceful
@@ -359,64 +353,20 @@ func (a *Analysis) CheckAllContext(ctx context.Context) ([]PropertyResult, error
 	catalogue := props.Catalogue()
 	ctx, span := obs.Start(a.obsContext(ctx), "check.catalogue",
 		obs.A("properties", fmt.Sprint(len(catalogue))))
-	type slot struct {
-		res  PropertyResult
-		err  error
-		done bool
+	verdicts, err := a.eval.EvaluateAllContext(ctx, catalogue)
+	out := make([]PropertyResult, 0, len(verdicts))
+	for _, v := range verdicts {
+		p, _ := props.ByID(v.PropertyID)
+		out = append(out, propertyResult(p, v))
 	}
-	slots := make([]slot, len(catalogue))
-	workers := a.workerCount()
-	if workers > len(catalogue) {
-		workers = len(catalogue)
-	}
-
-	if workers <= 1 {
-		for i, p := range catalogue {
-			if ctx.Err() != nil {
-				break
-			}
-			slots[i].res, slots[i].err = a.CheckPropertyContext(ctx, p.ID)
-			slots[i].done = true
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					slots[i].res, slots[i].err = a.CheckPropertyContext(ctx, catalogue[i].ID)
-					slots[i].done = true
-				}
-			}()
-		}
-		for i := range catalogue {
-			if ctx.Err() != nil {
-				break
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	var out []PropertyResult
+	// Annotate each failure as CheckPropertyContext would.
 	var errs resilience.Collector
-	for i := range catalogue {
-		s := slots[i]
-		switch {
-		case !s.done || resilience.Cancelled(s.err):
-			// Accounted for by the single catalogue-stopped entry below.
-		case s.err == nil:
-			out = append(out, s.res)
-		default:
-			errs.Add(s.err)
+	if list, ok := err.(resilience.ErrorList); ok {
+		for _, e := range list {
+			errs.Add(fmt.Errorf("prochecker: %w", e))
 		}
-	}
-	if ctx.Err() != nil {
-		errs.Add(fmt.Errorf("prochecker: catalogue stopped after %d of %d properties: %w",
-			len(out), len(catalogue), ErrCancelled))
+	} else if err != nil {
+		errs.Add(fmt.Errorf("prochecker: %w", err))
 	}
 	span.SetAttr("completed", fmt.Sprint(len(out)))
 	span.EndErr(errs.Err())
