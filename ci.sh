@@ -98,7 +98,7 @@ done
 echo "CEGAR exploration counts OK (srsLTE 7/45/20, conformant 6/25/5, OAI 8/34/7)"
 
 echo "== observability smoke =="
-# Start a real run with the live metrics endpoint, scrape /debug/vars
+# Start a real run with the live metrics endpoint, scrape /metrics
 # from outside while -serve-wait keeps it up, and assert the core
 # pipeline metrics and a well-formed manifest came out.
 smoke_dir=$(mktemp -d)
@@ -117,7 +117,7 @@ go build -o "$smoke_dir/prochecker" ./cmd/prochecker
 smoke_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-    addr=$(sed -n 's#.*serving metrics on http://\([^/]*\)/debug/vars.*#\1#p' "$smoke_dir/stderr.log" | head -1)
+    addr=$(sed -n 's#.*serving metrics on http://\([^/]*\)/metrics.*#\1#p' "$smoke_dir/stderr.log" | head -1)
     [[ -n "$addr" ]] && break
     sleep 0.1
 done
@@ -130,19 +130,34 @@ for _ in $(seq 1 600); do
     sleep 0.1
 done
 [[ -s "$smoke_dir/run.json" ]] || { echo "smoke: manifest never appeared"; exit 1; }
-vars=$(curl -sf "http://$addr/debug/vars")
-for metric in mc.states_explored mc.graph_cache_misses mc.check_ms \
-              report.properties_checked cegar.iterations conformance.cases; do
-    grep -q "$metric" <<<"$vars" || { echo "smoke: /debug/vars missing $metric"; exit 1; }
+vars=$(curl -sf "http://$addr/metrics")
+for metric in prochecker_mc_states_explored prochecker_mc_graph_cache_misses prochecker_mc_check_ms \
+              prochecker_report_properties_checked prochecker_cegar_iterations prochecker_conformance_cases; do
+    grep -q "$metric" <<<"$vars" || { echo "smoke: /metrics missing $metric"; exit 1; }
 done
 grep -q '"tool": "prochecker"' "$smoke_dir/run.json" || { echo "smoke: manifest malformed"; exit 1; }
 kill "$smoke_pid" && wait "$smoke_pid" 2>/dev/null || true
 smoke_pid=""
-echo "observability smoke OK (scraped http://$addr/debug/vars)"
+echo "observability smoke OK (scraped http://$addr/metrics)"
+
+# campaign_state ADDR ID prints a campaign's own state. The response is
+# one line of JSON embedding every member job, each with a "state" of
+# its own, so the match is anchored on the campaign's "job_ids" array,
+# which directly precedes the campaign's state.
+campaign_state() {
+    curl -sf "http://$1/v1/campaigns/$2" \
+        | sed -n 's/.*"job_ids": *\[[^]]*\], *"state": *"\([a-z]*\)".*/\1/p'
+}
+
+# cache_hits ADDR prints the service's jobs.cache_hits counter from its
+# Prometheus scrape (empty before the first hit).
+cache_hits() {
+    curl -sf "http://$1/metrics" | sed -n 's/^prochecker_jobs_cache_hits \([0-9]*\)$/\1/p'
+}
 
 echo "== job-service smoke =="
 # Boot the batch-analysis service, drive a 2-profile campaign through
-# the HTTP API, assert the queue/cache metrics surfaced on /debug/vars,
+# the HTTP API, assert the queue/cache metrics surfaced on /metrics,
 # prove the content-addressed store serves a resubmission, and drain
 # with SIGTERM.
 serve_store="$smoke_dir/store"
@@ -163,21 +178,21 @@ campaign_id=$(curl -sf -X POST -H 'Content-Type: application/json' \
 [[ -n "$campaign_id" ]] || { echo "smoke: campaign submission failed"; exit 1; }
 state=""
 for _ in $(seq 1 600); do
-    state=$(curl -sf "http://$addr/v1/campaigns/$campaign_id" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' | head -1)
+    state=$(campaign_state "$addr" "$campaign_id")
     [[ "$state" == "done" || "$state" == "failed" || "$state" == "cancelled" ]] && break
     sleep 0.1
 done
 [[ "$state" == "done" ]] || { echo "smoke: campaign ended $state, want done"; exit 1; }
 
-vars=$(curl -sf "http://$addr/debug/vars")
-for metric in jobs.queue_latency_ms jobs.cache_misses jobs.submitted jobs.completed; do
-    grep -q "$metric" <<<"$vars" || { echo "smoke: /debug/vars missing $metric"; exit 1; }
+vars=$(curl -sf "http://$addr/metrics")
+for metric in prochecker_jobs_queue_latency_ms prochecker_jobs_cache_misses prochecker_jobs_submitted prochecker_jobs_completed; do
+    grep -q "$metric" <<<"$vars" || { echo "smoke: /metrics missing $metric"; exit 1; }
 done
 
 # Resubmit the same matrix: every cell must come out of the store.
 curl -sf -X POST -H 'Content-Type: application/json' \
     -d "$campaign_body" "http://$addr/v1/jobs" > /dev/null
-hits=$(curl -sf "http://$addr/debug/vars" | tr ',' '\n' | sed -n 's/.*"jobs.cache_hits": *\([0-9]*\).*/\1/p' | head -1)
+hits=$(cache_hits "$addr")
 [[ "${hits:-0}" -ge 1 ]] || { echo "smoke: resubmission produced no cache hits"; exit 1; }
 
 kill -TERM "$smoke_pid"
@@ -219,10 +234,9 @@ saw_live=""
 state=""
 for _ in $(seq 1 600); do
     if [[ -z "$saw_live" ]] && grep -q '"type":"job"' "$smoke_dir/events.sse" 2>/dev/null; then
-        saw_live=$(curl -sf "http://$addr/v1/campaigns/$campaign_id" \
-            | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' | head -1)
+        saw_live=$(campaign_state "$addr" "$campaign_id")
     fi
-    state=$(curl -sf "http://$addr/v1/campaigns/$campaign_id" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' | head -1)
+    state=$(campaign_state "$addr" "$campaign_id")
     [[ "$state" == "done" || "$state" == "failed" || "$state" == "cancelled" ]] && break
     sleep 0.1
 done
@@ -329,7 +343,7 @@ grep -q "wal recovery from" "$smoke_dir/crash2.log" \
 
 state=""
 for _ in $(seq 1 600); do
-    state=$(curl -sf "http://$addr/v1/campaigns/$campaign_id" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' | head -1)
+    state=$(campaign_state "$addr" "$campaign_id")
     [[ "$state" == "done" || "$state" == "failed" || "$state" == "cancelled" ]] && break
     sleep 0.1
 done
@@ -341,7 +355,7 @@ jobs_after=$(curl -sf "http://$addr/v1/campaigns/$campaign_id" | grep -o '"j-[0-
 # Resubmit the same matrix: every cell must come out of the store.
 curl -sf -X POST -H 'Content-Type: application/json' \
     -d "$campaign_body" "http://$addr/v1/jobs" > /dev/null
-hits=$(curl -sf "http://$addr/debug/vars" | tr ',' '\n' | sed -n 's/.*"jobs.cache_hits": *\([0-9]*\).*/\1/p' | head -1)
+hits=$(cache_hits "$addr")
 [[ "${hits:-0}" -ge 4 ]] || { echo "smoke: resubmission after recovery produced ${hits:-0} cache hits, want >= 4"; exit 1; }
 
 kill -TERM "$smoke_pid"
@@ -383,7 +397,7 @@ campaign_id=$(curl -sf -X POST -H 'Content-Type: application/json' \
 [[ -n "$campaign_id" ]] || { echo "smoke: fleet campaign submission failed"; exit 1; }
 state=""
 for _ in $(seq 1 600); do
-    state=$(curl -sf "http://$addr/v1/campaigns/$campaign_id" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' | head -1)
+    state=$(campaign_state "$addr" "$campaign_id")
     [[ "$state" == "done" || "$state" == "failed" || "$state" == "cancelled" ]] && break
     sleep 0.1
 done
@@ -406,7 +420,7 @@ curl -sf "http://$addr/v1/jobs" | grep -q '"worker": *"smoke-' \
 granted_before=$(sed -n 's/^prochecker_dist_leases_granted \([0-9]*\)$/\1/p' <<<"$fleet_metrics")
 curl -sf -X POST -H 'Content-Type: application/json' \
     -d "$campaign_body" "http://$addr/v1/jobs" > /dev/null
-hits=$(curl -sf "http://$addr/debug/vars" | tr ',' '\n' | sed -n 's/.*"jobs.cache_hits": *\([0-9]*\).*/\1/p' | head -1)
+hits=$(cache_hits "$addr")
 [[ "${hits:-0}" -ge 4 ]] || { echo "smoke: fleet resubmission produced ${hits:-0} cache hits, want >= 4"; exit 1; }
 sleep 0.5
 granted_after=$(curl -sf "http://$addr/metrics" | sed -n 's/^prochecker_dist_leases_granted \([0-9]*\)$/\1/p')

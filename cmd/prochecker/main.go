@@ -109,7 +109,7 @@ func run(args []string) (err error) {
 	quiet := fs.Bool("quiet", false, "suppress progress output on stderr (results only)")
 	verbose := fs.Bool("v", false, "stream span begin/end events to stderr as they happen")
 	manifestPath := fs.String("manifest", "", "write a machine-readable run manifest (JSON) to this path")
-	metricsAddr := fs.String("metrics-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this address, e.g. :6060 or 127.0.0.1:0")
+	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics (/metrics) and pprof (/debug/pprof/) on this address, e.g. :6060 or 127.0.0.1:0")
 	serveWait := fs.Bool("serve-wait", false, "with -metrics-addr, keep the metrics endpoint up after the run completes until SIGINT/SIGTERM")
 	serveAddr := fs.String("serve", "", "run the batch-analysis job service on this address, e.g. :8080 or 127.0.0.1:0")
 	storeDir := fs.String("store", "", "with -serve, content-addressed result store directory (empty = caching disabled)")
@@ -265,7 +265,7 @@ func run(args []string) (err error) {
 			return serr
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "prochecker: serving metrics on http://%s/debug/vars (pprof under /debug/pprof/)\n", srv.Addr)
+		fmt.Fprintf(os.Stderr, "prochecker: serving metrics on http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr)
 		if *serveWait {
 			defer waitForShutdown(srv.Addr)
 		}

@@ -228,7 +228,7 @@ func TestManifestOnFailure(t *testing.T) {
 
 // TestMetricsAddrFlag exercises the -metrics-addr wiring: a bad
 // address fails the run up front, a valid ephemeral one serves without
-// disturbing the results. (The live /debug/vars scrape is covered by
+// disturbing the results. (The live /metrics scrape is covered by
 // obs's own TestServeEndpoint and by ci.sh's smoke run, which curls a
 // -serve-wait process from outside.)
 func TestMetricsAddrFlag(t *testing.T) {

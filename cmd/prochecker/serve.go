@@ -40,7 +40,7 @@ type serveConfig struct {
 	manifestPath string        // "" disables the shutdown manifest
 	memBudget    int64         // resident state-arena bytes per job (0 = unbounded)
 	snapshotDir  string        // root for per-job exploration checkpoints ("" disables)
-	metricsAddr  string        // debug endpoint (expvar/pprof/metrics/healthz); "" disables
+	metricsAddr  string        // debug endpoint (pprof/metrics/healthz); "" disables
 	eventBuf     int           // event-bus ring capacity (0 = default)
 	leaseTTL     time.Duration // fleet-worker lease TTL (0 = jobs.DefaultLeaseTTL)
 	quota        string        // per-tenant admission quota spec ("" disables the gate)
@@ -80,15 +80,13 @@ func runServe(cfg serveConfig) (err error) {
 		WALDir:      cfg.walDir,
 		Retry:       jobs.RetryPolicy{MaxAttempts: cfg.retries, Backoff: cfg.retryBackoff, Seed: cfg.seed},
 		Queue:       cfg.queueCap,
-		Workers:     cfg.workers,
+		Workers:     cfg.workers, // -workers 0: pure coordinator, all execution on fleet workers
 		Timeout:     cfg.timeout,
 		BaseContext: base,
 		Metrics:     o.Metrics(),
 		Events:      bus,
 		FlightDir:   flightDir,
 		LeaseTTL:    cfg.leaseTTL,
-		// -workers 0: pure coordinator, all execution on fleet workers.
-		NoLocalWorkers: cfg.workers == 0,
 	})
 	if err != nil {
 		return err
@@ -109,7 +107,7 @@ func runServe(cfg serveConfig) (err error) {
 	}
 	srv := server.New(svc, o.Metrics(), opts...)
 
-	// Optional debug endpoint alongside the API: expvar, pprof,
+	// Optional debug endpoint alongside the API: pprof,
 	// Prometheus /metrics, and a /healthz whose readiness flips to 503
 	// once the drain starts (orchestrators stop routing to a server
 	// that is finishing up, instead of seeing "ok" until the port dies).
@@ -126,7 +124,7 @@ func runServe(cfg serveConfig) (err error) {
 			}
 			return nil
 		})
-		fmt.Fprintf(os.Stderr, "prochecker: serving debug endpoint on http://%s (/debug/vars, /debug/pprof/, /metrics, /healthz)\n", dbg.Addr)
+		fmt.Fprintf(os.Stderr, "prochecker: serving debug endpoint on http://%s (/debug/pprof/, /metrics, /healthz)\n", dbg.Addr)
 	}
 
 	// Deferred shutdown manifest: written on every exit path so an

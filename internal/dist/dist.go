@@ -12,12 +12,13 @@
 // idempotent no matter how late a zombie worker reports back.
 //
 // The package is deliberately transport-agnostic: Worker runs against
-// the Coordinator interface, which the HTTP client in internal/server
-// implements over the /v1/leases API (and which a jobs.Service itself
-// satisfies in-process via a thin adapter, the shape the fleet
-// benchmark uses). Alongside the pull protocol, Gate provides the
-// per-tenant token-bucket admission control the coordinator places in
-// front of job submission.
+// the Coordinator interface, whose one production implementation is
+// the HTTP client in internal/server speaking the /v1/leases API (the
+// fleet benchmark drives it too). A jobs.Service with Workers > 0 runs
+// jobs in-process without this package: its local executors take from
+// the same queue the leases are granted from. Alongside the pull
+// protocol, Gate provides the per-tenant token-bucket admission control
+// the coordinator places in front of job submission.
 package dist
 
 import (

@@ -64,56 +64,28 @@ func (s *Service) AcquireLease(worker string) (Lease, Job, bool, error) {
 	if worker == "" {
 		worker = "anonymous"
 	}
-	reg := s.cfg.Metrics
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return Lease{}, Job{}, false, ErrDraining
 	}
-	var t *task
-	for len(s.pending) > 0 {
-		cand := s.pending[0]
-		s.pending = s.pending[1:]
-		if cand.state == StateQueued { // skip tasks cancelled while waiting
-			t = cand
-			break
-		}
-	}
+	t := s.takeLocked()
 	if t == nil {
 		return Lease{}, Job{}, false, nil
 	}
-	t.state = StateRunning
-	t.attempts++
-	firstAttempt := t.started.IsZero()
-	if firstAttempt {
-		t.started = time.Now()
-	}
-	s.nqueued--
 	s.leaseSeq++
 	t.leaseID = fmt.Sprintf("l-%04d", s.leaseSeq)
 	t.worker = worker
 	t.leaseExpiry = time.Now().Add(s.cfg.LeaseTTL)
 	s.leases[t.leaseID] = t
-	if s.wal != nil {
-		now := time.Now().UTC()
-		s.wal.Append(Record{ //nolint:errcheck // replay reruns the attempt at worst
-			Type: RecStarted, ID: t.id, Attempt: t.attempts, At: now,
-		})
-		s.wal.Append(Record{ //nolint:errcheck // same: an unjournalled grant replays as queued
-			Type: RecLease, ID: t.id, Lease: t.leaseID, Worker: worker,
-			Action: LeaseGrant, Expiry: t.leaseExpiry.UTC(), At: now,
-		})
-	}
-	reg.Counter("dist.leases_granted").Inc()
-	reg.Gauge(obs.LabeledStr("jobs.leases_active", "worker", worker)).Add(1)
-	reg.Gauge("jobs.queue_depth").Add(-1)
-	reg.Gauge("jobs.running").Add(1)
-	if firstAttempt {
-		reg.Histogram("jobs.queue_latency_ms", nil).Observe(obs.DurMS(t.started.Sub(t.submitted)))
-	}
-	s.publishLeaseLocked(t, t.leaseID, "granted")
-	s.publishJobLocked(t, string(StateRunning))
-	s.publishQueueDepthLocked()
+	s.wal.Append(Record{ //nolint:errcheck // an unjournalled grant replays as queued
+		Type: RecLease, ID: t.id, Lease: t.leaseID, Worker: worker,
+		Action: LeaseGrant, Expiry: t.leaseExpiry.UTC(), At: time.Now().UTC(),
+	})
+	s.cfg.Metrics.Counter("dist.leases_granted").Inc()
+	s.cfg.Metrics.Gauge(obs.LabeledStr("jobs.leases_active", "worker", worker)).Add(1)
+	s.publishLeaseLocked(t, "granted")
+	s.publishRunningLocked(t)
 	return s.leaseLocked(t), s.snapshotLocked(t), true, nil
 }
 
@@ -128,29 +100,26 @@ func (s *Service) RenewLease(id string) (Lease, error) {
 		return Lease{}, fmt.Errorf("%w: %s", ErrUnknownLease, id)
 	}
 	t.leaseExpiry = time.Now().Add(s.cfg.LeaseTTL)
-	if s.wal != nil {
-		s.wal.Append(Record{ //nolint:errcheck // an unjournalled renewal expires at worst
-			Type: RecLease, ID: t.id, Lease: id, Worker: t.worker,
-			Action: LeaseRenew, Expiry: t.leaseExpiry.UTC(), At: time.Now().UTC(),
-		})
-	}
+	s.wal.Append(Record{ //nolint:errcheck // an unjournalled renewal expires at worst
+		Type: RecLease, ID: t.id, Lease: id, Worker: t.worker,
+		Action: LeaseRenew, Expiry: t.leaseExpiry.UTC(), At: time.Now().UTC(),
+	})
 	s.cfg.Metrics.Counter("dist.leases_renewed").Inc()
 	return s.leaseLocked(t), nil
 }
 
 // CompleteLease settles a leased job with its uploaded result: the
-// result is persisted to the content-addressed store, the job ends
-// done, and the lease is released. The terminal transition is
-// idempotent — an upload for a lease that expired or was already
-// released is discarded (first result wins, dist.stale_results counts
-// the discard) instead of double-completing the job.
+// lease is released and the job completes like a local attempt. The
+// terminal transition is idempotent — an upload for a lease that
+// expired or was already released is discarded (first result wins,
+// dist.stale_results counts the discard) instead of double-completing
+// the job.
 func (s *Service) CompleteLease(id string, res *Result) (Job, error) {
-	reg := s.cfg.Metrics
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.leases[id]
 	if !ok {
-		reg.Counter("dist.stale_results").Inc()
+		s.cfg.Metrics.Counter("dist.stale_results").Inc()
 		return Job{}, fmt.Errorf("%w: %s", ErrStaleResult, id)
 	}
 	if res == nil || res.Key != t.key {
@@ -160,23 +129,8 @@ func (s *Service) CompleteLease(id string, res *Result) (Job, error) {
 		}
 		return Job{}, fmt.Errorf("%w: lease %s wants key %s, got %s", ErrResultMismatch, id, t.key, got)
 	}
-	leaseID := t.leaseID
-	s.releaseLeaseLocked(t)
-	t.state = StateDone
-	t.finished = time.Now()
-	t.result = res
-	delete(s.inflight, t.key)
-	if _, perr := s.cfg.Store.Put(res); perr != nil {
-		// The verdicts are still good; losing the cache entry only
-		// costs a future recomputation.
-		reg.Counter("jobs.store_put_errors").Inc()
-	}
-	reg.Gauge("jobs.store_entries").Set(int64(s.cfg.Store.Len()))
-	reg.Gauge("jobs.store_evictions").Set(s.cfg.Store.Evictions())
-	reg.Gauge("jobs.store_quarantined").Set(s.cfg.Store.Quarantined())
-	s.publishLeaseLocked(t, leaseID, "completed")
-	s.walTerminalLocked(t) //nolint:errcheck // result is stored; replay adopts it
-	s.terminalMetricsLocked(t)
+	s.releaseLeaseLocked(t, "completed")
+	s.completeLocked(t, res)
 	return s.snapshotLocked(t), nil
 }
 
@@ -195,30 +149,19 @@ func (s *Service) FailLease(id, class, msg string) (Job, error) {
 		s.cfg.Metrics.Counter("dist.stale_results").Inc()
 		return Job{}, fmt.Errorf("%w: %s", ErrStaleResult, id)
 	}
-	leaseID := t.leaseID
-	s.releaseLeaseLocked(t)
-	kind, _ := resilience.ParseKind(class)
-	if kind == resilience.KindCancelled && !s.draining {
+	if kind, _ := resilience.ParseKind(class); kind == resilience.KindCancelled && !s.draining {
 		if t.attempts > 0 {
 			t.attempts--
 		}
-		t.state = StateQueued
-		t.err = nil
-		s.pending = append(s.pending, t)
-		s.nqueued++
-		s.cond.Signal()
+		s.releaseLeaseLocked(t, "abandoned")
 		s.cfg.Metrics.Counter("dist.leases_abandoned").Inc()
-		s.cfg.Metrics.Gauge("jobs.queue_depth").Add(1)
-		s.publishLeaseLocked(t, leaseID, "abandoned")
+		s.enqueueLocked(t, 0)
 		s.publishJobLocked(t, "requeued")
 		s.publishQueueDepthLocked()
 		return s.snapshotLocked(t), nil
 	}
-	err := ClassifiedError(class, msg)
-	s.publishLeaseLocked(t, leaseID, "failed")
-	if !s.retryLocked(t, err) {
-		s.finalizeFailureLocked(t, err)
-	}
+	s.releaseLeaseLocked(t, "failed")
+	s.failLocked(t, ClassifiedError(class, msg))
 	return s.snapshotLocked(t), nil
 }
 
@@ -248,14 +191,10 @@ func (s *Service) ExpireLeases(now time.Time) int {
 			continue
 		}
 		n++
-		s.releaseLeaseLocked(t)
+		s.releaseLeaseLocked(t, "expired")
 		s.cfg.Metrics.Counter("dist.leases_expired").Inc()
-		err := fmt.Errorf("jobs: lease %s for %s held by %s expired after attempt %d: %w",
-			id, t.id, t.worker, t.attempts, resilience.ErrLeaseExpired)
-		s.publishLeaseLocked(t, id, "expired")
-		if !s.retryLocked(t, err) {
-			s.finalizeFailureLocked(t, err)
-		}
+		s.failLocked(t, fmt.Errorf("jobs: lease %s for %s held by %s expired after attempt %d: %w",
+			id, t.id, t.worker, t.attempts, resilience.ErrLeaseExpired))
 	}
 	return n
 }
@@ -283,51 +222,22 @@ func (s *Service) sweeper() {
 	}
 }
 
-// releaseLeaseLocked drops t's active lease: out of the table, a
-// release record in the WAL, and the per-worker gauges back down. The
-// task keeps its worker name for snapshot attribution.
-func (s *Service) releaseLeaseLocked(t *task) {
+// releaseLeaseLocked ends t's leased attempt: the lease leaves the
+// table, a release record goes to the WAL, the per-worker gauge comes
+// back down, and the lease event (completed, failed, abandoned, expired
+// or cancelled) is published. The task keeps its worker name for
+// snapshot attribution; the caller settles the job.
+func (s *Service) releaseLeaseLocked(t *task, event string) {
 	delete(s.leases, t.leaseID)
-	if s.wal != nil {
-		s.wal.Append(Record{ //nolint:errcheck // a lost release replays as an expired lease
-			Type: RecLease, ID: t.id, Lease: t.leaseID, Worker: t.worker,
-			Action: LeaseRelease, At: time.Now().UTC(),
-		})
-	}
+	s.wal.Append(Record{ //nolint:errcheck // a lost release replays as an expired lease
+		Type: RecLease, ID: t.id, Lease: t.leaseID, Worker: t.worker,
+		Action: LeaseRelease, At: time.Now().UTC(),
+	})
 	s.cfg.Metrics.Gauge(obs.LabeledStr("jobs.leases_active", "worker", t.worker)).Add(-1)
-	s.cfg.Metrics.Gauge("jobs.running").Add(-1)
+	s.publishLeaseLocked(t, event)
 	t.leaseID = ""
 	t.leaseExpiry = time.Time{}
-}
-
-// cancelLeasedLocked finalises a remotely-running job that was
-// cancelled at the coordinator: the lease is released and a late upload
-// from its worker will be discarded as stale.
-func (s *Service) cancelLeasedLocked(t *task) {
-	leaseID := t.leaseID
-	s.releaseLeaseLocked(t)
-	t.state = StateCancelled
-	t.err = fmt.Errorf("jobs: %s cancelled while leased to %s: %w", t.id, t.worker, resilience.ErrCancelled)
-	t.finished = time.Now()
-	delete(s.inflight, t.key)
-	s.publishLeaseLocked(t, leaseID, "cancelled")
-	s.walTerminalLocked(t) //nolint:errcheck // cancellation is already final
-	s.terminalMetricsLocked(t)
-}
-
-// waitLeasesDrained blocks until every active lease has settled —
-// completed or failed by its worker, or expired by the sweeper. Drain's
-// barrier for remote attempts, mirroring wg.Wait for local ones.
-func (s *Service) waitLeasesDrained() {
-	for {
-		s.mu.Lock()
-		n := len(s.leases)
-		s.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	s.endAttemptLocked()
 }
 
 // leaseLocked freezes t's lease into its API shape.
@@ -338,14 +248,14 @@ func (s *Service) leaseLocked(t *task) Lease {
 // publishLeaseLocked emits one lease lifecycle transition on the event
 // bus, scoped to the job so per-job SSE streams and flight recordings
 // carry the worker assignment history.
-func (s *Service) publishLeaseLocked(t *task, leaseID, name string) {
+func (s *Service) publishLeaseLocked(t *task, name string) {
 	if s.bus == nil {
 		return
 	}
 	s.bus.Publish(obs.BusEvent{
 		Type: "lease", Scope: t.id, Name: name,
 		Attrs: map[string]string{
-			"lease":   leaseID,
+			"lease":   t.leaseID,
 			"worker":  t.worker,
 			"attempt": strconv.Itoa(t.attempts),
 		},

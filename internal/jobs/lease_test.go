@@ -17,10 +17,9 @@ func coordinator(t *testing.T, mut func(*Config)) (*Service, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := Config{
-		Runner:         (&fakeRunner{}).run,
-		NoLocalWorkers: true,
-		Metrics:        reg,
-		LeaseTTL:       time.Minute, // sweeper stays out of the way
+		Runner:   (&fakeRunner{}).run,
+		Metrics:  reg,
+		LeaseTTL: time.Minute, // sweeper stays out of the way
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -581,15 +580,15 @@ func TestLeaseSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestLogMetaReplaceKeepsLatest: replace-by-ID metas survive replay as
-// a single live record holding the newest payload.
+// TestLogMetaReplaceKeepsLatest: metas logged under one ID survive
+// replay as a single live record holding the newest payload.
 func TestLogMetaReplaceKeepsLatest(t *testing.T) {
 	walDir := t.TempDir()
 	s, _ := coordinator(t, func(c *Config) { c.WALDir = walDir })
-	if err := s.LogMetaReplace("tenant:alice", json.RawMessage(`{"tokens":5}`)); err != nil {
+	if err := s.LogMeta("tenant:alice", json.RawMessage(`{"tokens":5}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogMetaReplace("tenant:alice", json.RawMessage(`{"tokens":2}`)); err != nil {
+	if err := s.LogMeta("tenant:alice", json.RawMessage(`{"tokens":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LogMeta("audit", json.RawMessage(`{"n":1}`)); err != nil {

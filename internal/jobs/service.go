@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,8 +55,8 @@ type Job struct {
 	Class     string  `json:"class,omitempty"`
 	ExitCode  int     `json:"exit_code"`
 	Result    *Result `json:"result,omitempty"`
-	// Worker names the fleet worker the job last ran on ("" for jobs
-	// executed by the coordinator's local pool).
+	// Worker names the fleet worker that last leased the job ("" while
+	// only the coordinator's local executors have run it).
 	Worker      string     `json:"worker,omitempty"`
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
@@ -140,12 +139,14 @@ type Config struct {
 	// DefaultQueueCap. Jobs requeued from the WAL were admitted before
 	// the crash and may transiently exceed the bound.
 	Queue int
-	// Workers sizes the pool executing jobs concurrently. Defaults to
-	// GOMAXPROCS.
+	// Workers is the number of local executors running jobs in-process;
+	// 0 makes the service a pure coordinator whose every job is executed
+	// by fleet workers pulling through the lease API. Local executors and
+	// leases share one queue, so both may be used at once.
 	Workers int
-	// Timeout bounds each execution attempt (0 = none); an expired
+	// Timeout bounds each local execution attempt (0 = none); an expired
 	// attempt ends the job cancelled (deadlines are deterministic, so
-	// they are not retried).
+	// they are not retried). Leased attempts are bounded by LeaseTTL.
 	Timeout time.Duration
 	// BaseContext is the parent of every job's context — the place to
 	// install a process-wide obs observer. Defaults to
@@ -167,10 +168,6 @@ type Config struct {
 	// without heartbeating before the lease expires and the job
 	// requeues. Defaults to DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// NoLocalWorkers runs the service as a pure coordinator: no local
-	// worker pool is started, so every job is executed by remote fleet
-	// workers pulling through the lease API.
-	NoLocalWorkers bool
 }
 
 // DefaultQueueCap bounds the queue when Config.Queue <= 0.
@@ -201,7 +198,7 @@ type task struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	cancel    context.CancelFunc
+	cancel    context.CancelFunc // set while a local executor runs it
 
 	// Distributed execution: set while the task is leased to a remote
 	// worker (leaseID empties on release; worker persists for
@@ -232,18 +229,20 @@ type RecoveryStats struct {
 	LeasesRestored int `json:"leases_restored"`
 }
 
-// Service owns the queue, the worker pool, the job table and (when
-// configured) the write-ahead log making all of it crash-safe.
+// Service owns the queue, the job table and (when configured) the
+// write-ahead log making all of it crash-safe. A job moves through one
+// set of transitions — enqueueLocked, takeLocked, completeLocked or
+// failLocked, finishLocked — whether a local executor or a leased fleet
+// worker runs the attempt.
 type Service struct {
 	cfg    Config
 	base   context.Context
 	wal    *WAL
 	bus    *obs.Bus
 	flight *FlightRecorder
-	wg     sync.WaitGroup
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signalled when pending grows or drain starts
+	cond     *sync.Cond // signalled when pending grows, drain starts, or running or nworkers drop to 0
 	rng      *rand.Rand // retry jitter; guarded by mu
 	seq      int
 	tasks    map[string]*task
@@ -251,7 +250,9 @@ type Service struct {
 	inflight map[string]string // key -> id of the queued/running job
 	pending  []*task           // FIFO of runnable tasks
 	nqueued  int               // tasks in StateQueued (backpressure bound)
-	metas    []Record          // opaque layer-above records, append order
+	running  int               // attempts in flight, local or leased
+	nworkers int               // local executor goroutines not yet exited
+	metas    []Record          // opaque layer-above records, one per ID
 	leases   map[string]*task  // active lease ID -> leased task
 	leaseSeq int
 	draining bool
@@ -275,9 +276,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = DefaultQueueCap
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.BaseContext == nil {
 		cfg.BaseContext = context.Background()
@@ -346,11 +344,9 @@ func New(cfg Config) (*Service, error) {
 		s.flight = fr
 	}
 
-	if !cfg.NoLocalWorkers {
-		for w := 0; w < cfg.Workers; w++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
+	s.nworkers = cfg.Workers
+	for w := 0; w < cfg.Workers; w++ {
+		go s.worker()
 	}
 	go s.sweeper()
 	return s, nil
@@ -407,20 +403,7 @@ func (s *Service) replay(recs []Record) {
 				t.err = reconstructError(rec.Class, rec.Error)
 			}
 		case RecMeta:
-			// Replace-by-ID: layers above re-journal mutable state (tenant
-			// quota balances) under a stable ID, and only the latest
-			// payload is live.
-			replaced := false
-			for i := range s.metas {
-				if rec.ID != "" && s.metas[i].ID == rec.ID {
-					s.metas[i] = rec
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
-				s.metas = append(s.metas, rec)
-			}
+			s.putMetaLocked(rec)
 		case RecLease:
 			switch rec.Action {
 			case LeaseGrant:
@@ -461,7 +444,7 @@ func (s *Service) replay(recs []Record) {
 			// The store entry was evicted or quarantined: the result is
 			// gone, so the job recomputes (results are deterministic per
 			// spec, so the rerun is byte-identical).
-			t.state, t.finished, t.cacheHit, t.attempts = StateQueued, time.Time{}, false, 0
+			t.finished, t.cacheHit, t.attempts = time.Time{}, false, 0
 			s.requeueReplayedLocked(t)
 		case !t.state.Terminal():
 			if g, ok := leaseByJob[id]; ok {
@@ -480,6 +463,7 @@ func (s *Service) replay(recs []Record) {
 				if n := idSeq(g.Lease); n > s.leaseSeq {
 					s.leaseSeq = n
 				}
+				s.running++
 				s.recovery.LeasesRestored++
 				reg.Counter("jobs.recovered_leases").Inc()
 				reg.Gauge(obs.LabeledStr("jobs.leases_active", "worker", t.worker)).Add(1)
@@ -491,7 +475,6 @@ func (s *Service) replay(recs []Record) {
 			if t.attempts > 0 {
 				t.attempts--
 			}
-			t.state = StateQueued
 			s.requeueReplayedLocked(t)
 		default:
 			s.recovery.Terminal++
@@ -502,13 +485,9 @@ func (s *Service) replay(recs []Record) {
 // requeueReplayedLocked puts one replayed task back on the queue.
 func (s *Service) requeueReplayedLocked(t *task) {
 	t.recovered = true
-	s.inflight[t.key] = t.id
-	s.pending = append(s.pending, t)
-	s.nqueued++
+	s.enqueueLocked(t, 0)
 	s.recovery.Requeued++
-	reg := s.cfg.Metrics
-	reg.Counter("jobs.recovered_requeued").Inc()
-	reg.Gauge("jobs.queue_depth").Add(1)
+	s.cfg.Metrics.Counter("jobs.recovered_requeued").Inc()
 }
 
 // ClassifiedError rebuilds a classifiable error from a serialized
@@ -564,9 +543,12 @@ func (s *Service) Recovery() RecoveryStats {
 }
 
 // LogMeta durably journals an opaque record for the layer above the job
-// service (the HTTP server persists campaign membership through it) and
-// keeps it across compactions. Replayed and logged metas come back from
-// Metas in append order.
+// service (the HTTP server persists campaign membership and tenant quota
+// balances through it) and keeps it across compactions. A record
+// replaces any earlier one with the same ID, so mutable state
+// re-journalled under a stable ID keeps only its latest payload; the WAL
+// itself stays append-only, and replay collapses it the same way.
+// Replayed and logged metas come back from Metas in first-append order.
 func (s *Service) LogMeta(id string, payload json.RawMessage) error {
 	rec := Record{Type: RecMeta, ID: id, Meta: payload, At: time.Now().UTC()}
 	s.mu.Lock()
@@ -574,33 +556,23 @@ func (s *Service) LogMeta(id string, payload json.RawMessage) error {
 	if err := s.wal.Append(rec); err != nil {
 		return err
 	}
-	s.metas = append(s.metas, rec)
+	s.putMetaLocked(rec)
 	return nil
 }
 
-// LogMetaReplace journals an opaque record like LogMeta, but replaces
-// any earlier meta with the same ID instead of appending alongside it —
-// the shape for mutable layer-above state (tenant quota balances) where
-// only the latest payload is live. The WAL itself stays append-only;
-// compaction and replay both collapse to the last record per ID.
-func (s *Service) LogMetaReplace(id string, payload json.RawMessage) error {
-	rec := Record{Type: RecMeta, ID: id, Meta: payload, At: time.Now().UTC()}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.wal.Append(rec); err != nil {
-		return err
-	}
+// putMetaLocked files a meta record, replacing the live one with the
+// same (non-empty) ID.
+func (s *Service) putMetaLocked(rec Record) {
 	for i := range s.metas {
-		if s.metas[i].ID == id {
+		if rec.ID != "" && s.metas[i].ID == rec.ID {
 			s.metas[i] = rec
-			return nil
+			return
 		}
 	}
 	s.metas = append(s.metas, rec)
-	return nil
 }
 
-// Metas returns the replayed and logged meta records in append order.
+// Metas returns the live meta records in first-append order.
 func (s *Service) Metas() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -632,68 +604,41 @@ func (s *Service) Submit(spec Spec) (Job, error) {
 		return s.snapshotLocked(s.tasks[id]), nil
 	}
 
-	t := &task{key: key, spec: spec, submitted: time.Now()}
-	if _, res, ok := s.cfg.Store.Get(key); ok {
+	_, res, hit := s.cfg.Store.Get(key)
+	if hit {
 		reg.Counter("jobs.cache_hits").Inc()
-		t.state = StateDone
-		t.cacheHit = true
-		t.result = res
-		t.finished = t.submitted
-		s.registerLocked(t)
-		if err := s.walSubmitLocked(t); err != nil {
-			s.unregisterLocked(t)
-			return Job{}, err
+	} else {
+		reg.Counter("jobs.cache_misses").Inc()
+		if s.nqueued >= s.cfg.Queue {
+			return Job{}, ErrQueueFull
 		}
-		reg.Counter("jobs.submitted").Inc()
-		s.terminalMetricsLocked(t)
-		return s.snapshotLocked(t), nil
 	}
-	reg.Counter("jobs.cache_misses").Inc()
-
-	if s.nqueued >= s.cfg.Queue {
-		return Job{}, ErrQueueFull
+	// The submitted record is the acknowledgement: a job whose record
+	// cannot be journalled is never issued.
+	s.seq++
+	t := &task{id: fmt.Sprintf("j-%04d", s.seq), key: key, spec: spec, submitted: time.Now()}
+	if err := s.wal.Append(Record{
+		Type: RecSubmitted, ID: t.id, Key: key, Spec: &spec, At: t.submitted.UTC(),
+	}); err != nil {
+		s.seq--
+		return Job{}, fmt.Errorf("jobs: journalling submission: %w", err)
 	}
-	t.state = StateQueued
-	s.registerLocked(t)
-	if err := s.walSubmitLocked(t); err != nil {
-		s.unregisterLocked(t)
-		return Job{}, err
-	}
-	s.inflight[key] = t.id
-	s.pending = append(s.pending, t)
-	s.nqueued++
-	s.cond.Signal()
+	s.tasks[t.id] = t
+	s.order = append(s.order, t.id)
 	reg.Counter("jobs.submitted").Inc()
-	reg.Gauge("jobs.queue_depth").Add(1)
-	s.publishJobLocked(t, string(StateQueued))
-	s.publishQueueDepthLocked()
+	if hit {
+		t.cacheHit, t.result = true, res
+		s.finishLocked(t, StateDone, nil)
+	} else {
+		s.enqueueLocked(t, 0)
+		s.publishJobLocked(t, string(StateQueued))
+		s.publishQueueDepthLocked()
+	}
 	return s.snapshotLocked(t), nil
 }
 
-// walSubmitLocked journals the acknowledgement of t — the submitted
-// record, plus the terminal record immediately when the job completed
-// as a cache hit.
-func (s *Service) walSubmitLocked(t *task) error {
-	if s.wal == nil {
-		return nil
-	}
-	spec := t.spec
-	if err := s.wal.Append(Record{
-		Type: RecSubmitted, ID: t.id, Key: t.key, Spec: &spec, At: t.submitted.UTC(),
-	}); err != nil {
-		return fmt.Errorf("jobs: journalling submission: %w", err)
-	}
-	if t.state.Terminal() {
-		return s.walTerminalLocked(t)
-	}
-	return nil
-}
-
-// walTerminalLocked journals t reaching a final state.
-func (s *Service) walTerminalLocked(t *task) error {
-	if s.wal == nil {
-		return nil
-	}
+// terminalRecord is the WAL record of t's final state.
+func terminalRecord(t *task) Record {
 	rec := Record{
 		Type: RecTerminal, ID: t.id, State: t.state,
 		Class: terminalClass(t.state, t.err), CacheHit: t.cacheHit, At: t.finished.UTC(),
@@ -701,28 +646,7 @@ func (s *Service) walTerminalLocked(t *task) error {
 	if t.err != nil {
 		rec.Error = t.err.Error()
 	}
-	if err := s.wal.Append(rec); err != nil {
-		return fmt.Errorf("jobs: journalling terminal state: %w", err)
-	}
-	return nil
-}
-
-// registerLocked issues the task its ID and indexes it.
-func (s *Service) registerLocked(t *task) {
-	s.seq++
-	t.id = fmt.Sprintf("j-%04d", s.seq)
-	s.tasks[t.id] = t
-	s.order = append(s.order, t.id)
-}
-
-// unregisterLocked rolls a failed registration back (WAL append
-// failure: the job was never acknowledged).
-func (s *Service) unregisterLocked(t *task) {
-	delete(s.tasks, t.id)
-	if n := len(s.order); n > 0 && s.order[n-1] == t.id {
-		s.order = s.order[:n-1]
-	}
-	s.seq--
+	return rec
 }
 
 // Get returns a snapshot of one job.
@@ -747,10 +671,8 @@ func (s *Service) List() []Job {
 	return out
 }
 
-// Cancel stops a job: a queued job (including one waiting out a retry
-// backoff) goes straight to cancelled, a running job has its context
-// cancelled and ends cancelled when the runner returns. Cancelling a
-// terminal job is a no-op returning its final snapshot.
+// Cancel stops a job (see stopLocked). Cancelling a terminal job is a
+// no-op returning its final snapshot.
 func (s *Service) Cancel(id string) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -758,33 +680,30 @@ func (s *Service) Cancel(id string) (Job, error) {
 	if !ok {
 		return Job{}, ErrUnknownJob
 	}
-	switch t.state {
-	case StateQueued:
-		s.cancelQueuedLocked(t)
-	case StateRunning:
-		if t.cancel != nil {
-			t.cancel()
-		} else if t.leaseID != "" {
-			// Running remotely: there is no local context to cancel, so
-			// finalise now and let the worker's eventual upload be
-			// discarded as stale.
-			s.cancelLeasedLocked(t)
-		}
-	}
+	s.stopLocked(t)
 	return s.snapshotLocked(t), nil
 }
 
-// cancelQueuedLocked finalises a job that never ran (or was waiting out
-// a retry backoff).
-func (s *Service) cancelQueuedLocked(t *task) {
-	t.state = StateCancelled
-	t.err = fmt.Errorf("jobs: %s cancelled while queued: %w", t.id, resilience.ErrCancelled)
-	t.finished = time.Now()
-	delete(s.inflight, t.key)
-	s.nqueued--
-	s.cfg.Metrics.Gauge("jobs.queue_depth").Add(-1)
-	s.walTerminalLocked(t) //nolint:errcheck // cancellation is already final
-	s.terminalMetricsLocked(t)
+// stopLocked cancels a non-terminal job. A queued job (including one
+// waiting out a retry backoff) ends cancelled at once. A local attempt
+// has its context cancelled and ends when its runner returns. A leased
+// attempt has no local context, so the lease is released and the job
+// ends cancelled at once; the worker's eventual upload is discarded as
+// stale.
+func (s *Service) stopLocked(t *task) {
+	switch {
+	case t.state == StateQueued:
+		s.nqueued--
+		s.cfg.Metrics.Gauge("jobs.queue_depth").Add(-1)
+		s.finishLocked(t, StateCancelled, fmt.Errorf("jobs: %s cancelled while queued: %w", t.id, resilience.ErrCancelled))
+	case t.state != StateRunning:
+	case t.cancel != nil:
+		t.cancel()
+	case t.leaseID != "":
+		s.releaseLeaseLocked(t, "cancelled")
+		s.finishLocked(t, StateCancelled,
+			fmt.Errorf("jobs: %s cancelled while leased to %s: %w", t.id, t.worker, resilience.ErrCancelled))
+	}
 }
 
 // Drain begins graceful shutdown: new submissions are rejected, every
@@ -801,7 +720,7 @@ func (s *Service) Drain(ctx context.Context) (int, error) {
 		s.draining = true
 		for _, id := range s.order {
 			if t := s.tasks[id]; t.state == StateQueued {
-				s.cancelQueuedLocked(t)
+				s.stopLocked(t)
 				cancelled++
 			}
 		}
@@ -811,12 +730,16 @@ func (s *Service) Drain(ctx context.Context) (int, error) {
 
 	done := make(chan struct{})
 	go func() {
-		s.wg.Wait()
-		// Remote attempts drain too: their workers keep renewing and
+		// One barrier for every running attempt, local or leased, and
+		// for the local executors' exit. Fleet workers keep renewing and
 		// settling leases during the drain, and a dead worker's lease is
 		// reclaimed by the sweeper within one TTL (draining disables
 		// retries, so reclamation is terminal and the wait is bounded).
-		s.waitLeasesDrained()
+		s.mu.Lock()
+		for s.running > 0 || s.nworkers > 0 {
+			s.cond.Wait()
+		}
+		s.mu.Unlock()
 		s.sweepOnce.Do(func() { close(s.sweepStop) })
 		<-s.sweepDone
 		close(done)
@@ -886,62 +809,39 @@ func (s *Service) liveRecordsLocked() []Record {
 			})
 		}
 		if t.state.Terminal() {
-			rec := Record{
-				Type: RecTerminal, ID: t.id, State: t.state,
-				Class: terminalClass(t.state, t.err), CacheHit: t.cacheHit, At: t.finished.UTC(),
-			}
-			if t.err != nil {
-				rec.Error = t.err.Error()
-			}
-			recs = append(recs, rec)
+			recs = append(recs, terminalRecord(t))
 		}
 	}
 	recs = append(recs, s.metas...)
 	return recs
 }
 
-// Close shuts down hard: running jobs are cancelled, then the service
-// drains.
+// Close shuts down hard: every job still queued or running is stopped
+// (see stopLocked), then the service drains.
 func (s *Service) Close() {
 	s.mu.Lock()
-	for _, t := range s.tasks {
-		if t.state != StateRunning {
-			continue
-		}
-		if t.cancel != nil {
-			t.cancel()
-		} else if t.leaseID != "" {
-			s.cancelLeasedLocked(t)
-		}
+	for _, id := range s.order {
+		s.stopLocked(s.tasks[id])
 	}
 	s.mu.Unlock()
 	s.Drain(context.Background()) //nolint:errcheck // background ctx never expires
 }
 
-// worker executes queued tasks until drain empties the queue.
+// worker is one local executor: take → run → complete, or retry or
+// finalize, until the drain empties the queue.
 func (s *Service) worker() {
-	defer s.wg.Done()
-	reg := s.cfg.Metrics
 	for {
 		s.mu.Lock()
-		for len(s.pending) == 0 && !s.draining {
+		t := s.takeLocked()
+		for t == nil && !s.draining {
 			s.cond.Wait()
+			t = s.takeLocked()
 		}
-		if len(s.pending) == 0 {
+		if t == nil {
+			s.nworkers--
+			s.cond.Broadcast()
 			s.mu.Unlock()
 			return
-		}
-		t := s.pending[0]
-		s.pending = s.pending[1:]
-		if t.state != StateQueued { // cancelled while waiting
-			s.mu.Unlock()
-			continue
-		}
-		t.state = StateRunning
-		t.attempts++
-		firstAttempt := t.started.IsZero()
-		if firstAttempt {
-			t.started = time.Now()
 		}
 		var ctx context.Context
 		var cancel context.CancelFunc
@@ -951,23 +851,9 @@ func (s *Service) worker() {
 			ctx, cancel = context.WithCancel(s.base)
 		}
 		t.cancel = cancel
-		spec := t.spec
-		attempt := t.attempts
-		s.nqueued--
-		if s.wal != nil {
-			s.wal.Append(Record{ //nolint:errcheck // execution proceeds; replay reruns at worst
-				Type: RecStarted, ID: t.id, Attempt: attempt, At: time.Now().UTC(),
-			})
-		}
-		s.publishJobLocked(t, string(StateRunning))
-		s.publishQueueDepthLocked()
+		spec, attempt := t.spec, t.attempts
+		s.publishRunningLocked(t)
 		s.mu.Unlock()
-
-		reg.Gauge("jobs.queue_depth").Add(-1)
-		if firstAttempt {
-			reg.Histogram("jobs.queue_latency_ms", nil).Observe(obs.DurMS(t.started.Sub(t.submitted)))
-		}
-		reg.Gauge("jobs.running").Add(1)
 
 		// The job's ID becomes the scope of every span the runner starts,
 		// so the process-wide event bus can be demultiplexed into per-job
@@ -979,59 +865,32 @@ func (s *Service) worker() {
 		res, err := s.cfg.Runner(ctx, spec)
 		span.EndErr(err)
 		cancel()
-		reg.Gauge("jobs.running").Add(-1)
 
 		s.mu.Lock()
-		switch {
-		case err == nil:
-			t.state = StateDone
-			t.finished = time.Now()
-			res.Key = t.key
-			t.result = res
-			delete(s.inflight, t.key)
-			if _, perr := s.cfg.Store.Put(res); perr != nil {
-				// The verdicts are still good; losing the cache entry
-				// only costs a future recomputation.
-				reg.Counter("jobs.store_put_errors").Inc()
-			}
-			reg.Gauge("jobs.store_entries").Set(int64(s.cfg.Store.Len()))
-			reg.Gauge("jobs.store_evictions").Set(s.cfg.Store.Evictions())
-			reg.Gauge("jobs.store_quarantined").Set(s.cfg.Store.Quarantined())
-			s.walTerminalLocked(t) //nolint:errcheck // result is stored; replay adopts it
-			s.terminalMetricsLocked(t)
-		case s.retryLocked(t, err):
-			// Another attempt is scheduled; the job is back in
-			// StateQueued waiting out its backoff.
-		default:
-			s.finalizeFailureLocked(t, err)
+		t.cancel = nil
+		s.endAttemptLocked()
+		if err == nil {
+			s.completeLocked(t, res)
+		} else {
+			s.failLocked(t, err)
 		}
 		s.mu.Unlock()
 	}
 }
 
-// retryLocked decides whether t gets another attempt after err and, if
-// so, schedules it after the policy's jittered backoff. The decision is
-// taxonomy-driven: only resilience-retryable classes qualify, and a
-// draining service never retries.
-func (s *Service) retryLocked(t *task, err error) bool {
-	p := s.cfg.Retry
-	if p.MaxAttempts <= 1 || s.draining {
-		return false
-	}
-	if !resilience.Classify(err).Retryable() {
-		return false
-	}
-	if t.attempts >= p.MaxAttempts {
-		return false
-	}
-	delay := p.delay(t.attempts, s.rng)
-	t.state = StateQueued
-	t.err = nil
+// enqueueLocked puts t (back) on the queue: queued, indexed as the
+// in-flight job for its key, counted against the queue bound, and on
+// the pending FIFO once delay (a retry backoff) has passed.
+func (s *Service) enqueueLocked(t *task, delay time.Duration) {
+	t.state, t.err = StateQueued, nil
+	s.inflight[t.key] = t.id
 	s.nqueued++
-	reg := s.cfg.Metrics
-	reg.Counter("jobs.retries").Inc()
-	reg.Gauge("jobs.queue_depth").Add(1)
-	s.publishJobLocked(t, "retrying")
+	s.cfg.Metrics.Gauge("jobs.queue_depth").Add(1)
+	if delay <= 0 {
+		s.pending = append(s.pending, t)
+		s.cond.Signal()
+		return
+	}
 	time.AfterFunc(delay, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -1041,40 +900,106 @@ func (s *Service) retryLocked(t *task, err error) bool {
 		s.pending = append(s.pending, t)
 		s.cond.Signal()
 	})
-	return true
 }
 
-// finalizeFailureLocked parks t terminally after a non-retried failure:
-// cancelled, failed, or — when a retry policy spent every attempt on a
-// retryable class — quarantined as a poison job with the
-// retry-exhausted class.
-func (s *Service) finalizeFailureLocked(t *task, err error) {
-	t.finished = time.Now()
-	delete(s.inflight, t.key)
-	kind := resilience.Classify(err)
-	switch {
-	case kind == resilience.KindCancelled:
-		t.state = StateCancelled
-		t.err = err
-	case kind.Retryable() && s.cfg.Retry.MaxAttempts > 1 && t.attempts >= s.cfg.Retry.MaxAttempts:
-		t.state = StateQuarantined
-		t.err = fmt.Errorf("jobs: %s quarantined after %d attempts (last: %v): %w",
-			t.id, t.attempts, err, resilience.ErrRetryExhausted)
-		s.cfg.Metrics.Counter("jobs.quarantined").Inc()
-	default:
-		t.state = StateFailed
-		t.err = err
+// takeLocked pops the oldest queued task and starts an attempt on it,
+// skipping tasks cancelled while they waited; nil when nothing is
+// queued. The caller runs the attempt (a local executor) or leases it
+// out, then publishes the start with publishRunningLocked.
+func (s *Service) takeLocked() *task {
+	for len(s.pending) > 0 {
+		t := s.pending[0]
+		s.pending = s.pending[1:]
+		if t.state != StateQueued {
+			continue
+		}
+		reg := s.cfg.Metrics
+		t.state = StateRunning
+		t.attempts++
+		if t.started.IsZero() {
+			t.started = time.Now()
+			reg.Histogram("jobs.queue_latency_ms", nil).Observe(obs.DurMS(t.started.Sub(t.submitted)))
+		}
+		s.nqueued--
+		s.running++
+		s.wal.Append(Record{ //nolint:errcheck // execution proceeds; replay reruns at worst
+			Type: RecStarted, ID: t.id, Attempt: t.attempts, At: time.Now().UTC(),
+		})
+		reg.Gauge("jobs.queue_depth").Add(-1)
+		reg.Gauge("jobs.running").Add(1)
+		return t
 	}
-	s.walTerminalLocked(t) //nolint:errcheck // outcome is final either way
-	s.terminalMetricsLocked(t)
+	return nil
 }
 
-// terminalMetricsLocked records a job reaching a final state — the
-// single point every terminal transition (cache hit, completion,
-// cancellation, failure, quarantine) funnels through, so it also
-// publishes the terminal lifecycle event streaming clients and the
-// flight recorder key off.
-func (s *Service) terminalMetricsLocked(t *task) {
+// publishRunningLocked announces an attempt takeLocked started.
+func (s *Service) publishRunningLocked(t *task) {
+	s.publishJobLocked(t, string(StateRunning))
+	s.publishQueueDepthLocked()
+}
+
+// endAttemptLocked retires one running attempt, local or leased; Drain
+// waits for the count to reach zero.
+func (s *Service) endAttemptLocked() {
+	s.running--
+	s.cfg.Metrics.Gauge("jobs.running").Add(-1)
+	if s.running == 0 {
+		s.cond.Broadcast()
+	}
+}
+
+// completeLocked settles a successful attempt: the result is persisted
+// to the content-addressed store and the job ends done.
+func (s *Service) completeLocked(t *task, res *Result) {
+	reg := s.cfg.Metrics
+	res.Key = t.key
+	t.result = res
+	if _, perr := s.cfg.Store.Put(res); perr != nil {
+		// The verdicts are still good; losing the cache entry only costs
+		// a future recomputation.
+		reg.Counter("jobs.store_put_errors").Inc()
+	}
+	reg.Gauge("jobs.store_entries").Set(int64(s.cfg.Store.Len()))
+	reg.Gauge("jobs.store_evictions").Set(s.cfg.Store.Evictions())
+	reg.Gauge("jobs.store_quarantined").Set(s.cfg.Store.Quarantined())
+	s.finishLocked(t, StateDone, nil)
+}
+
+// failLocked settles a failed attempt. Retry decisions are
+// taxonomy-driven: a resilience-retryable class gets another attempt
+// after the policy's jittered backoff, unless the service is draining
+// or the attempts are spent. Otherwise the job ends cancelled, failed,
+// or — when the policy spent every attempt on a retryable class —
+// quarantined as a poison job with the retry-exhausted class.
+func (s *Service) failLocked(t *task, err error) {
+	p := s.cfg.Retry
+	kind := resilience.Classify(err)
+	retryable := kind.Retryable() && p.MaxAttempts > 1
+	switch {
+	case retryable && !s.draining && t.attempts < p.MaxAttempts:
+		s.cfg.Metrics.Counter("jobs.retries").Inc()
+		s.enqueueLocked(t, p.delay(t.attempts, s.rng))
+		s.publishJobLocked(t, "retrying")
+	case kind == resilience.KindCancelled:
+		s.finishLocked(t, StateCancelled, err)
+	case retryable && t.attempts >= p.MaxAttempts:
+		s.cfg.Metrics.Counter("jobs.quarantined").Inc()
+		s.finishLocked(t, StateQuarantined, fmt.Errorf("jobs: %s quarantined after %d attempts (last: %v): %w",
+			t.id, t.attempts, err, resilience.ErrRetryExhausted))
+	default:
+		s.finishLocked(t, StateFailed, err)
+	}
+}
+
+// finishLocked ends t in a terminal state — the single point every
+// terminal transition (cache hit, completion, cancellation, failure,
+// quarantine) funnels through: stamped, dropped from the in-flight
+// index, journalled, counted, and published as the terminal lifecycle
+// event streaming clients and the flight recorder key off.
+func (s *Service) finishLocked(t *task, state State, err error) {
+	t.state, t.err, t.finished = state, err, time.Now()
+	delete(s.inflight, t.key)
+	s.wal.Append(terminalRecord(t)) //nolint:errcheck // final in memory; a lost record replays as interrupted and reruns
 	reg := s.cfg.Metrics
 	reg.Counter("jobs.completed").Inc()
 	reg.Counter("jobs.terminal." + terminalClass(t.state, t.err)).Inc()

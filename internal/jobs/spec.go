@@ -1,7 +1,8 @@
 // Package jobs is the batch-analysis subsystem: a bounded FIFO job
-// queue with backpressure, a worker pool executing analysis specs
-// through an injected runner, and a content-addressed on-disk result
-// store with LRU eviction that dedupes repeated work.
+// queue with backpressure, executed by local executors running specs
+// through an injected runner and/or by fleet workers holding leases,
+// and a content-addressed on-disk result store with LRU eviction that
+// dedupes repeated work.
 //
 // The package is deliberately protocol-agnostic: a Spec is data, the
 // Runner that turns a Spec into a Result is injected (the root

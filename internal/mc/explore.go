@@ -322,8 +322,8 @@ func (e *levelExplorer) internLevel(cands [][]candidate) error {
 
 // endOfLevel runs the level-boundary bookkeeping: spill enforcement
 // under the memory budget, residency and occupancy instruments, and the
-// snapshot checkpoint (every snapshotEvery levels, plus always when the
-// frontier drains so completed explorations resume for free).
+// snapshot checkpoint (every level, so completed explorations resume
+// for free).
 func (e *levelExplorer) endOfLevel() error {
 	g := e.g
 	moved, err := g.arena.enforceBudget(e.opts.MemBudget, e.opts.SpillDir)
@@ -335,8 +335,7 @@ func (e *levelExplorer) endOfLevel() error {
 	}
 	e.occupancy.Set(int64(e.index.used))
 	e.peakBytes.SetMax(g.arena.memBytes() + e.index.memBytes())
-	if e.opts.SnapshotDir != "" &&
-		(len(e.frontier) == 0 || e.level%e.opts.snapshotEvery() == 0) {
+	if e.opts.SnapshotDir != "" {
 		if err := e.writeSnapshot(); err != nil {
 			return err
 		}

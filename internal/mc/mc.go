@@ -153,14 +153,11 @@ type Options struct {
 	// 256 KiB); smaller segments make spilling finer-grained under tight
 	// budgets.
 	SpillSegmentBytes int
-	// SnapshotDir, when non-empty, checkpoints exploration at level
-	// boundaries into CRC-checksummed snapshot files there and resumes
-	// from the newest valid snapshot of the same system on the next
-	// build.
+	// SnapshotDir, when non-empty, checkpoints exploration at every
+	// level boundary into CRC-checksummed snapshot files there and
+	// resumes from the newest valid snapshot of the same system on the
+	// next build.
 	SnapshotDir string
-	// SnapshotEvery checkpoints every Nth completed level (default 1);
-	// the final level is always checkpointed.
-	SnapshotEvery int
 	// NoVacuityPrune disables the static vacuity pre-pass in CheckAll:
 	// every property is explored even when its trigger is statically
 	// unreachable. The escape hatch for auditing the pruner.
@@ -179,13 +176,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) snapshotEvery() int {
-	if o.SnapshotEvery > 0 {
-		return o.SnapshotEvery
-	}
-	return 1
 }
 
 // Check verifies one property on the system using the shared-frontier

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sync"
@@ -141,7 +140,7 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // HistogramSnapshot is a histogram's frozen state, JSON-shaped for the
-// manifest and expvar.
+// manifest.
 type HistogramSnapshot struct {
 	Count   int64            `json:"count"`
 	Sum     float64          `json:"sum"`
@@ -267,25 +266,4 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// expvarMu serialises Publish calls; expvar.Publish panics on duplicate
-// names, so PublishExpvar checks under the lock.
-var expvarMu sync.Mutex
-
-// PublishExpvar exposes the registry's live snapshot under the given
-// expvar name (visible at /debug/vars). Publishing the same name twice
-// keeps the first registration — expvar has no unpublish — and reports
-// whether this call won.
-func (r *Registry) PublishExpvar(name string) bool {
-	if r == nil {
-		return false
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvar.Get(name) != nil {
-		return false
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	return true
 }

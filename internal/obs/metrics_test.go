@@ -71,7 +71,7 @@ func TestRegistrySnapshotShape(t *testing.T) {
 	if snap["states"] != int64(42) || snap["width"] != int64(7) {
 		t.Fatalf("snapshot = %v", snap)
 	}
-	// The whole snapshot must be JSON-marshalable (expvar renders it).
+	// The whole snapshot must be JSON-marshalable (the manifest embeds it).
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot not marshalable: %v", err)
 	}
@@ -120,34 +120,8 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-func TestPublishExpvarOnce(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	if !r.PublishExpvar("obs_test_metrics") {
-		t.Fatal("first publish should win")
-	}
-	// A second publish (same or another registry) must not panic and
-	// must report losing.
-	if r.PublishExpvar("obs_test_metrics") {
-		t.Fatal("second publish should report false")
-	}
-	if NewRegistry().PublishExpvar("obs_test_metrics") {
-		t.Fatal("publish from another registry should report false")
-	}
-	var nilReg *Registry
-	if nilReg.PublishExpvar("obs_test_nil") {
-		t.Fatal("nil registry publish should report false")
-	}
-}
-
-// serveTestRegistry is shared by every test that calls Serve: expvar
-// registration is process-global and first-wins, so Serve calls with
-// distinct registries would make the /debug/vars content depend on
-// test order under -shuffle.
-var serveTestRegistry = NewRegistry()
-
 func TestServeEndpoint(t *testing.T) {
-	r := serveTestRegistry
+	r := NewRegistry()
 	r.Counter("mc.states_explored").Add(1234)
 	srv, err := Serve("127.0.0.1:0", r)
 	if err != nil {
@@ -174,9 +148,8 @@ func TestServeEndpoint(t *testing.T) {
 		return rec.Body.String()
 	}
 
-	vars := get("/debug/vars")
-	if !strings.Contains(vars, "mc.states_explored") {
-		t.Fatalf("/debug/vars missing registry metric:\n%s", vars)
+	if got := get("/metrics"); !strings.Contains(got, "# TYPE prochecker_mc_states_explored counter") {
+		t.Fatalf("/metrics missing registry metric family:\n%s", got)
 	}
 	if got := get("/healthz"); !strings.Contains(got, "ok") {
 		t.Fatalf("/healthz = %q", got)
@@ -194,7 +167,7 @@ func TestServeEndpoint(t *testing.T) {
 // the draining signal orchestrators act on), hook healthy again (200),
 // hook removed (200).
 func TestServeReadinessHook(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", serveTestRegistry)
+	srv, err := Serve("127.0.0.1:0", NewRegistry())
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

@@ -1,10 +1,10 @@
 // Package obs is the pipeline's observability layer: a span API that
 // records where a run spends its time (phase tree with durations,
 // attributes and error status), a concurrency-safe metrics registry
-// (counters, gauges, histograms — published via expvar), an HTTP serve
-// mode exposing expvar and net/http/pprof for live profiling, and a
-// machine-readable run manifest combining all of it with the run's
-// configuration and verdicts.
+// (counters, gauges, histograms — exposed in Prometheus text format), an
+// HTTP serve mode exposing /metrics and net/http/pprof for live
+// profiling, and a machine-readable run manifest combining all of it
+// with the run's configuration and verdicts.
 //
 // The layer is strictly opt-in and zero-cost when disabled: every
 // method is nil-safe, so instrumented code obtains its Observer (and
@@ -78,7 +78,8 @@ func WithEventSink(level Level, sink func(Event)) ObserverOption {
 }
 
 // WithRegistry makes the observer record into an existing registry
-// instead of a fresh one (e.g. the process-wide expvar-published one).
+// instead of a fresh one (e.g. the one a job service and its HTTP
+// server share).
 func WithRegistry(r *Registry) ObserverOption {
 	return func(o *Observer) { o.reg = r }
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,10 +9,9 @@ import (
 	"time"
 )
 
-// Server is the live observability endpoint: expvar at /debug/vars
-// (including the published metrics registry), Prometheus text
-// exposition at /metrics, the full net/http/pprof suite at
-// /debug/pprof/ for profiling long runs in flight, and a /healthz
+// Server is the live observability endpoint: the metrics registry in
+// Prometheus text exposition at /metrics, the full net/http/pprof suite
+// at /debug/pprof/ for profiling long runs in flight, and a /healthz
 // probe that consults the readiness hook.
 type Server struct {
 	// Addr is the bound address, with the real port when the caller
@@ -25,14 +23,12 @@ type Server struct {
 }
 
 // Serve starts the observability endpoint on addr (e.g. ":6060" or
-// "127.0.0.1:0") and publishes the registry under the "prochecker"
-// expvar name. It returns once the listener is bound; serving happens
-// in a background goroutine until Close.
+// "127.0.0.1:0"), exposing the registry under the "prochecker" metric
+// prefix. It returns once the listener is bound; serving happens in a
+// background goroutine until Close.
 func Serve(addr string, r *Registry) (*Server, error) {
-	r.PublishExpvar("prochecker")
 	s := &Server{}
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", r.PrometheusHandler("prochecker"))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

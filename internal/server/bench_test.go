@@ -117,11 +117,10 @@ func fleetBenchClient(b *testing.B) *Client {
 		Runner: func(ctx context.Context, spec jobs.Spec) (*jobs.Result, error) {
 			return nil, errors.New("coordinator must not run jobs locally")
 		},
-		Normalize:      prochecker.NormalizeJobSpec,
-		Store:          store,
-		NoLocalWorkers: true,
-		LeaseTTL:       time.Minute,
-		Queue:          256,
+		Normalize: prochecker.NormalizeJobSpec,
+		Store:     store,
+		LeaseTTL:  time.Minute,
+		Queue:     256,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -29,11 +29,10 @@ func newCoordServer(t *testing.T, mut func(*jobs.Config), opts ...Option) (*Clie
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := jobs.Config{
-		Runner:         syntheticRunner,
-		Normalize:      prochecker.NormalizeJobSpec,
-		NoLocalWorkers: true,
-		LeaseTTL:       time.Minute,
-		Metrics:        reg,
+		Runner:    syntheticRunner,
+		Normalize: prochecker.NormalizeJobSpec,
+		LeaseTTL:  time.Minute,
+		Metrics:   reg,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -234,7 +233,7 @@ func TestTenantQuotaSurvivesRestart(t *testing.T) {
 	reg := obs.NewRegistry()
 	svc, err := jobs.New(jobs.Config{
 		Runner: syntheticRunner, Normalize: prochecker.NormalizeJobSpec,
-		NoLocalWorkers: true, LeaseTTL: time.Minute, WALDir: walDir, Metrics: reg,
+		LeaseTTL: time.Minute, WALDir: walDir, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +250,7 @@ func TestTenantQuotaSurvivesRestart(t *testing.T) {
 
 	svc2, err := jobs.New(jobs.Config{
 		Runner: syntheticRunner, Normalize: prochecker.NormalizeJobSpec,
-		NoLocalWorkers: true, LeaseTTL: time.Minute, WALDir: walDir, Metrics: obs.NewRegistry(),
+		LeaseTTL: time.Minute, WALDir: walDir, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

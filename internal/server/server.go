@@ -15,8 +15,7 @@
 //	POST   /v1/leases/{id}/result    upload a leased job's canonical result
 //	POST   /v1/leases/{id}/fail      report a leased job's classified failure
 //	GET    /healthz                  readiness (503 while draining)
-//	GET    /debug/vars               expvar (queue/cache/pipeline metrics)
-//	GET    /metrics                  Prometheus text exposition
+//	GET    /metrics                  Prometheus text exposition (queue/cache/pipeline metrics)
 //
 // The SSE streams are fed from the process-wide obs.Bus: `id:` carries
 // the bus sequence number, so a client reconnecting with Last-Event-ID
@@ -37,7 +36,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -110,13 +108,11 @@ func WithBus(b *obs.Bus) Option {
 	return func(s *Server) { s.bus = b }
 }
 
-// New builds a Server on the given service and publishes the metrics
-// registry (the service's and the pipeline's shared one) on
-// /debug/vars under the "prochecker" expvar name and on /metrics in
+// New builds a Server on the given service and exposes the metrics
+// registry (the service's and the pipeline's shared one) on /metrics in
 // Prometheus text format. Campaigns journalled to a WAL by a previous
 // incarnation are restored with their original IDs and membership.
 func New(svc *jobs.Service, reg *obs.Registry, opts ...Option) *Server {
-	reg.PublishExpvar("prochecker")
 	s := &Server{svc: svc, campaigns: make(map[string]*campaignRecord)}
 	for _, opt := range opts {
 		opt(s)
@@ -149,7 +145,7 @@ func New(svc *jobs.Service, reg *obs.Registry, opts ...Option) *Server {
 		// replace-by-ID meta keeps one live record per tenant.
 		s.gate.SetJournal(func(tenant string, tokens float64, at time.Time) {
 			if meta, err := json.Marshal(tenantMeta{Tokens: tokens, At: at}); err == nil {
-				svc.LogMetaReplace("tenant:"+tenant, meta) //nolint:errcheck // balance still live in memory
+				svc.LogMeta("tenant:"+tenant, meta) //nolint:errcheck // balance still live in memory
 			}
 		})
 	}
@@ -167,7 +163,6 @@ func New(svc *jobs.Service, reg *obs.Registry, opts ...Option) *Server {
 	mux.HandleFunc("POST /v1/leases/{id}/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("POST /v1/leases/{id}/result", s.handleLeaseResult)
 	mux.HandleFunc("POST /v1/leases/{id}/fail", s.handleLeaseFail)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.Handle("GET /metrics", reg.PrometheusHandler("prochecker"))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if s.draining.Load() {
