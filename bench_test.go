@@ -13,6 +13,7 @@ package prochecker
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -391,17 +392,18 @@ func BenchmarkAblationPredicateFilter(b *testing.B) {
 	})
 }
 
-// AblationCompiledRules compares the model checker's compiled-rule
-// execution against interpreted guard evaluation.
+// AblationCompiledRules compares the model checker's guard bitsets and
+// compiled-rule closures against interpreted guard evaluation.
 func BenchmarkAblationCompiledRules(b *testing.B) {
 	m := benchModel(b, ue.ProfileConformant)
 	sys := m.Composed.System
 	init := sys.InitialState()
 	b.Run("compiled", func(b *testing.B) {
-		rules, err := sys.CompileRules()
+		rs, err := sys.CompileRules()
 		if err != nil {
 			b.Fatal(err)
 		}
+		rules := rs.Rules
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			n := 0
@@ -409,6 +411,24 @@ func BenchmarkAblationCompiledRules(b *testing.B) {
 				if rules[ri].Enabled(init) {
 					n++
 				}
+			}
+			if n == 0 {
+				b.Fatal("no enabled rules")
+			}
+		}
+	})
+	b.Run("bitset", func(b *testing.B) {
+		rs, err := sys.CompileRules()
+		if err != nil {
+			b.Fatal(err)
+		}
+		mask := make([]uint64, rs.Words())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rs.EnabledSet(init, mask)
+			n := 0
+			for _, w := range mask {
+				n += bits.OnesCount64(w)
 			}
 			if n == 0 {
 				b.Fatal("no enabled rules")

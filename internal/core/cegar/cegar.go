@@ -211,6 +211,14 @@ func verifyContext(ctx context.Context, composed *threat.Composed, prop mc.Prope
 			iterSpan.EndErr(err)
 			return out, err
 		}
+		// Re-check the counterexample against the caller's system before
+		// the CPV reasons about it: a trace the interpreted semantics
+		// cannot replay is a checker fault, not a verdict.
+		if err := mc.Certify(sys, prop, res); err != nil {
+			err = fmt.Errorf("cegar: internal error: %w", err)
+			iterSpan.EndErr(err)
+			return out, err
+		}
 		_, cpvSpan := obs.Start(iterCtx, "cpv.validate", obs.A("steps", strconv.Itoa(len(res.Counterexample.Steps))))
 		spurious, refinement, feasibility := validate(res.Counterexample, cfg)
 		cpvSpan.SetAttr("spurious", strconv.FormatBool(spurious))

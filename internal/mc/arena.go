@@ -1,14 +1,17 @@
 // The exploration storage layer: interned states live in an append-only
 // compact binary arena (one canonical encoding per state, ids are dense
-// arena positions) indexed by an open-addressing hash table, replacing
-// the previous string-keyed stripe maps plus []ts.State slice. Every
-// state costs its packed bytes plus one 4-byte index slot (at under 3/4
-// load) and a bloom bit-budget of one byte, against well over 80 bytes
-// per state for the map-based design (string headers, bucket overhead,
-// per-state slice allocations, a second copy of every state as its own
-// map key) — and the arena is
-// segmented, so cold segments can spill to disk under a memory budget
-// while membership stays answerable from RAM.
+// arena positions), and the visited set maps states to ids. When the
+// product of the variable domains is at most denseRankLimit, the visited
+// set is a rankTable: one int32 per possible assignment, indexed by the
+// state's mixed-radix rank. Above it, an open-addressing hash index
+// stores one 4-byte slot per state (at under 3/4 load) and confirms
+// identity against the arena, whose sealed segments then carry a bloom
+// filter (one byte per state) and a hash fence. Either way a state costs
+// far less than the map-based design both replaced (string headers,
+// bucket overhead, per-state slice allocations, a second copy of every
+// state as its own map key) — and the arena is segmented, so cold
+// segments can spill to disk under a memory budget while membership
+// stays answerable from RAM.
 package mc
 
 import (
@@ -53,6 +56,10 @@ type stateArena struct {
 	n       int
 
 	segs []*arenaSegment
+	// fenced arenas give sealed segments the bloom filter and hash fence
+	// that confirm relies on. Only the hash visited set confirms; the
+	// dense rank table never does, so its arena skips both.
+	fenced bool
 
 	// spillf is the anonymous spill file (created lazily, unlinked
 	// immediately, closed by Release or the GC finalizer backstop).
@@ -66,7 +73,7 @@ type stateArena struct {
 // newStateArena sizes segments for the given stride; segBytes overrides
 // the default segment payload size (tests and tight budgets use small
 // segments so spilling stays incremental).
-func newStateArena(stride, segBytes int) *stateArena {
+func newStateArena(stride, segBytes int, fenced bool) *stateArena {
 	if segBytes <= 0 {
 		segBytes = arenaSegmentTargetBytes
 	}
@@ -80,23 +87,24 @@ func newStateArena(stride, segBytes int) *stateArena {
 	for 1<<bits != per {
 		bits++
 	}
-	return &stateArena{stride: stride, perSeg: per, segMask: per - 1, segBits: bits}
+	return &stateArena{stride: stride, perSeg: per, segMask: per - 1, segBits: bits, fenced: fenced}
 }
 
 // len reports the number of interned states.
 func (a *stateArena) len() int { return a.n }
 
-// append copies one packed state in and returns its id. The previous
-// segment is sealed (bloom finalised) when a new one starts.
+// append copies one packed state in (hash h, ignored unless fenced) and
+// returns its id. The previous segment is sealed (bloom finalised) when
+// a new one starts.
 func (a *stateArena) append(s []byte, h uint64) (int32, error) {
 	if a.n >= maxArenaStates {
 		return 0, fmt.Errorf("mc: state arena full at %d states", a.n)
 	}
 	si := a.n >> a.segBits
 	if si == len(a.segs) {
-		seg := &arenaSegment{
-			data:  make([]byte, 0, a.perSeg*a.stride),
-			bloom: newBloomFilter(a.perSeg),
+		seg := &arenaSegment{data: make([]byte, 0, a.perSeg*a.stride)}
+		if a.fenced {
+			seg.bloom = newBloomFilter(a.perSeg)
 		}
 		a.segs = append(a.segs, seg)
 		a.residentBytes += int64(cap(seg.data))
@@ -104,12 +112,14 @@ func (a *stateArena) append(s []byte, h uint64) (int32, error) {
 	seg := a.segs[si]
 	seg.data = append(seg.data, s...)
 	seg.size += int64(a.stride)
-	seg.bloom.add(h)
-	if seg.size == int64(a.stride) || h < seg.minHash {
-		seg.minHash = h
-	}
-	if h > seg.maxHash {
-		seg.maxHash = h
+	if a.fenced {
+		seg.bloom.add(h)
+		if seg.size == int64(a.stride) || h < seg.minHash {
+			seg.minHash = h
+		}
+		if h > seg.maxHash {
+			seg.maxHash = h
+		}
 	}
 	id := int32(a.n)
 	a.n++
@@ -372,3 +382,48 @@ func (x *stateIndex) add(h uint64, id int32) {
 
 // memBytes reports the table's resident footprint.
 func (x *stateIndex) memBytes() int64 { return int64(len(x.slots)) * 4 }
+
+// denseRankLimit bounds the dense visited set: a system whose variable
+// domains multiply to at most this many assignments is explored with a
+// rankTable (16 MiB of ids at the bound) instead of the hash index. The
+// largest graph of the shipped profiles has 2,215,360 assignments.
+const denseRankLimit = 1 << 22
+
+// rankTable is the dense visited set: ids[rank(s)] is the id of state s,
+// -1 while unseen, where rank is the state's mixed-radix number over the
+// variable domains. A lookup is one multiply-add per variable and one
+// load — no hashing, probing or byte confirm.
+type rankTable struct {
+	radix []int
+	ids   []int32
+}
+
+// newRankTable sizes the table for domains, or returns nil when their
+// product exceeds denseRankLimit.
+func newRankTable(domains []int) *rankTable {
+	radix := make([]int, len(domains))
+	n := 1
+	for v := len(domains) - 1; v >= 0; v-- {
+		radix[v] = n
+		if n *= domains[v]; n > denseRankLimit {
+			return nil
+		}
+	}
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = -1
+	}
+	return &rankTable{radix: radix, ids: ids}
+}
+
+// rank is s's mixed-radix number, an index into ids.
+func (t *rankTable) rank(s []byte) int {
+	r := 0
+	for v, x := range s {
+		r += int(x) * t.radix[v]
+	}
+	return r
+}
+
+// memBytes reports the table's resident footprint.
+func (t *rankTable) memBytes() int64 { return int64(len(t.ids)) * 4 }

@@ -18,8 +18,20 @@ import (
 // rules than the seed alone picks (zero extras reproduce the plain
 // seeded system).
 func randomSystem(t *testing.T, seed int64, extraVars, extraRules int) *ts.System {
+	return randomSystemMix(t, seed, extraVars, extraRules, 0)
+}
+
+// randomSystemMix is randomSystem with a guard mix: when mix is non-zero,
+// a second generator seeded from (seed, mix) rewrites guard literals
+// into Neq, In, Or, Not, True and out-of-domain tests, so guards leave
+// the conjunctive Eq fragment. mix 0 is exactly randomSystem.
+func randomSystemMix(t *testing.T, seed int64, extraVars, extraRules int, mix uint8) *ts.System {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	var mixRng *rand.Rand
+	if mix != 0 {
+		mixRng = rand.New(rand.NewSource(seed*256 + int64(mix)))
+	}
 	sys := ts.NewSystem(fmt.Sprintf("rand-%d", seed))
 
 	nVars := 2 + rng.Intn(2) + extraVars
@@ -41,10 +53,11 @@ func randomSystem(t *testing.T, seed int64, extraVars, extraRules int) *ts.Syste
 		var guard ts.And
 		for v := 0; v < nVars; v++ {
 			if rng.Intn(2) == 0 {
-				guard = append(guard, ts.Eq{
+				lit := ts.Eq{
 					Var:   fmt.Sprintf("x%d", v),
 					Value: domains[v][rng.Intn(len(domains[v]))],
-				})
+				}
+				guard = append(guard, mixLiteral(mixRng, lit, domains[v]))
 			}
 		}
 		// Assigns: random subset.
@@ -62,6 +75,59 @@ func randomSystem(t *testing.T, seed int64, extraVars, extraRules int) *ts.Syste
 		}
 	}
 	return sys
+}
+
+// mixLiteral rewrites the literal lit (on a variable with the given
+// domain) into another condition over the same variable; a nil rng
+// keeps it.
+func mixLiteral(rng *rand.Rand, lit ts.Eq, domain []string) ts.Cond {
+	if rng == nil {
+		return lit
+	}
+	other := domain[rng.Intn(len(domain))]
+	switch rng.Intn(10) {
+	case 0:
+		return ts.Neq{Var: lit.Var, Value: lit.Value}
+	case 1:
+		return ts.In{Var: lit.Var, Values: []string{lit.Value, other, "out_of_domain"}}
+	case 2:
+		return ts.Or{lit, ts.Eq{Var: lit.Var, Value: other}}
+	case 3:
+		return ts.Not{C: lit}
+	case 4:
+		return ts.True{}
+	case 5:
+		return ts.Neq{Var: lit.Var, Value: "out_of_domain"}
+	case 6:
+		if rng.Intn(4) == 0 { // rare: the rule never fires
+			return ts.Eq{Var: lit.Var, Value: "out_of_domain"}
+		}
+		return lit
+	case 7:
+		return ts.And{ts.And{lit}, ts.In{Var: lit.Var, Values: []string{lit.Value, other}}}
+	default:
+		return lit
+	}
+}
+
+// padWide adds unused variables to sys until the product of its domains
+// exceeds denseRankLimit, so the explorer falls back to the hash index.
+func padWide(t *testing.T, sys *ts.System) {
+	t.Helper()
+	product := 1
+	for _, v := range sys.Vars() {
+		product *= len(v.Domain)
+	}
+	dom := make([]string, 64)
+	for i := range dom {
+		dom[i] = fmt.Sprintf("p%d", i)
+	}
+	for i := 0; product <= denseRankLimit; i++ {
+		if err := sys.AddVar(fmt.Sprintf("pad%d", i), dom...); err != nil {
+			t.Fatal(err)
+		}
+		product *= len(dom)
+	}
 }
 
 // naiveReachable computes the reachable state set with the slow

@@ -383,8 +383,8 @@ func (g *StateGraph) checkNeverFires(sys *ts.System, p NeverFires) Result {
 		any = any || matched[i]
 	}
 	if any {
-		for id := range g.adj {
-			for _, ed := range g.adj[id] {
+		for id := 0; id < g.expanded(); id++ {
+			for _, ed := range g.row(int32(id)) {
 				if !matched[ed.rule] {
 					continue
 				}
@@ -491,7 +491,7 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Re
 		id := queue[0]
 		queue = queue[1:]
 		n := nodes[id]
-		for _, ed := range g.adj[n.sid] {
+		for _, ed := range g.row(n.sid) {
 			pending := n.pending
 			if trigger[ed.rule] {
 				pending = true

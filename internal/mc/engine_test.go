@@ -305,3 +305,44 @@ func TestConcurrentClonesShareOneBuild(t *testing.T) {
 		t.Fatalf("builds=%d, %d checks report %q; want one build (sources %v)", builds, built, GraphBuilt, srcs)
 	}
 }
+
+// TestExploreGaugesTrackVisitedSet pins the explorer's residency gauges
+// against the build they describe, with the dense rank table and with
+// the hash index: mc.visited_states is the state count, and
+// mc.peak_resident_state_bytes is the arena plus the whole visited set
+// (the dense table counted at its full size).
+func TestExploreGaugesTrackVisitedSet(t *testing.T) {
+	for _, wide := range []bool{false, true} {
+		sys := randomSystem(t, 6, 4, 60)
+		if wide {
+			padWide(t, sys)
+		}
+		o := obs.New()
+		g, err := buildGraph(obs.NewContext(context.Background(), o), sys, systemFingerprint(sys), Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := o.Metrics()
+		if got := reg.Gauge("mc.visited_states").Value(); got != int64(g.NumStates()) {
+			t.Errorf("wide=%v: mc.visited_states = %d, want the %d states built", wide, got, g.NumStates())
+		}
+		visited := reg.Gauge("mc.peak_resident_state_bytes").Value() - g.arena.memBytes()
+		product := int64(1)
+		for _, v := range sys.Vars() {
+			product *= int64(len(v.Domain))
+		}
+		switch {
+		case !wide && visited != 4*product:
+			t.Errorf("dense: peak bytes count %d for the visited set, want the %d-byte rank table", visited, 4*product)
+		case wide && (visited < 4*int64(g.NumStates())*4/3 || visited&(visited-1) != 0):
+			t.Errorf("hash: peak bytes count %d for the visited set, want the power-of-two slot table over %d states", visited, g.NumStates())
+		}
+		wantHashed := int64(0)
+		if wide {
+			wantHashed = 1
+		}
+		if hashed := reg.Counter("mc.explorations_hashed").Value(); hashed != wantHashed {
+			t.Errorf("wide=%v: mc.explorations_hashed = %d, want %d", wide, hashed, wantHashed)
+		}
+	}
+}

@@ -1,18 +1,38 @@
 // The level-synchronised explorer. Each BFS level runs in two phases:
-// (1) workers expand frontier chunks in parallel against the visited
-// index, which is read-only for the whole phase; (2) one serial pass
-// walks the successors in canonical (frontier position, rule) order,
-// interning every fresh state straight into the arena and the index —
-// exactly the sequential explorer's intern order, so state ids, the
-// parent tree and counterexample traces stay byte-identical to
-// CheckSequential for every worker count and memory budget. Level
-// boundaries are also where arena segments spill under the memory budget
-// and snapshots are checkpointed.
+// (1) workers expand contiguous frontier chunks in parallel against the
+// visited set, which is read-only for the whole phase; (2) one serial
+// pass walks the successors in canonical (frontier position, rule)
+// order, interning every fresh state straight into the arena and the
+// visited set — exactly the sequential explorer's intern order, so state
+// ids, the parent tree and counterexample traces stay byte-identical to
+// CheckSequential for every worker count and memory budget.
+//
+// Per state, phase 1 does no guard calls and no allocation. The rules
+// enabled in a state come from the ts.RuleSet guard bitsets: one AND of
+// a per-(variable, value) row per variable, whose set bits, walked in
+// ascending order, are the enabled rules in rule order. Each successor
+// is written into a per-worker scratch state and looked up; only the
+// ones the lookup leaves unresolved are copied, into the chunk's packed
+// byte buffer. The visited set is dense when the product of the
+// variable domains is at most denseRankLimit: a []int32 indexed by the
+// state's mixed-radix rank, so a lookup is a few multiply-adds and one
+// load. Larger systems fall back to the open-addressing hash index over
+// the arena (arena.go).
+//
+// Phase 2 appends each frontier state's edges to the graph's CSR
+// adjacency (graph.go), presized per level from the candidate count.
+// The frontier is always the id range the previous level interned, and
+// exactly the states without an adjacency row yet. Level boundaries are
+// also where arena segments spill under the memory budget and snapshots
+// are checkpointed.
 package mc
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -23,24 +43,51 @@ import (
 )
 
 // candidate is one enabled transition discovered by a worker: the rule
-// index and the successor — resolved to an id when the index already
-// contains it, carried as packed state plus hash otherwise.
+// index and the successor — resolved to an id when the visited set
+// already holds it, carried as its key plus packed bytes otherwise.
 type candidate struct {
 	rule int32
-	id   int32 // >= 0 once resolved
-	hash uint64
-	next ts.State // retained only while unresolved
+	id   int32  // >= 0 once resolved
+	key  uint64 // the successor's rank (dense) or hash
+	at   int32  // index of its bytes in chunk.states while unresolved
+}
+
+// chunk is one worker's share of a level: the candidates of frontier
+// positions [lo, hi) in (position, rule) order, and the packed bytes of
+// the successors its lookups left unresolved. Its buffers, scratch
+// state and enabled mask are reused from level to level.
+type chunk struct {
+	lo, hi     int
+	cands      []candidate
+	states     []byte
+	unresolved int
+
+	next    ts.State
+	enabled []uint64
 }
 
 // levelExplorer carries one buildGraph invocation's exploration state.
 type levelExplorer struct {
 	g     *StateGraph
 	opts  Options
-	rules []ts.CompiledRule
+	rules *ts.RuleSet
+	// ranks is the dense visited set; index the hash one, used when the
+	// domains are too large for ranks.
+	ranks *rankTable
 	index *stateIndex
+	// domains holds each variable's domain size.
+	domains []int
 
-	frontier []int32
-	level    int // completed levels
+	// The frontier is the id range [lo, hi): the states the last level
+	// interned, none of them expanded yet.
+	lo, hi int32
+	level  int // completed levels
+
+	// chunks and counts are the current level's expansion: counts[i] is
+	// the number of candidates of frontier position i, which sit in its
+	// chunk in position order.
+	chunks []chunk
+	counts []int32
 
 	bus        *obs.Bus
 	scope      string // job scope for progress events (see obs.WithScope)
@@ -60,12 +107,17 @@ type levelExplorer struct {
 func buildGraph(ctx context.Context, sys *ts.System, fp [32]byte, opts Options) (graph *StateGraph, err error) {
 	reg := obs.FromContext(ctx).Metrics()
 	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name))
+	hashed := reg.Counter("mc.explorations_hashed")
 	buildStart := time.Now()
+	var e *levelExplorer
 	defer func() {
 		if graph != nil {
 			n := graph.NumStates()
 			reg.Counter("mc.states_explored").Add(int64(n))
 			reg.Counter("mc.explorations").Inc()
+			if e.ranks == nil {
+				hashed.Inc()
+			}
 			if elapsed := time.Since(buildStart); elapsed > 0 {
 				reg.Gauge("mc.states_per_sec").Set(int64(float64(n) / elapsed.Seconds()))
 			}
@@ -79,22 +131,36 @@ func buildGraph(ctx context.Context, sys *ts.System, fp [32]byte, opts Options) 
 	if err != nil {
 		return nil, err
 	}
+	vars := sys.Vars()
+	domains := make([]int, len(vars))
+	for i, v := range vars {
+		domains[i] = len(v.Domain)
+	}
 	init := sys.InitialState()
-	e := &levelExplorer{
+	ranks := newRankTable(domains)
+	e = &levelExplorer{
 		g: &StateGraph{
-			System: sys.Name, fp: fp, Rules: rules, MaxStates: opts.maxStates(),
-			arena:      newStateArena(len(init), opts.SpillSegmentBytes),
+			System: sys.Name, fp: fp, Rules: rules.Rules, MaxStates: opts.maxStates(),
+			arena:      newStateArena(len(init), opts.SpillSegmentBytes, ranks == nil),
+			off:        []int32{0},
 			spillReads: reg.Counter("mc.spill_reads"),
 		},
 		opts:       opts,
 		rules:      rules,
-		index:      newStateIndex(),
+		ranks:      ranks,
+		domains:    domains,
 		bus:        obs.FromContext(ctx).Bus(),
 		scope:      obs.ScopeFromContext(ctx),
 		width:      reg.Histogram("mc.frontier_width", nil),
 		occupancy:  reg.Gauge("mc.visited_states"),
 		spillBytes: reg.Counter("mc.spill_bytes"),
 		peakBytes:  reg.Gauge("mc.peak_resident_state_bytes"),
+	}
+	if e.ranks == nil {
+		e.index = newStateIndex()
+		span.SetAttr("index", "hash")
+	} else {
+		span.SetAttr("index", "dense")
 	}
 
 	resumed := false
@@ -110,11 +176,10 @@ func buildGraph(ctx context.Context, sys *ts.System, fp [32]byte, opts Options) 
 		}
 	}
 	if !resumed {
-		id, _, err := e.intern(init, hashState(init), -1, -1)
-		if err != nil {
+		if _, err := e.intern(init, e.key(init), -1, -1); err != nil {
 			return nil, err
 		}
-		e.frontier = []int32{id}
+		e.lo, e.hi = 0, 1
 	}
 	if err := e.run(ctx); err != nil {
 		e.g.Release()
@@ -123,33 +188,64 @@ func buildGraph(ctx context.Context, sys *ts.System, fp [32]byte, opts Options) 
 	return e.g, nil
 }
 
-// intern returns the id of state s (hash h), first appending it to the
-// arena, the parent tree and the index when the index does not hold it
-// yet; fresh reports that append. The index must have room for a fresh
-// state (ensureIndex).
-func (e *levelExplorer) intern(s ts.State, h uint64, parent, rule int32) (id int32, fresh bool, err error) {
-	g := e.g
-	id, pos, err := e.lookup(h, s)
-	if err != nil || id >= 0 {
-		return id, false, err
+// key is s's visited-set key: its rank in dense mode, its hash otherwise.
+func (e *levelExplorer) key(s ts.State) uint64 {
+	if e.ranks != nil {
+		return uint64(e.ranks.rank(s))
 	}
-	if id, err = g.arena.append(s, h); err != nil {
-		return -1, false, err
-	}
-	g.adj = append(g.adj, nil)
-	g.parentState = append(g.parentState, parent)
-	g.parentRule = append(g.parentRule, rule)
-	e.index.set(pos, id)
-	return id, true, nil
+	return hashState(s)
 }
 
-// ensureIndex grows the index until extra more inserts stay under 3/4
-// load, so the intern pass never grows it mid-level. The index stores no
-// hashes, so growth re-derives every position by re-hashing the states
-// themselves in one sequential arena pass (spilled segments are read
-// back a segment at a time).
+// lookup resolves state s (key k) against the visited set: its id, or
+// -1 with the position a fresh insert takes. Read-only, so the parallel
+// phase calls it concurrently.
+func (e *levelExplorer) lookup(k uint64, s ts.State) (int32, int, error) {
+	if e.ranks != nil {
+		return e.ranks.ids[k], int(k), nil
+	}
+	return e.index.probe(k, func(id int32) (bool, error) {
+		return e.g.arena.confirm(id, s, k, e.g.spillReads)
+	})
+}
+
+// intern returns the id of state s (key k), first appending it to the
+// arena, the parent tree and the visited set when the set does not hold
+// it yet. In hash mode the index must have room for a fresh state
+// (ensureIndex).
+func (e *levelExplorer) intern(s ts.State, k uint64, parent, rule int32) (int32, error) {
+	g := e.g
+	id, pos, err := e.lookup(k, s)
+	if err != nil || id >= 0 {
+		return id, err
+	}
+	if id, err = g.arena.append(s, k); err != nil {
+		return -1, err
+	}
+	g.parentState = append(g.parentState, parent)
+	g.parentRule = append(g.parentRule, rule)
+	if e.ranks != nil {
+		e.ranks.ids[pos] = id
+	} else {
+		e.index.set(pos, id)
+	}
+	return id, nil
+}
+
+// visitedBytes is the visited set's resident footprint.
+func (e *levelExplorer) visitedBytes() int64 {
+	if e.ranks != nil {
+		return e.ranks.memBytes()
+	}
+	return e.index.memBytes()
+}
+
+// ensureIndex grows the hash index until extra more inserts stay under
+// 3/4 load, so the intern pass never grows it mid-level. The index
+// stores no hashes, so growth re-derives every position by re-hashing
+// the states themselves in one sequential arena pass (spilled segments
+// are read back a segment at a time). The dense table never grows.
 func (e *levelExplorer) ensureIndex(extra int) error {
-	if (e.index.used+extra)*4 < len(e.index.slots)*3 {
+	if e.ranks != nil || (e.index.used+extra)*4 < len(e.index.slots)*3 {
 		return nil
 	}
 	grown := newStateIndex()
@@ -170,7 +266,8 @@ func (e *levelExplorer) ensureIndex(extra int) error {
 func (e *levelExplorer) run(ctx context.Context) error {
 	g := e.g
 	workers := e.opts.workers()
-	for len(e.frontier) > 0 {
+	defer g.trimEdges()
+	for e.lo < e.hi {
 		if ctx.Err() != nil {
 			return fmt.Errorf("mc: exploration of %s after %d states: %w",
 				g.System, g.NumStates(), resilience.ErrCancelled)
@@ -179,13 +276,12 @@ func (e *levelExplorer) run(ctx context.Context) error {
 			g.Truncated = true
 			return nil
 		}
-		e.width.Observe(float64(len(e.frontier)))
+		e.width.Observe(float64(e.hi - e.lo))
 
-		cands, err := e.expandFrontier(workers)
-		if err != nil {
+		if err := e.expandFrontier(workers); err != nil {
 			return err
 		}
-		if err := e.internLevel(cands); err != nil {
+		if err := e.internLevel(); err != nil {
 			return err
 		}
 		if err := e.endOfLevel(); err != nil {
@@ -195,127 +291,141 @@ func (e *levelExplorer) run(ctx context.Context) error {
 	return nil
 }
 
-// lookup resolves state s (hash h) against the index: its id, or -1
-// with the slot a fresh insert takes. Read-only, so the parallel phase
-// calls it concurrently.
-func (e *levelExplorer) lookup(h uint64, s ts.State) (int32, int, error) {
-	return e.index.probe(h, func(id int32) (bool, error) {
-		return e.g.arena.confirm(id, s, h, e.g.spillReads)
-	})
-}
-
 // expandFrontier is phase 1: workers expand contiguous frontier chunks
-// into a position-indexed candidate matrix — no locks, no ordering
-// races, the index frozen.
-func (e *levelExplorer) expandFrontier(workers int) ([][]candidate, error) {
-	g := e.g
-	frontier := e.frontier
-	cands := make([][]candidate, len(frontier))
-	expand := func(id int32) ([]candidate, error) {
-		cur, err := g.StateAt(id)
-		if err != nil {
-			return nil, err
-		}
-		var out []candidate
-		for ri := range e.rules {
-			r := &e.rules[ri]
-			if !r.Enabled(cur) {
-				continue
-			}
-			next := r.Apply(cur)
-			h := hashState(next)
-			known, _, err := e.lookup(h, next)
-			if err != nil {
-				return nil, err
-			}
-			c := candidate{rule: int32(ri), id: known, hash: h}
-			if known < 0 {
-				c.next = next
-			}
-			out = append(out, c)
-		}
-		return out, nil
+// into e.chunks and e.counts, the visited set frozen.
+func (e *levelExplorer) expandFrontier(workers int) error {
+	n := int(e.hi - e.lo)
+	if cap(e.counts) < n {
+		e.counts = make([]int32, n)
 	}
-
-	if workers <= 1 || len(frontier) < 2*workers {
-		for fi, id := range frontier {
-			out, err := expand(id)
-			if err != nil {
-				return nil, err
-			}
-			cands[fi] = out
-		}
-		return cands, nil
+	e.counts = e.counts[:n]
+	parts := 1
+	if workers > 1 && n >= 2*workers {
+		parts = workers
 	}
-	chunk := (len(frontier) + workers - 1) / workers
-	nChunks := (len(frontier) + chunk - 1) / chunk
+	size := (n + parts - 1) / parts
+	nChunks := (n + size - 1) / size
+	for len(e.chunks) < nChunks {
+		e.chunks = append(e.chunks, chunk{
+			next:    make(ts.State, e.g.arena.stride),
+			enabled: make([]uint64, e.rules.Words()),
+		})
+	}
+	e.chunks = e.chunks[:nChunks]
+	for c := range e.chunks {
+		ch := &e.chunks[c]
+		ch.lo, ch.hi = c*size, min((c+1)*size, n)
+		ch.cands, ch.states, ch.unresolved = ch.cands[:0], ch.states[:0], 0
+	}
+	if nChunks == 1 {
+		return e.expandChunk(&e.chunks[0])
+	}
 	errs := make([]error, nChunks)
 	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		lo, hi := c*chunk, min((c+1)*chunk, len(frontier))
+	for c := range e.chunks {
 		wg.Add(1)
-		go func(c, lo, hi int) {
+		go func(c int) {
 			defer wg.Done()
-			for fi := lo; fi < hi; fi++ {
-				out, err := expand(frontier[fi])
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				cands[fi] = out
-			}
-		}(c, lo, hi)
+			errs[c] = e.expandChunk(&e.chunks[c])
+		}(c)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return cands, nil
+	return nil
+}
+
+// expandChunk expands frontier positions [c.lo, c.hi): the enabled set
+// from the guard bitsets, each successor applied into one scratch state
+// and looked up, only unresolved successors copied out.
+func (e *levelExplorer) expandChunk(c *chunk) error {
+	g := e.g
+	next, enabled := c.next, c.enabled
+	for fi := c.lo; fi < c.hi; fi++ {
+		cur, err := g.StateAt(e.lo + int32(fi))
+		if err != nil {
+			return err
+		}
+		e.rules.EnabledSet(cur, enabled)
+		pop := 0
+		for _, w := range enabled {
+			pop += bits.OnesCount64(w)
+		}
+		c.cands = slices.Grow(c.cands, pop)
+		for wi, w := range enabled {
+			for ; w != 0; w &= w - 1 {
+				ri := wi*64 + bits.TrailingZeros64(w)
+				e.rules.Rules[ri].ApplyInto(next, cur)
+				k := e.key(next)
+				id, _, err := e.lookup(k, next)
+				if err != nil {
+					return err
+				}
+				cd := candidate{rule: int32(ri), id: id, key: k}
+				if id < 0 {
+					cd.at = int32(c.unresolved)
+					c.states = append(c.states, next...)
+					c.unresolved++
+				}
+				c.cands = append(c.cands, cd)
+			}
+		}
+		e.counts[fi] = int32(pop)
+	}
+	return nil
 }
 
 // internLevel is phase 2, the serial pass in canonical (frontier
 // position, rule) order: every successor the parallel phase left
-// unresolved is interned against the index — fresh states get ids
+// unresolved is interned against the visited set — fresh states get ids
 // exactly as the sequential explorer would assign them, including
-// states first reached earlier in this same pass — and the adjacency
-// rows extend in rule order.
-func (e *levelExplorer) internLevel(cands [][]candidate) error {
+// states first reached earlier in this same pass — and each frontier
+// state's edges become its CSR row.
+func (e *levelExplorer) internLevel() error {
 	g := e.g
-	unresolved := 0
-	for _, list := range cands {
-		for ci := range list {
-			if list[ci].id < 0 {
-				unresolved++
-			}
-		}
+	if int(e.lo) != g.expanded() || int(e.hi) != g.NumStates() {
+		return fmt.Errorf("mc: internal error: frontier [%d, %d) is not the unexpanded id range [%d, %d)",
+			e.lo, e.hi, g.expanded(), g.NumStates())
+	}
+	total, unresolved := 0, 0
+	for i := range e.chunks {
+		total += len(e.chunks[i].cands)
+		unresolved += e.chunks[i].unresolved
+	}
+	if len(g.edges)+total > math.MaxInt32 {
+		return fmt.Errorf("mc: exploration of %s exceeds %d edges", g.System, math.MaxInt32)
 	}
 	if err := e.ensureIndex(unresolved); err != nil {
 		return err
 	}
-	var next []int32
-	for pos, list := range cands {
-		from := e.frontier[pos]
-		edges := make([]graphEdge, len(list))
-		for ci := range list {
-			c := &list[ci]
-			to := c.id
-			if to < 0 {
-				id, fresh, err := e.intern(c.next, c.hash, from, c.rule)
-				if err != nil {
-					return err
+	g.growEdges(total)
+	g.off = slices.Grow(g.off, int(e.hi-e.lo))
+	stride := g.arena.stride
+	for ci := range e.chunks {
+		c := &e.chunks[ci]
+		k := 0
+		for fi := c.lo; fi < c.hi; fi++ {
+			from := e.lo + int32(fi)
+			for end := k + int(e.counts[fi]); k < end; k++ {
+				cd := &c.cands[k]
+				to := cd.id
+				if to < 0 {
+					at := int(cd.at) * stride
+					id, err := e.intern(c.states[at:at+stride], cd.key, from, cd.rule)
+					if err != nil {
+						return err
+					}
+					to = id
 				}
-				if fresh {
-					next = append(next, id)
-				}
-				to = id
+				g.edges = append(g.edges, graphEdge{rule: cd.rule, to: to})
 			}
-			edges[ci] = graphEdge{rule: c.rule, to: to}
+			g.off = append(g.off, int32(len(g.edges)))
 		}
-		g.adj[from] = edges
 	}
-	e.frontier = next
+	e.lo, e.hi = e.hi, int32(g.NumStates())
 	e.level++
 	return nil
 }
@@ -333,8 +443,8 @@ func (e *levelExplorer) endOfLevel() error {
 	if moved > 0 {
 		e.spillBytes.Add(moved)
 	}
-	e.occupancy.Set(int64(e.index.used))
-	e.peakBytes.SetMax(g.arena.memBytes() + e.index.memBytes())
+	e.occupancy.Set(int64(g.NumStates()))
+	e.peakBytes.SetMax(g.arena.memBytes() + e.visitedBytes())
 	if e.opts.SnapshotDir != "" {
 		if err := e.writeSnapshot(); err != nil {
 			return err
@@ -355,7 +465,7 @@ func (e *levelExplorer) endOfLevel() error {
 		Attrs: map[string]string{
 			"system":   g.System,
 			"states":   strconv.Itoa(g.NumStates()),
-			"frontier": strconv.Itoa(len(e.frontier)),
+			"frontier": strconv.Itoa(int(e.hi - e.lo)),
 		},
 	})
 	return nil

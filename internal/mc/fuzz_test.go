@@ -14,22 +14,35 @@ import (
 // sequential reference on generated systems. The fuzz input picks the
 // seed and scales the variable and rule counts, so larger inputs grow
 // frontiers wider than 2*workers and exercise the parallel expansion.
+// A non-zero mix rewrites guards out of the Eq-only fragment (Neq, In,
+// Or, Not, True, out-of-domain values), so both the lowered guard
+// bitsets and the residual closures run; wide pads the system with
+// unused variables past denseRankLimit, so every mode below explores
+// with the hash index instead of the dense rank table.
 // Every exploration mode — one or four workers, spilling under a tight
 // memory budget, resuming from the snapshots of a truncated build, and a
 // clone served the graph another clone built before refining itself —
 // must agree with CheckSequential on the verdict, the states explored
 // and the counterexample trace, for an invariant, a never-fires and a
-// response property. CheckAllContext with the vacuity pre-pass on must
+// response property, and every counterexample must pass Certify.
+// CheckAllContext with the vacuity pre-pass on must
 // match the full run on every property it does not prune, and prune
 // only properties CheckSequential verifies.
 func FuzzExploreMatchesSequential(f *testing.F) {
-	f.Add(int64(0), uint8(0), uint8(0))
-	f.Add(int64(3), uint8(2), uint8(30))
-	f.Add(int64(6), uint8(4), uint8(60))
-	f.Add(int64(5), uint8(6), uint8(60))
-	f.Add(int64(4), uint8(0), uint8(0)) // the pre-pass prunes never and resp
-	f.Fuzz(func(t *testing.T, seed int64, extraVars, extraRules uint8) {
-		sys := randomSystem(t, seed, int(extraVars%7), int(extraRules%61))
+	f.Add(int64(0), uint8(0), uint8(0), uint8(0), false)
+	f.Add(int64(3), uint8(2), uint8(30), uint8(0), false)
+	f.Add(int64(6), uint8(4), uint8(60), uint8(0), false)
+	f.Add(int64(5), uint8(6), uint8(60), uint8(0), false)
+	f.Add(int64(4), uint8(0), uint8(0), uint8(0), false) // the pre-pass prunes never and resp
+	f.Add(int64(3), uint8(2), uint8(30), uint8(1), false)
+	f.Add(int64(6), uint8(4), uint8(60), uint8(7), false)
+	f.Add(int64(3), uint8(2), uint8(30), uint8(0), true)
+	f.Add(int64(5), uint8(3), uint8(40), uint8(3), true)
+	f.Fuzz(func(t *testing.T, seed int64, extraVars, extraRules, mix uint8, wide bool) {
+		sys := randomSystemMix(t, seed, int(extraVars%7), int(extraRules%61), mix)
+		if wide {
+			padWide(t, sys)
+		}
 		rng := rand.New(rand.NewSource(seed))
 		v := sys.Vars()[rng.Intn(len(sys.Vars()))]
 		props := []Property{
@@ -69,11 +82,28 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 					t.Fatalf("%s %s: trace: engine %+v, sequential %+v",
 						mode, p.Name(), *got.Counterexample, *w.Counterexample)
 				}
+				if got.Counterexample != nil {
+					if err := Certify(sys, p, got); err != nil {
+						t.Fatalf("%s: %v", mode, err)
+					}
+				}
 			}
 		}
+		// check runs one mode on a fresh engine and confirms the build
+		// used the visited set the domain product calls for.
 		check := func(mode string, ctx context.Context, opts Options) {
 			t.Helper()
+			o := obs.FromContext(ctx)
+			if o == nil {
+				o = obs.New()
+				ctx = obs.NewContext(ctx, o)
+			}
 			checkOn(mode, ctx, NewEngine(), sys, want, opts)
+			builds := o.Metrics().Counter("mc.explorations").Value()
+			hashed := o.Metrics().Counter("mc.explorations_hashed").Value()
+			if builds == 0 || (wide && hashed != builds) || (!wide && hashed != 0) {
+				t.Fatalf("%s: %d of %d builds used the hash index, wide=%v", mode, hashed, builds, wide)
+			}
 		}
 
 		ctx := context.Background()

@@ -9,6 +9,7 @@
 package mc
 
 import (
+	"slices"
 	"sort"
 
 	"prochecker/internal/obs"
@@ -35,7 +36,11 @@ type StateGraph struct {
 	Rules  []ts.CompiledRule
 
 	arena *stateArena
-	adj   [][]graphEdge
+	// off/edges are the adjacency in CSR form: the edges of state id are
+	// edges[off[id]:off[id+1]], in rule order. Only expanded states have
+	// a row; len(off)-1 of them, always a prefix of the ids.
+	off   []int32
+	edges []graphEdge
 	// parentState/parentRule form the BFS tree: the (state, rule) that
 	// first reached each state; -1 for the initial state.
 	parentState []int32
@@ -55,12 +60,45 @@ type StateGraph struct {
 // NumStates reports how many states were interned.
 func (g *StateGraph) NumStates() int { return g.arena.len() }
 
+// expanded reports how many states have an adjacency row: all of them,
+// unless the build was truncated with a frontier left unexpanded.
+func (g *StateGraph) expanded() int { return len(g.off) - 1 }
+
+// row returns state id's outgoing edges in rule order; empty for a
+// state the build never expanded.
+func (g *StateGraph) row(id int32) []graphEdge {
+	if int(id) >= g.expanded() {
+		return nil
+	}
+	return g.edges[g.off[id]:g.off[id+1]]
+}
+
 // StateAt returns state id's packed assignment. Resident states are a
 // zero-copy view (do not mutate); spilled states are read into a fresh
 // buffer.
 func (g *StateGraph) StateAt(id int32) (ts.State, error) {
 	b, err := g.arena.at(id)
 	return ts.State(b), err
+}
+
+// growEdges makes room for n more edges. The array at least doubles, so
+// a build copies its edges a bounded number of times; trimEdges drops
+// the slack once the build ends.
+func (g *StateGraph) growEdges(n int) {
+	if cap(g.edges)-len(g.edges) >= n {
+		return
+	}
+	grown := make([]graphEdge, len(g.edges), max(2*cap(g.edges), len(g.edges)+n))
+	copy(grown, g.edges)
+	g.edges = grown
+}
+
+// trimEdges reallocates the edge array to its length, so a cached graph
+// holds no growth slack.
+func (g *StateGraph) trimEdges() {
+	if cap(g.edges) > len(g.edges) {
+		g.edges = slices.Clone(g.edges)
+	}
 }
 
 // forEachState streams states [from, NumStates) in id order, one

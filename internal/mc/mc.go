@@ -282,10 +282,11 @@ func buildTrace(sys *ts.System, rulePath []string, loopStart int) *Trace {
 
 func checkInvariant(sys *ts.System, p Invariant, opts Options) Result {
 	res := Result{Property: p.PropName, Kind: "invariant"}
-	rules, err := sys.CompileRules()
+	rs, err := sys.CompileRules()
 	if err != nil {
 		return res
 	}
+	rules := rs.Rules
 	holds, err := sys.CompileCond(p.Holds)
 	if err != nil {
 		return res
@@ -332,10 +333,11 @@ func checkInvariant(sys *ts.System, p Invariant, opts Options) Result {
 
 func checkNeverFires(sys *ts.System, p NeverFires, opts Options) Result {
 	res := Result{Property: p.PropName, Kind: "never-fires"}
-	rules, err := sys.CompileRules()
+	rs, err := sys.CompileRules()
 	if err != nil {
 		return res
 	}
+	rules := rs.Rules
 	// Precompute the match verdict per rule: the pattern is a pure
 	// function of the rule name.
 	matched := make([]bool, len(rules))
@@ -384,10 +386,11 @@ func checkNeverFires(sys *ts.System, p NeverFires, opts Options) Result {
 func checkResponse(sys *ts.System, p Response, opts Options) Result {
 	res := Result{Property: p.PropName, Kind: "response"}
 
-	rules, err := sys.CompileRules()
+	rs, err := sys.CompileRules()
 	if err != nil {
 		return res
 	}
+	rules := rs.Rules
 	trigger := make([]bool, len(rules))
 	goal := make([]bool, len(rules))
 	for i := range rules {

@@ -126,15 +126,15 @@ func (e *levelExplorer) writeSnapshot() (err error) {
 		sw.i32(g.parentRule[id])
 	}
 	for id := 0; id < n; id++ {
-		edges := g.adj[id]
+		edges := g.row(int32(id))
 		sw.u32(uint32(len(edges)))
 		for _, ed := range edges {
 			sw.u32(uint32(ed.rule))
 			sw.u32(uint32(ed.to))
 		}
 	}
-	sw.u32(uint32(len(e.frontier)))
-	for _, id := range e.frontier {
+	sw.u32(uint32(e.hi - e.lo))
+	for id := e.lo; id < e.hi; id++ {
 		sw.u32(uint32(id))
 	}
 	if sw.err != nil {
@@ -271,6 +271,11 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 	if r.err != nil {
 		return 0, false
 	}
+	for i, x := range states {
+		if int(x) >= e.domains[i%stride] {
+			return 0, false
+		}
+	}
 
 	parentState := make([]int32, n)
 	parentRule := make([]int32, n)
@@ -278,59 +283,70 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 		parentState[id] = r.i32()
 		parentRule[id] = r.i32()
 	}
-	adj := make([][]graphEdge, n)
+	// The adjacency is read into CSR form; the frontier must be the id
+	// suffix without rows, as the explorer leaves it at every level.
+	off := make([]int32, 1, n+1)
+	var edges []graphEdge
+	rowCounts := make([]int, n)
 	for id := 0; id < n && r.err == nil; id++ {
 		count := int(r.u32())
-		if count == 0 {
-			continue
-		}
 		if count > len(g.Rules) {
 			return 0, false
 		}
-		edges := make([]graphEdge, count)
-		for i := range edges {
+		rowCounts[id] = count
+		for i := 0; i < count; i++ {
 			rule, to := r.i32(), r.i32()
 			if rule < 0 || int(rule) >= nRules || to < 0 || int(to) >= n {
 				return 0, false
 			}
-			edges[i] = graphEdge{rule: rule, to: to}
+			edges = append(edges, graphEdge{rule: rule, to: to})
 		}
-		adj[id] = edges
+		off = append(off, int32(len(edges)))
 	}
-	frontier := make([]int32, int(r.u32()))
-	for i := range frontier {
-		id := r.i32()
-		if id < 0 || int(id) >= n {
+	nFrontier := int(r.u32())
+	lo := n - nFrontier
+	if r.err != nil || nFrontier > n || lo < 0 {
+		return 0, false
+	}
+	for i := 0; i < nFrontier; i++ {
+		if int(r.i32()) != lo+i || rowCounts[lo+i] != 0 {
 			return 0, false
 		}
-		frontier[i] = id
 	}
 	if r.err != nil || r.off != len(r.b) {
 		return 0, false
 	}
 
-	// Rebuild the arena, per-segment blooms and the index by re-hashing
-	// the restored states; the (still empty) index is sized once up
-	// front, since the slot-only table cannot rehash in place. The arena
-	// is empty here (resume runs before any interning), so ids come out
-	// dense and in order by construction.
+	// Rebuild the arena, per-segment blooms and the visited set by
+	// re-ranking or re-hashing the restored states; the (still empty)
+	// hash index is sized once up front, since the slot-only table
+	// cannot rehash in place. The arena is empty here (resume runs
+	// before any interning), so ids come out dense and in order by
+	// construction.
 	if g.arena.len() != 0 {
 		return 0, false
 	}
-	e.index.reserve(n)
+	if e.index != nil {
+		e.index.reserve(n)
+	}
 	for id := 0; id < n; id++ {
 		s := states[id*stride : (id+1)*stride]
-		h := hashState(ts.State(s))
-		aid, err := g.arena.append(s, h)
+		k := e.key(s)
+		aid, err := g.arena.append(s, k)
 		if err != nil || int(aid) != id {
 			return 0, false
 		}
-		e.index.add(h, aid)
+		if e.ranks != nil {
+			e.ranks.ids[k] = aid
+		} else {
+			e.index.add(k, aid)
+		}
 	}
 	g.parentState = parentState
 	g.parentRule = parentRule
-	g.adj = adj
-	e.frontier = frontier
+	g.off = off[:lo+1]
+	g.edges = edges
+	e.lo, e.hi = int32(lo), int32(n)
 	e.level = level
 	return level, true
 }

@@ -1,6 +1,8 @@
 package ts
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -276,5 +278,104 @@ func TestGenerationBumpsOnStructuralEdits(t *testing.T) {
 	}
 	if sys.Generation() != g5 {
 		t.Error("editing the clone disturbed the original's generation")
+	}
+}
+
+// randomCond draws a guard over sys's variables from every condition
+// kind, out-of-domain values included, nesting up to depth.
+func randomCond(rng *rand.Rand, sys *System, depth int) Cond {
+	v := sys.Vars()[rng.Intn(len(sys.Vars()))]
+	val := func() string {
+		if rng.Intn(6) == 0 {
+			return "out_of_domain"
+		}
+		return v.Domain[rng.Intn(len(v.Domain))]
+	}
+	k := rng.Intn(9)
+	if depth == 0 && k >= 5 {
+		k = rng.Intn(5)
+	}
+	switch k {
+	case 0, 1:
+		return Eq{v.Name, val()}
+	case 2:
+		return Neq{v.Name, val()}
+	case 3:
+		return In{v.Name, []string{val(), val()}}
+	case 4:
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		return True{}
+	case 5, 6:
+		n := rng.Intn(4)
+		a := make(And, n)
+		for i := range a {
+			a[i] = randomCond(rng, sys, depth-1)
+		}
+		return a
+	case 7:
+		return Or{randomCond(rng, sys, depth-1), randomCond(rng, sys, depth-1)}
+	default:
+		return Not{randomCond(rng, sys, depth-1)}
+	}
+}
+
+// TestEnabledSetMatchesClosures checks the guard bitsets against the
+// per-rule closures on every state of small generated systems with more
+// than 64 rules, so masks span several words.
+func TestEnabledSetMatchesClosures(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sys := NewSystem("masks")
+		nVars := 1 + rng.Intn(4)
+		for v := 0; v < nVars; v++ {
+			dom := make([]string, 1+rng.Intn(4))
+			for i := range dom {
+				dom[i] = fmt.Sprintf("v%d_%d", v, i)
+			}
+			if err := sys.AddVar(fmt.Sprintf("x%d", v), dom...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nRules := 1 + rng.Intn(150)
+		for r := 0; r < nRules; r++ {
+			if err := sys.AddRule(Rule{Name: fmt.Sprintf("r%d", r), Guard: randomCond(rng, sys, 2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs, err := sys.CompileRules()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		mask := make([]uint64, rs.Words())
+		s := make(State, nVars)
+		for {
+			rs.EnabledSet(s, mask)
+			for i := range rs.Rules {
+				got := mask[i/64]&(1<<(i%64)) != 0
+				if want := rs.Rules[i].Enabled(s); got != want {
+					t.Fatalf("seed %d, state %v, rule %s (%s): mask says %v, closure %v",
+						seed, s, rs.Rules[i].Name, sys.Rules()[i].Guard.SMV(), got, want)
+				}
+			}
+			for i := len(rs.Rules); i < 64*len(mask); i++ {
+				if mask[i/64]&(1<<(i%64)) != 0 {
+					t.Fatalf("seed %d: bit %d set beyond the %d rules", seed, i, len(rs.Rules))
+				}
+			}
+			// Next state in mixed-radix order; stop after the last.
+			v := 0
+			for ; v < nVars; v++ {
+				if int(s[v])+1 < len(sys.Vars()[v].Domain) {
+					s[v]++
+					break
+				}
+				s[v] = 0
+			}
+			if v == nVars {
+				break
+			}
+		}
 	}
 }
