@@ -14,10 +14,11 @@ import (
 	"prochecker/internal/resilience"
 )
 
-// -update regenerates the golden lint reports from the live pipeline:
+// -update regenerates the golden lint reports and the verdict corpus
+// (TestVerdictCorpus) from the live pipeline:
 //
 //	go test -run TestLintGolden -update .
-var updateGolden = flag.Bool("update", false, "rewrite golden lint reports")
+var updateGolden = flag.Bool("update", false, "rewrite golden lint reports and the verdict corpus")
 
 // TestLintGoldenReports pins the full rendered lint report for each
 // shipped profile on a benign link. The reports are part of the
