@@ -101,7 +101,7 @@ func run(args []string) (err error) {
 	runConf := fs.Bool("conformance", false, "run the conformance suite and report per-case outcomes")
 	faults := fs.String("faults", "", "fault-injection spec applied to the conformance run behind -conformance and analysis modes (-lint, -dot, -check, ...), e.g. drop=0.05,corrupt=0.02,dup=0.01,reorder=0.1")
 	seed := fs.Int64("seed", 1, "base PRNG seed for -faults (runs are reproducible per seed)")
-	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no deadline)")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no deadline); with -serve, bounds each local execution attempt only, not attempts leased to remote workers (those are bounded by -lease-ttl), and an expired attempt ends the job cancelled")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"worker pool size for -check: bounds both property-level parallelism and the model checker's exploration pool (1 = fully sequential)")
 	memBudget := fs.Int64("mem-budget", 0, "bound the model checker's resident exploration state bytes; cold arena segments spill to disk beyond it (0 = unbounded)")

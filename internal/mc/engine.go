@@ -235,7 +235,8 @@ func (e *Engine) CheckContext(ctx context.Context, sys *ts.System, prop Property
 // supplies state ids and edges only, never another system's rule tags.
 func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property, opts Options) (Result, GraphSource, error) {
 	res := Result{Property: prop.Name(), Kind: prop.kind()}
-	if reg := obs.FromContext(ctx).Metrics(); reg != nil {
+	reg := obs.FromContext(ctx).Metrics()
+	if reg != nil {
 		start := time.Now()
 		defer func() {
 			reg.Histogram("mc.check_ms", nil).Observe(obs.DurMS(time.Since(start)))
@@ -257,7 +258,13 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 	case NeverFires:
 		res = g.checkNeverFires(sys, p)
 	case Response:
+		start := time.Now()
 		res, err = g.checkResponse(sys, p, opts)
+		if reg != nil && !g.Truncated {
+			// A truncated graph gets no product search, so it adds neither.
+			reg.Histogram("mc.response_ms", nil).Observe(obs.DurMS(time.Since(start)))
+			reg.Counter("mc.response_nodes").Add(int64(res.StatesExplored))
+		}
 	default:
 		return res, src, nil
 	}
@@ -404,12 +411,43 @@ func (g *StateGraph) checkNeverFires(sys *ts.System, p NeverFires) Result {
 	return res
 }
 
+// responseProduct is the pending-bit product of a graph with one
+// response property. Product node = slot 2*sid + pending; successors are
+// computed from the graph's CSR row on demand instead of being stored.
+type responseProduct struct {
+	trigger, goal []bool // per rule index
+	goalSat       []bool // per state id; nil without a GoalState
+}
+
+// succ maps product slot and one edge of its state's row to the
+// successor slot: the trigger sets the pending bit, then the goal rule
+// and a goal state clear it, in that order.
+func (rp *responseProduct) succ(slot int32, ed graphEdge) int32 {
+	pending := slot&1 == 1
+	if rp.trigger[ed.rule] {
+		pending = true
+	}
+	if rp.goal[ed.rule] {
+		pending = false
+	}
+	if pending && rp.goalSat != nil && rp.goalSat[ed.to] {
+		pending = false
+	}
+	next := 2 * ed.to
+	if pending {
+		next++
+	}
+	return next
+}
+
 // checkResponse runs the pending-product lasso search over the interned
-// graph: product nodes are (state id, pending) pairs resolved through a
-// dense index instead of re-interning states, and edges come from the
-// precomputed adjacency, so no guard is re-evaluated and no state is
-// re-hashed. The product BFS and the pending-region DFS mirror the
-// sequential implementation exactly.
+// graph without materialising the product: nodes are slots 2*sid +
+// pending in four slot-indexed arrays, each allocated once, and both the
+// product BFS and the pending-region DFS compute successors from the CSR
+// row through responseProduct.succ, so no guard is re-evaluated, no
+// state is re-hashed and no edge is stored. Node order, edge order and
+// therefore StatesExplored and every trace are those of the sequential
+// implementation.
 func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Result, error) {
 	res := Result{Property: p.PropName, Kind: "response"}
 	if g.Truncated {
@@ -419,151 +457,117 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Re
 		res.StatesExplored = g.NumStates()
 		return res, nil
 	}
-	trigger := make([]bool, len(g.Rules))
-	goal := make([]bool, len(g.Rules))
+	rp := responseProduct{trigger: make([]bool, len(g.Rules)), goal: make([]bool, len(g.Rules))}
 	for i := range g.Rules {
-		trigger[i] = p.Trigger(g.Rules[i].Name)
+		rp.trigger[i] = p.Trigger(g.Rules[i].Name)
 		if p.Goal != nil {
-			goal[i] = p.Goal(g.Rules[i].Name)
+			rp.goal[i] = p.Goal(g.Rules[i].Name)
 		}
 	}
-	var goalSat []bool
 	if p.GoalState != nil {
 		f, err := sys.CompileCond(p.GoalState)
 		if err != nil {
 			return res, nil
 		}
-		goalSat = make([]bool, g.NumStates())
+		rp.goalSat = make([]bool, g.NumStates())
 		if err := g.forEachState(0, func(id int32, s ts.State) bool {
-			goalSat[id] = f(s)
+			rp.goalSat[id] = f(s)
 			return true
 		}); err != nil {
 			return res, err
 		}
 	}
 
-	// Product interning: node id per (state id, pending bit), dense.
-	nodeID := make([]int32, 2*g.NumStates())
-	for i := range nodeID {
-		nodeID[i] = -1
+	// Product BFS. parent holds each slot's parent slot (-1 for the
+	// start, -2 unseen); order holds slots in intern order and is both
+	// the BFS queue and the DFS root order.
+	slots := 2 * g.NumStates()
+	parent := make([]int32, slots)
+	for i := range parent {
+		parent[i] = -2
 	}
-	type pnode struct {
-		sid     int32
-		pending bool
-	}
-	type pedge struct {
-		to   int32
-		rule int32
-	}
-	var nodes []pnode
-	var padj [][]pedge
-	parent := []int32{-1}
-	parentRule := []int32{-1}
-
-	internNode := func(n pnode, from, rule int32) (int32, bool) {
-		slot := 2 * n.sid
-		if n.pending {
-			slot++
-		}
-		if id := nodeID[slot]; id >= 0 {
-			return id, false
-		}
-		id := int32(len(nodes))
-		nodeID[slot] = id
-		nodes = append(nodes, n)
-		padj = append(padj, nil)
-		if id > 0 {
-			parent = append(parent, from)
-			parentRule = append(parentRule, rule)
-		}
-		return id, true
-	}
-
-	startID, _ := internNode(pnode{sid: 0, pending: false}, -1, -1)
-	queue := []int32{startID}
+	parentRule := make([]int32, slots)
+	order := make([]int32, 1, slots)
+	parent[0], parentRule[0] = -1, -1
+	pendingNodes := 0
 	maxStates := opts.maxStates()
-	for len(queue) > 0 {
-		if len(nodes) > maxStates {
+	for head := 0; head < len(order); head++ {
+		if len(order) > maxStates {
 			res.Truncated = true
-			res.StatesExplored = len(nodes)
+			res.StatesExplored = len(order)
 			return res, nil
 		}
-		id := queue[0]
-		queue = queue[1:]
-		n := nodes[id]
-		for _, ed := range g.row(n.sid) {
-			pending := n.pending
-			if trigger[ed.rule] {
-				pending = true
+		slot := order[head]
+		for _, ed := range g.row(slot >> 1) {
+			next := rp.succ(slot, ed)
+			if parent[next] != -2 {
+				continue
 			}
-			if goal[ed.rule] {
-				pending = false
-			}
-			if pending && goalSat != nil && goalSat[ed.to] {
-				pending = false
-			}
-			nid, fresh := internNode(pnode{sid: ed.to, pending: pending}, id, ed.rule)
-			padj[id] = append(padj[id], pedge{to: nid, rule: ed.rule})
-			if fresh {
-				queue = append(queue, nid)
-			}
+			parent[next], parentRule[next] = slot, ed.rule
+			order = append(order, next)
+			pendingNodes += int(next & 1)
 		}
 	}
-	res.StatesExplored = len(nodes)
+	res.StatesExplored = len(order)
 
-	// nodePath reconstructs the rule path from the product start to id.
-	nodePath := func(id int32) []string {
-		var rev []string
-		for cur := id; cur > 0 && parent[cur] >= 0; cur = parent[cur] {
-			rev = append(rev, g.Rules[parentRule[cur]].Name)
+	// depth counts the product tree edges from the start to slot.
+	depth := func(slot int32) int {
+		n := 0
+		for cur := slot; parent[cur] >= 0; cur = parent[cur] {
+			n++
 		}
-		out := make([]string, len(rev))
-		for i := range rev {
-			out[i] = rev[len(rev)-1-i]
+		return n
+	}
+	// nodePath reconstructs the rule path from the product start to slot.
+	nodePath := func(slot int32) []string {
+		out := make([]string, depth(slot))
+		for cur, i := slot, len(out)-1; i >= 0; cur, i = parent[cur], i-1 {
+			out[i] = g.Rules[parentRule[cur]].Name
 		}
 		return out
 	}
 
-	// Search the pending subgraph for a cycle or deadlock.
+	// Search the pending subgraph for a cycle or deadlock, visiting each
+	// row in edge order. The stack holds each pending node at most once.
 	// colour: 0 unvisited, 1 on stack, 2 done.
-	colour := make([]uint8, len(nodes))
+	colour := make([]uint8, slots)
 	type frame struct {
-		id   int32
-		next int
+		slot int32
+		next int32
 	}
-	for rootID := range nodes {
-		if !nodes[rootID].pending || colour[rootID] != 0 {
+	stack := make([]frame, 0, pendingNodes)
+	for _, root := range order {
+		if root&1 == 0 || colour[root] != 0 {
 			continue
 		}
-		stack := []frame{{id: int32(rootID)}}
-		colour[rootID] = 1
+		stack = append(stack[:0], frame{slot: root})
+		colour[root] = 1
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if len(padj[f.id]) == 0 {
-				path := nodePath(f.id)
+			row := g.row(f.slot >> 1)
+			if len(row) == 0 {
+				path := nodePath(f.slot)
 				res.Counterexample = buildTrace(sys, path, len(path))
 				return res, nil
 			}
 			advanced := false
-			for f.next < len(padj[f.id]) {
-				ed := padj[f.id][f.next]
+			for int(f.next) < len(row) {
+				ed := row[f.next]
 				f.next++
-				if !nodes[ed.to].pending {
+				next := rp.succ(f.slot, ed)
+				if next&1 == 0 {
 					continue // leaving the pending region discharges along this edge
 				}
-				switch colour[ed.to] {
+				switch colour[next] {
 				case 1:
-					path := nodePath(f.id)
-					loopEntry := len(nodePath(ed.to))
-					if loopEntry > len(path) {
-						loopEntry = len(path)
-					}
+					path := nodePath(f.slot)
+					loopEntry := min(depth(next), len(path))
 					full := append(path, g.Rules[ed.rule].Name)
 					res.Counterexample = buildTrace(sys, full, loopEntry)
 					return res, nil
 				case 0:
-					colour[ed.to] = 1
-					stack = append(stack, frame{id: ed.to})
+					colour[next] = 1
+					stack = append(stack, frame{slot: next})
 					advanced = true
 				}
 				if advanced {
@@ -571,7 +575,7 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Re
 				}
 			}
 			if !advanced {
-				colour[f.id] = 2
+				colour[f.slot] = 2
 				stack = stack[:len(stack)-1]
 			}
 		}

@@ -22,9 +22,14 @@ import (
 // Every exploration mode — one or four workers, spilling under a tight
 // memory budget, resuming from the snapshots of a truncated build, and a
 // clone served the graph another clone built before refining itself —
-// must agree with CheckSequential on the verdict, the states explored
-// and the counterexample trace, for an invariant, a never-fires and a
-// response property, and every counterexample must pass Certify.
+// must agree with CheckSequential on the verdict, the states explored,
+// truncation and the counterexample trace, for an invariant, a
+// never-fires and three response properties (a goal rule, a goal state
+// on a random variable, and one rule that is both trigger and goal),
+// and every counterexample must pass Certify. A product-budget mode
+// checks the response properties with a state budget between the
+// graph's size N and 2N, so the graph completes and only the response
+// product can run out of budget.
 // CheckAllContext with the vacuity pre-pass on must
 // match the full run on every property it does not prune, and prune
 // only properties CheckSequential verifies.
@@ -45,6 +50,7 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		v := sys.Vars()[rng.Intn(len(sys.Vars()))]
+		w := sys.Vars()[rng.Intn(len(sys.Vars()))]
 		props := []Property{
 			Invariant{PropName: "inv", Holds: ts.Neq{Var: v.Name, Value: v.Domain[rng.Intn(len(v.Domain))]}},
 			NeverFires{PropName: "never", Match: func(n string) bool { return n == "r1" }},
@@ -52,6 +58,16 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 				PropName: "resp",
 				Trigger:  func(n string) bool { return n == "r0" },
 				Goal:     func(n string) bool { return n == "r2" },
+			},
+			Response{
+				PropName:  "resp-goal-state",
+				Trigger:   func(n string) bool { return n == "r0" },
+				GoalState: ts.Eq{Var: w.Name, Value: w.Domain[rng.Intn(len(w.Domain))]},
+			},
+			Response{
+				PropName: "resp-same-rule",
+				Trigger:  func(n string) bool { return n == "r0" || n == "r1" },
+				Goal:     func(n string) bool { return n == "r1" },
 			},
 		}
 		sequential := func(sys *ts.System) []Result {
@@ -62,6 +78,28 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 			return out
 		}
 		want := sequential(sys)
+		// compare fails unless the engine's result got matches the
+		// sequential result w and its counterexample certifies.
+		compare := func(mode string, sys *ts.System, p Property, got, w Result) {
+			t.Helper()
+			if got.Verified != w.Verified || got.StatesExplored != w.StatesExplored || got.Truncated != w.Truncated {
+				t.Fatalf("%s %s: engine verified=%v states=%d truncated=%v, sequential verified=%v states=%d truncated=%v",
+					mode, p.Name(), got.Verified, got.StatesExplored, got.Truncated, w.Verified, w.StatesExplored, w.Truncated)
+			}
+			if (got.Counterexample == nil) != (w.Counterexample == nil) {
+				t.Fatalf("%s %s: counterexample presence: engine %v, sequential %v",
+					mode, p.Name(), got.Counterexample != nil, w.Counterexample != nil)
+			}
+			if w.Counterexample != nil && !reflect.DeepEqual(got.Counterexample, w.Counterexample) {
+				t.Fatalf("%s %s: trace: engine %+v, sequential %+v",
+					mode, p.Name(), *got.Counterexample, *w.Counterexample)
+			}
+			if got.Counterexample != nil {
+				if err := Certify(sys, p, got); err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+			}
+		}
 		checkOn := func(mode string, ctx context.Context, engine *Engine, sys *ts.System, want []Result, opts Options) {
 			t.Helper()
 			for i, p := range props {
@@ -69,24 +107,7 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%s %s: engine error: %v", mode, p.Name(), err)
 				}
-				w := want[i]
-				if got.Verified != w.Verified || got.StatesExplored != w.StatesExplored {
-					t.Fatalf("%s %s: engine verified=%v states=%d, sequential verified=%v states=%d",
-						mode, p.Name(), got.Verified, got.StatesExplored, w.Verified, w.StatesExplored)
-				}
-				if (got.Counterexample == nil) != (w.Counterexample == nil) {
-					t.Fatalf("%s %s: counterexample presence: engine %v, sequential %v",
-						mode, p.Name(), got.Counterexample != nil, w.Counterexample != nil)
-				}
-				if w.Counterexample != nil && !reflect.DeepEqual(got.Counterexample, w.Counterexample) {
-					t.Fatalf("%s %s: trace: engine %+v, sequential %+v",
-						mode, p.Name(), *got.Counterexample, *w.Counterexample)
-				}
-				if got.Counterexample != nil {
-					if err := Certify(sys, p, got); err != nil {
-						t.Fatalf("%s: %v", mode, err)
-					}
-				}
+				compare(mode, sys, p, got, want[i])
 			}
 		}
 		// check runs one mode on a fresh engine and confirms the build
@@ -124,6 +145,23 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		check("resume", obs.NewContext(ctx, o), Options{Workers: 4, SnapshotDir: dir})
 		if lvl := o.Metrics().Gauge("mc.resume_level").Value(); lvl < 1 {
 			t.Fatalf("resume: build did not resume from a snapshot (level %d)", lvl)
+		}
+
+		// Product budget: with MaxStates in [N, 2N] the graph completes,
+		// so a budget error can only come from a response product, and
+		// only when the sequential product truncates too.
+		budget := Options{Workers: 4, MaxStates: g.NumStates() + rng.Intn(g.NumStates()+1)}
+		budgetEngine := NewEngine()
+		for _, p := range props {
+			if _, ok := p.(Response); !ok {
+				continue
+			}
+			w := CheckSequential(sys, p, budget)
+			got, err := budgetEngine.CheckContext(ctx, sys, p, budget)
+			if (err != nil) != w.Truncated || (err != nil && !IsBudgetExhausted(err)) {
+				t.Fatalf("product budget %s: engine error %v, sequential truncated=%v", p.Name(), err, w.Truncated)
+			}
+			compare("product budget", sys, p, got, w)
 		}
 
 		// Graph reuse: clone a builds the graph, then is refined the way

@@ -8,6 +8,7 @@ package mc_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -176,6 +177,35 @@ func TestEngineMatchesSequentialPerClass(t *testing.T) {
 				assertSameResult(t, tc.name, got, mc.CheckSequential(tc.sys, tc.prop, opts))
 			}
 		})
+	}
+}
+
+// TestResponseCheckAllocsFlat pins that a response check allocates per
+// check, never per product node or edge: on a cached graph a verified
+// check of a short chain and of a long one allocate the same number of
+// times, with the whole chain after the trigger in the pending region.
+func TestResponseCheckAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		sys := chain(t, n, false)
+		last := fmt.Sprintf("step-%c", rune('a'+n-1))
+		prop := mc.Response{
+			PropName: "p",
+			Trigger:  func(name string) bool { return name == "step-a" },
+			Goal:     func(name string) bool { return name == last },
+		}
+		engine := mc.NewEngine()
+		ctx := context.Background()
+		if res, err := engine.CheckContext(ctx, sys, prop, mc.Options{}); err != nil || !res.Verified || res.StatesExplored != n+1 {
+			t.Fatalf("chain %d: verified=%v states=%d error %v, want verified over %d states",
+				n, res.Verified, res.StatesExplored, err, n+1)
+		}
+		return testing.AllocsPerRun(20, func() {
+			engine.CheckContext(ctx, sys, prop, mc.Options{})
+		})
+	}
+	short, long := allocs(4), allocs(200)
+	if short != long {
+		t.Fatalf("response check allocations: %v on a 4-step chain, %v on a 200-step chain", short, long)
 	}
 }
 
