@@ -1,0 +1,215 @@
+// Derived graphs: every CEGAR refinement prunes adversary rules or
+// appends observation variables, so a refined system is the system it
+// came from, minus some rules, times a few new variables that the kept
+// rules only read and write among themselves. Its reachability graph is
+// therefore a walk over the cached base graph: a target state is a base
+// state plus values for the appended variables, and its edges are the
+// base state's edges whose rule survived and whose guard admits those
+// values. deriveGraph runs that walk level by level, visiting each
+// state's base row in rule order and interning fresh states in
+// (frontier position, rule) order — the explorer's order — so ids, the
+// parent tree, edge order and every counterexample are byte-identical
+// to buildGraph's, with no guard evaluated and no state hashed.
+package mc
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+
+	"prochecker/internal/obs"
+	"prochecker/internal/ts"
+)
+
+// derivation maps a target system onto a complete base graph. A target
+// state is slot baseID*extra + x, where x ranks the values of the
+// appended variables (mixed radix, last variable fastest).
+type derivation struct {
+	base *StateGraph
+	// extra is the number of assignments of the width appended
+	// variables; values[x*width:][:width] are extra rank x's values.
+	extra, width int32
+	values       []uint8
+	// ruleOf maps each base rule to its target rule, -1 when pruned;
+	// step[j*extra+x] is the extra rank target rule j leads to from
+	// extra rank x, -1 when its guard rejects x.
+	ruleOf []int32
+	step   []int32
+	// initSlot is the target's initial state, base state 0.
+	initSlot int32
+}
+
+// planDerivation reports whether the target (compiled rules, variables,
+// initial state) derives from base, and how. It does when base is
+// complete, the target's variables are base's followed by appended
+// ones, its initial state extends base's, its rules extend base's
+// (ts.RuleSet.Extends) and base's states times the appended variables'
+// assignments fit the dense bound.
+func planDerivation(base *StateGraph, rules *ts.RuleSet, vars []ts.Var, init ts.State) (*derivation, bool) {
+	old := len(base.vars)
+	if base.Truncated || len(vars) < old || !bytes.Equal(init[:old], base.init) {
+		return nil, false
+	}
+	for v, bv := range base.vars {
+		if vars[v].Name != bv.Name || !slices.Equal(vars[v].Domain, bv.Domain) {
+			return nil, false
+		}
+	}
+	kept, ok := rules.Extends(base.rules)
+	if !ok {
+		return nil, false
+	}
+	d := &derivation{base: base, extra: 1, width: int32(len(vars) - old)}
+	radix := make([]int32, d.width)
+	for k := len(radix) - 1; k >= 0; k-- {
+		radix[k] = d.extra
+		d.extra *= int32(len(vars[old+k].Domain))
+		if int64(base.NumStates())*int64(d.extra) > denseRankLimit {
+			return nil, false
+		}
+	}
+	rank := func(vals []uint8) int32 {
+		x := int32(0)
+		for k, val := range vals {
+			x += int32(val) * radix[k]
+		}
+		return x
+	}
+	d.values = make([]uint8, d.extra*d.width)
+	for x := int32(0); x < d.extra; x++ {
+		for k := range radix {
+			d.values[x*d.width+int32(k)] = uint8(x / radix[k] % int32(len(vars[old+k].Domain)))
+		}
+	}
+
+	d.ruleOf = make([]int32, len(base.Rules))
+	for i := range d.ruleOf {
+		d.ruleOf[i] = -1
+	}
+	for j, i := range kept {
+		d.ruleOf[i] = int32(j)
+	}
+	d.step = make([]int32, int32(len(rules.Rules))*d.extra)
+	cur, next := make(ts.State, len(vars)), make(ts.State, len(vars))
+	for j := range rules.Rules {
+		for x := int32(0); x < d.extra; x++ {
+			vals := d.values[x*d.width:][:d.width]
+			at := int32(j)*d.extra + x
+			d.step[at] = -1
+			admitted := true
+			for k, val := range vals {
+				admitted = admitted && rules.Admits(j, old+k, val)
+			}
+			if !admitted {
+				continue
+			}
+			copy(cur[old:], vals)
+			rules.Rules[j].ApplyInto(next, cur)
+			d.step[at] = rank(next[old:])
+		}
+	}
+	d.initSlot = rank(init[old:])
+	return d, true
+}
+
+// deriveGraph builds sys's graph from d's base graph, one BFS level at
+// a time under the explorer's level loop: its budget truncation, spill
+// enforcement, gauges and progress events. A derived graph writes no
+// snapshots: a resumed run re-derives it from its resumed base. Its
+// "mc.explore" span carries index=derived and the base's state count.
+func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, fp [32]byte, opts Options) (graph *StateGraph, err error) {
+	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name))
+	opts.SnapshotDir = ""
+	e := newLevelExplorer(ctx, sys, rules, fp, opts, false)
+	defer func() {
+		e.record(span, graph)
+		span.EndErr(err)
+	}()
+	span.SetAttr("index", "derived")
+	span.SetAttr("base_states", strconv.Itoa(d.base.NumStates()))
+	e.derive = d
+	e.slotOf = make([]int32, int(d.extra)*d.base.NumStates())
+	for i := range e.slotOf {
+		e.slotOf[i] = -1
+	}
+	if _, err := e.internSlot(d.initSlot, -1, -1); err != nil {
+		return nil, err
+	}
+	e.lo, e.hi = 0, 1
+	if err := e.run(ctx); err != nil {
+		e.g.Release()
+		return nil, err
+	}
+	return e.g, nil
+}
+
+// deriveLevel expands the frontier [lo, hi) from the base rows: in id
+// order, each state's base edges in rule order, skipping pruned rules
+// and guards the appended values reject. Fresh successors are interned
+// as they are met, and each state's kept edges become its CSR row,
+// presized from the frontier's summed base-row lengths.
+func (e *levelExplorer) deriveLevel() error {
+	g, d := e.g, e.derive
+	base, extra := d.base, d.extra
+	total := 0
+	for _, slot := range e.slots[e.lo:e.hi] {
+		b := slot / extra
+		total += int(base.off[b+1] - base.off[b])
+	}
+	if len(g.edges)+total > math.MaxInt32 {
+		return fmt.Errorf("mc: exploration of %s exceeds %d edges", g.System, math.MaxInt32)
+	}
+	g.growEdges(total)
+	g.off = slices.Grow(g.off, int(e.hi-e.lo))
+	for id := e.lo; id < e.hi; id++ {
+		slot := e.slots[id]
+		x := slot % extra
+		for _, ed := range base.row(slot / extra) {
+			j := d.ruleOf[ed.rule]
+			if j < 0 {
+				continue
+			}
+			nx := d.step[j*extra+x]
+			if nx < 0 {
+				continue
+			}
+			next := ed.to*extra + nx
+			to := e.slotOf[next]
+			if to < 0 {
+				var err error
+				if to, err = e.internSlot(next, id, j); err != nil {
+					return err
+				}
+			}
+			g.edges = append(g.edges, graphEdge{rule: j, to: to})
+		}
+		g.off = append(g.off, int32(len(g.edges)))
+	}
+	e.lo, e.hi = e.hi, int32(g.NumStates())
+	e.level++
+	return nil
+}
+
+// internSlot appends the target state at slot: its base state's bytes
+// followed by its appended values.
+func (e *levelExplorer) internSlot(slot, parent, rule int32) (int32, error) {
+	g, d := e.g, e.derive
+	s, err := d.base.StateAt(slot / d.extra)
+	if err != nil {
+		return -1, err
+	}
+	x := slot % d.extra
+	e.scratch = append(append(e.scratch[:0], s...), d.values[x*d.width:][:d.width]...)
+	id, err := g.arena.append(e.scratch, 0)
+	if err != nil {
+		return -1, err
+	}
+	g.parentState = append(g.parentState, parent)
+	g.parentRule = append(g.parentRule, rule)
+	e.slotOf[slot] = id
+	e.slots = append(e.slots, slot)
+	return id, nil
+}

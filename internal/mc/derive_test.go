@@ -1,0 +1,289 @@
+package mc
+
+import (
+	"context"
+	"reflect"
+	"slices"
+	"testing"
+
+	"prochecker/internal/obs"
+	"prochecker/internal/ts"
+)
+
+// explore compiles sys and builds its graph from scratch, as the engine
+// does on a miss with no base to derive from.
+func explore(ctx context.Context, sys *ts.System, opts Options) (*StateGraph, error) {
+	rules, err := sys.CompileRules()
+	if err != nil {
+		return nil, err
+	}
+	return buildGraph(ctx, sys, rules, systemFingerprint(sys), opts)
+}
+
+// residualGuards reports whether any of sys's guards leaves the
+// conjunctive Eq/Neq/In fragment the guard bitsets lower, which rules
+// out deriving its graph or deriving from it.
+func residualGuards(sys *ts.System) bool {
+	var residual func(ts.Cond) bool
+	residual = func(c ts.Cond) bool {
+		switch cc := c.(type) {
+		case nil, ts.True, ts.Eq, ts.Neq, ts.In:
+			return false
+		case ts.And:
+			return slices.ContainsFunc(cc, residual)
+		}
+		return true
+	}
+	return slices.ContainsFunc(sys.Rules(), func(r ts.Rule) bool { return residual(r.Guard) })
+}
+
+// sameGraph fails unless got and want agree on every state's bytes, the
+// parent tree, the CSR adjacency and truncation.
+func sameGraph(t *testing.T, mode string, got, want *StateGraph) {
+	t.Helper()
+	switch {
+	case got.NumStates() != want.NumStates() || got.Truncated != want.Truncated:
+		t.Fatalf("%s: %d states truncated=%v, want %d truncated=%v",
+			mode, got.NumStates(), got.Truncated, want.NumStates(), want.Truncated)
+	case !slices.Equal(got.off, want.off) || !slices.Equal(got.edges, want.edges):
+		t.Fatalf("%s: adjacency differs", mode)
+	case !slices.Equal(got.parentState, want.parentState) || !slices.Equal(got.parentRule, want.parentRule):
+		t.Fatalf("%s: parent tree differs", mode)
+	}
+	for id := int32(0); int(id) < want.NumStates(); id++ {
+		g, err := got.StateAt(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := want.StateAt(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(g, w) {
+			t.Fatalf("%s: state %d is %v, want %v", mode, id, g, w)
+		}
+	}
+}
+
+// deriveMatchesExplore derives sys's graph from base, complete and under
+// a budget that truncates it mid-way, and compares each with the graph
+// buildGraph explores. It reports whether sys derives from base at all.
+func deriveMatchesExplore(t *testing.T, base *StateGraph, sys *ts.System) bool {
+	t.Helper()
+	ctx := context.Background()
+	rules, err := sys.CompileRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := planDerivation(base, rules, sys.Vars(), sys.InitialState())
+	if !ok {
+		return false
+	}
+	full, err := explore(ctx, sys, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{Workers: 4}, {Workers: 4, MaxStates: max(1, full.NumStates()/2)}} {
+		want, err := explore(ctx, sys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := deriveGraph(ctx, sys, rules, d, systemFingerprint(sys), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGraph(t, "derived", got, want)
+	}
+	return true
+}
+
+// derivationBase is a small three-variable system whose guards are all
+// in the lowered fragment: a counts 0..3 and wraps through b, which
+// moves c around, and idle loops everywhere.
+func derivationBase(t *testing.T, lead ...string) *ts.System {
+	t.Helper()
+	sys := ts.NewSystem("derive")
+	for _, v := range lead {
+		if err := sys.AddVar(v, "0", "1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []ts.Var{{Name: "a", Domain: []string{"0", "1", "2", "3"}}, {Name: "b", Domain: []string{"0", "1"}}, {Name: "c", Domain: []string{"p", "q", "r"}}} {
+		if err := sys.AddVar(v.Name, v.Domain...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []ts.Rule{
+		{Name: "inc0", Guard: ts.Eq{Var: "a", Value: "0"}, Assigns: []ts.Assign{{Var: "a", Value: "1"}}},
+		{Name: "inc1", Guard: ts.Eq{Var: "a", Value: "1"}, Assigns: []ts.Assign{{Var: "a", Value: "2"}}},
+		{Name: "inc2", Guard: ts.In{Var: "a", Values: []string{"2"}}, Assigns: []ts.Assign{{Var: "a", Value: "3"}}},
+		{Name: "wrap", Guard: ts.And{ts.Eq{Var: "a", Value: "3"}, ts.Eq{Var: "b", Value: "0"}}, Assigns: []ts.Assign{{Var: "a", Value: "0"}, {Var: "b", Value: "1"}}},
+		{Name: "flip", Guard: ts.Eq{Var: "b", Value: "1"}, Assigns: []ts.Assign{{Var: "b", Value: "0"}, {Var: "c", Value: "q"}}},
+		{Name: "cq", Guard: ts.Eq{Var: "c", Value: "q"}, Assigns: []ts.Assign{{Var: "c", Value: "r"}}},
+		{Name: "cr", Guard: ts.And{ts.Eq{Var: "c", Value: "r"}, ts.Neq{Var: "a", Value: "1"}}, Assigns: []ts.Assign{{Var: "c", Value: "p"}}},
+		{Name: "idle", Guard: ts.True{}},
+	} {
+		if err := sys.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys
+}
+
+// TestDerivationStructuralCheck pins which refinements of a cached graph
+// derive and which fall back to exploration. Accepted targets must
+// derive graphs equal to the explored ones; every target, accepted or
+// not, must get CheckSequential's results from an engine holding the
+// base graph, and be served by derivation exactly when accepted.
+func TestDerivationStructuralCheck(t *testing.T) {
+	mapRule := func(name string, f func(*ts.Rule)) func(*testing.T, *ts.System) *ts.System {
+		return func(t *testing.T, sys *ts.System) *ts.System {
+			sys.MapRules(func(r ts.Rule) ts.Rule {
+				if r.Name == name {
+					f(&r)
+				}
+				return r
+			})
+			return sys
+		}
+	}
+	addVar := func(t *testing.T, sys *ts.System, name string, domain ...string) {
+		t.Helper()
+		if err := sys.AddVar(name, domain...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	guardReplay := func(t *testing.T, sys *ts.System) *ts.System {
+		addVar(t, sys, "seen", "0", "1")
+		sys.MapRules(func(r ts.Rule) ts.Rule {
+			switch r.Name {
+			case "flip":
+				r.Assigns = append(append([]ts.Assign{}, r.Assigns...), ts.Assign{Var: "seen", Value: "1"})
+			case "cr":
+				r.Guard = ts.And{r.Guard, ts.Eq{Var: "seen", Value: "1"}}
+			}
+			return r
+		})
+		return sys
+	}
+	prune := func(t *testing.T, sys *ts.System) *ts.System {
+		if !sys.RemoveRule("inc2") {
+			t.Fatal("no rule inc2")
+		}
+		return sys
+	}
+	for _, tc := range []struct {
+		name   string
+		target func(*testing.T, *ts.System) *ts.System
+		derive bool
+	}{
+		{"guard replay", guardReplay, true},
+		{"pruned rule", prune, true},
+		{"replay and prune", func(t *testing.T, sys *ts.System) *ts.System { return prune(t, guardReplay(t, sys)) }, true},
+		{"two new variables", func(t *testing.T, sys *ts.System) *ts.System {
+			addVar(t, sys, "seen", "0", "1")
+			addVar(t, sys, "mode", "x", "y", "z")
+			if err := sys.SetInit("mode", "y"); err != nil {
+				t.Fatal(err)
+			}
+			sys.MapRules(func(r ts.Rule) ts.Rule {
+				switch r.Name {
+				case "inc0":
+					r.Assigns = append(append([]ts.Assign{}, r.Assigns...), ts.Assign{Var: "mode", Value: "z"})
+				case "flip":
+					r.Assigns = append(append([]ts.Assign{}, r.Assigns...), ts.Assign{Var: "seen", Value: "1"})
+				case "cq":
+					r.Guard = ts.And{r.Guard, ts.Neq{Var: "mode", Value: "y"}}
+				case "cr":
+					r.Guard = ts.And{r.Guard, ts.In{Var: "seen", Values: []string{"1"}}}
+				}
+				return r
+			})
+			return sys
+		}, true},
+		{"changed old literal", mapRule("inc1", func(r *ts.Rule) { r.Guard = ts.Eq{Var: "a", Value: "2"} }), false},
+		{"changed old assignment", mapRule("flip", func(r *ts.Rule) { r.Assigns = []ts.Assign{{Var: "b", Value: "0"}, {Var: "c", Value: "r"}} }), false},
+		{"renamed rule", mapRule("cq", func(r *ts.Rule) { r.Name = "cq2" }), false},
+		{"reordered rules", func(t *testing.T, sys *ts.System) *ts.System {
+			r, _ := sys.RuleByName("inc0")
+			sys.RemoveRule("inc0")
+			if err := sys.AddRule(r); err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}, false},
+		{"variable inserted first", func(t *testing.T, _ *ts.System) *ts.System { return derivationBase(t, "lead") }, false},
+		{"changed domain", func(t *testing.T, sys *ts.System) *ts.System {
+			out := ts.NewSystem(sys.Name)
+			for _, v := range sys.Vars() {
+				dom := v.Domain
+				if v.Name == "c" {
+					dom = []string{"p", "q", "r", "s"}
+				}
+				addVar(t, out, v.Name, dom...)
+			}
+			for _, r := range sys.Rules() {
+				if err := out.AddRule(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return out
+		}, false},
+		{"changed old initial value", func(t *testing.T, sys *ts.System) *ts.System {
+			if err := sys.SetInit("b", "1"); err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}, false},
+		{"or guard", mapRule("cq", func(r *ts.Rule) { r.Guard = ts.Or{r.Guard, ts.Eq{Var: "a", Value: "3"}} }), false},
+		{"not guard", mapRule("cq", func(r *ts.Rule) { r.Guard = ts.Not{C: ts.Neq{Var: "c", Value: "q"}} }), false},
+		// A residual guard's rows are all ones, like idle's old ones.
+		{"or guard on an unguarded rule", func(t *testing.T, sys *ts.System) *ts.System {
+			addVar(t, sys, "seen", "0", "1")
+			return mapRule("idle", func(r *ts.Rule) { r.Guard = ts.Or{ts.Eq{Var: "seen", Value: "1"}, ts.Eq{Var: "a", Value: "3"}} })(t, sys)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := derivationBase(t)
+			target := tc.target(t, base.Clone())
+			g, err := explore(context.Background(), base, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := deriveMatchesExplore(t, g, target); got != tc.derive {
+				t.Fatalf("derives = %v, want %v", got, tc.derive)
+			}
+
+			engine := NewEngine()
+			props := []Property{
+				Invariant{PropName: "inv", Holds: ts.Neq{Var: "c", Value: "p"}},
+				NeverFires{PropName: "never", Match: func(n string) bool { return n == "cr" }},
+				Response{PropName: "resp", Trigger: func(n string) bool { return n == "flip" }, Goal: func(n string) bool { return n == "cr" }},
+			}
+			if _, err := engine.CheckContext(context.Background(), base, props[0], Options{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			o := obs.New()
+			ctx := obs.NewContext(context.Background(), o)
+			for _, p := range props {
+				got, err := engine.CheckContext(ctx, target, p, Options{Workers: 2})
+				if err != nil {
+					t.Fatalf("%s: %v", p.Name(), err)
+				}
+				want := CheckSequential(target, p, Options{})
+				if got.Verified != want.Verified || got.StatesExplored != want.StatesExplored ||
+					!reflect.DeepEqual(got.Counterexample, want.Counterexample) {
+					t.Fatalf("%s: engine %+v, sequential %+v", p.Name(), got, want)
+				}
+			}
+			reg := o.Metrics()
+			wantDerived := int64(0)
+			if tc.derive {
+				wantDerived = 1
+			}
+			if builds, derived := reg.Counter("mc.explorations").Value(), reg.Counter("mc.explorations_derived").Value(); builds != 1 || derived != wantDerived {
+				t.Fatalf("target served by %d builds, %d derived; want 1 build, %d derived", builds, derived, wantDerived)
+			}
+		})
+	}
+}

@@ -7,13 +7,18 @@
 // invalidates. On a pointer miss the engine fingerprints the system's
 // structure and aliases any live entry built for the same structure and
 // budget, so clones that applied the same refinements share one
-// exploration.
+// exploration. On a fingerprint miss it compiles the system's rules once
+// and derives the graph from the most recent complete cached graph the
+// system refines (derive.go): a refinement prunes rules or appends
+// observation variables, so its graph is a BFS over the base graph's
+// rows. Only when no cached graph qualifies does it explore.
 package mc
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,6 +60,7 @@ const (
 type graphBuild struct {
 	fp        [32]byte // systemFingerprint of the explored structure
 	maxStates int
+	seq       int // the engine's build count when it started
 	ready     chan struct{}
 	graph     *StateGraph
 	err       error
@@ -152,13 +158,14 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*S
 			}
 			return nil, src, err
 		}
-		b = &graphBuild{fp: *fp, maxStates: maxStates, ready: make(chan struct{})}
+		b = &graphBuild{fp: *fp, maxStates: maxStates, seq: e.builds, ready: make(chan struct{})}
+		bases := e.basesLocked() // before sys's entry, maybe a base, is replaced
 		e.storeLocked(sys, &graphEntry{gen: gen, build: b}, reg)
 		e.builds++
 		e.mu.Unlock()
 		reg.Counter("mc.graph_cache_misses").Inc()
 
-		b.graph, b.err = buildGraph(ctx, sys, *fp, opts)
+		b.graph, b.err = deriveOrBuild(ctx, sys, *fp, opts, bases)
 		if b.err != nil {
 			// Do not poison the cache: a cancelled or failed build must not
 			// answer later calls that arrive with a live context.
@@ -169,6 +176,44 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*S
 		close(b.ready)
 		return b.graph, GraphBuilt, b.err
 	}
+}
+
+// basesLocked lists the graphs a new build may derive from: every
+// finished, successful build still in the cache, most recent first.
+func (e *Engine) basesLocked() []*StateGraph {
+	var builds []*graphBuild
+	for _, ent := range e.cache {
+		b := ent.build
+		select {
+		case <-b.ready:
+			if b.err == nil && !slices.Contains(builds, b) {
+				builds = append(builds, b)
+			}
+		default:
+		}
+	}
+	slices.SortFunc(builds, func(x, y *graphBuild) int { return y.seq - x.seq })
+	bases := make([]*StateGraph, len(builds))
+	for i, b := range builds {
+		bases[i] = b.graph
+	}
+	return bases
+}
+
+// deriveOrBuild compiles sys's rules once and derives its graph from
+// the first base it extends (derive.go), else explores it.
+func deriveOrBuild(ctx context.Context, sys *ts.System, fp [32]byte, opts Options, bases []*StateGraph) (*StateGraph, error) {
+	rules, err := sys.CompileRules()
+	if err != nil {
+		return nil, err
+	}
+	vars, init := sys.Vars(), sys.InitialState()
+	for _, base := range bases {
+		if d, ok := planDerivation(base, rules, vars, init); ok {
+			return deriveGraph(ctx, sys, rules, d, fp, opts)
+		}
+	}
+	return buildGraph(ctx, sys, rules, fp, opts)
 }
 
 // lookupLocked finds a build for sys at gen under the budget: its own

@@ -64,10 +64,25 @@ func waitFor(t *testing.T, e *Engine, what string, cond func(builds, waiting int
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// heldContext is a cancellable context whose Err blocks until release
+// is closed, so a build polling it between levels stays in flight for
+// as long as a test needs, however fast the host explores.
+type heldContext struct {
+	context.Context
+	release chan struct{}
+}
+
+func (c heldContext) Err() error {
+	<-c.release
+	return c.Context.Err()
+}
+
 // TestWaiterRebuildsAfterBuilderCancelled: a check waiting on another
 // caller's in-flight build gets a graph of its own when that caller is
 // cancelled, instead of the builder's cancellation — for a waiter on the
-// same system and for one on a structurally identical clone.
+// same system and for one on a structurally identical clone. The
+// builder's context holds it at its first level boundary until the
+// waiter has joined and the cancellation is in.
 func TestWaiterRebuildsAfterBuilderCancelled(t *testing.T) {
 	base := odometer(t, 160)
 	prop := NeverFires{PropName: "never", Match: func(string) bool { return false }}
@@ -81,8 +96,9 @@ func TestWaiterRebuildsAfterBuilderCancelled(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			engine := NewEngine()
 			sys := base.Clone()
-			builderCtx, cancel := context.WithCancel(context.Background())
+			cancelCtx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			builderCtx := heldContext{Context: cancelCtx, release: make(chan struct{})}
 			builderErr := make(chan error, 1)
 			go func() {
 				_, err := engine.CheckContext(builderCtx, sys, prop, Options{Workers: 1})
@@ -103,6 +119,7 @@ func TestWaiterRebuildsAfterBuilderCancelled(t *testing.T) {
 			}()
 			waitFor(t, engine, "the waiter to join the build", func(_, waiting int) bool { return waiting == 1 })
 			cancel()
+			close(builderCtx.release)
 
 			if err := <-builderErr; !resilience.Cancelled(err) {
 				t.Fatalf("builder: want a cancellation, got %v", err)
@@ -307,8 +324,9 @@ func TestConcurrentClonesShareOneBuild(t *testing.T) {
 }
 
 // TestExploreGaugesTrackVisitedSet pins the explorer's residency gauges
-// against the build they describe, with the dense rank table and with
-// the hash index: mc.visited_states is the state count, and
+// against the build they describe, with the dense rank table, with the
+// hash index and for a derived build, whose visited set is its slot
+// table: mc.visited_states is the state count, and
 // mc.peak_resident_state_bytes is the arena plus the whole visited set
 // (the dense table counted at its full size).
 func TestExploreGaugesTrackVisitedSet(t *testing.T) {
@@ -318,7 +336,7 @@ func TestExploreGaugesTrackVisitedSet(t *testing.T) {
 			padWide(t, sys)
 		}
 		o := obs.New()
-		g, err := buildGraph(obs.NewContext(context.Background(), o), sys, systemFingerprint(sys), Options{Workers: 2})
+		g, err := explore(obs.NewContext(context.Background(), o), sys, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,5 +362,35 @@ func TestExploreGaugesTrackVisitedSet(t *testing.T) {
 		if hashed := reg.Counter("mc.explorations_hashed").Value(); hashed != wantHashed {
 			t.Errorf("wide=%v: mc.explorations_hashed = %d, want %d", wide, hashed, wantHashed)
 		}
+	}
+
+	sys := randomSystem(t, 6, 4, 60)
+	base, err := explore(context.Background(), sys, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refine(t, sys)
+	rules, err := sys.CompileRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := planDerivation(base, rules, sys.Vars(), sys.InitialState())
+	if !ok {
+		t.Fatal("the refined system does not derive from its base graph")
+	}
+	o := obs.New()
+	g, err := deriveGraph(obs.NewContext(context.Background(), o), sys, rules, d, systemFingerprint(sys), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := o.Metrics()
+	if got := reg.Gauge("mc.visited_states").Value(); got != int64(g.NumStates()) {
+		t.Errorf("derived: mc.visited_states = %d, want the %d states built", got, g.NumStates())
+	}
+	if visited, want := reg.Gauge("mc.peak_resident_state_bytes").Value()-g.arena.memBytes(), 4*2*int64(base.NumStates()); visited != want {
+		t.Errorf("derived: peak bytes count %d for the visited set, want the %d-byte slot table", visited, want)
+	}
+	if derived := reg.Counter("mc.explorations_derived").Value(); derived != 1 {
+		t.Errorf("derived: mc.explorations_derived = %d, want 1", derived)
 	}
 }

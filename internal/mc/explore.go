@@ -24,7 +24,9 @@
 // The frontier is always the id range the previous level interned, and
 // exactly the states without an adjacency row yet. Level boundaries are
 // also where arena segments spill under the memory budget and snapshots
-// are checkpointed.
+// are checkpointed. A graph derived from a cached base graph (derive.go)
+// runs the same level loop and boundary bookkeeping, with one serial
+// pass over the base rows in place of the two phases.
 package mc
 
 import (
@@ -66,7 +68,9 @@ type chunk struct {
 	enabled []uint64
 }
 
-// levelExplorer carries one buildGraph invocation's exploration state.
+// levelExplorer carries one graph build's state: an exploration
+// (buildGraph) or a derivation from a base graph (deriveGraph in
+// derive.go), which share the level loop and its boundary bookkeeping.
 type levelExplorer struct {
 	g     *StateGraph
 	opts  Options
@@ -77,6 +81,14 @@ type levelExplorer struct {
 	index *stateIndex
 	// domains holds each variable's domain size.
 	domains []int
+
+	// derive is set when the graph derives from a base graph instead;
+	// slotOf is then its visited set, and slots maps ids back to slots
+	// (see derive.go).
+	derive  *derivation
+	slotOf  []int32
+	slots   []int32
+	scratch []byte
 
 	// The frontier is the id range [lo, hi): the states the last level
 	// interned, none of them expanded yet.
@@ -89,73 +101,88 @@ type levelExplorer struct {
 	chunks []chunk
 	counts []int32
 
+	start      time.Time
+	reg        *obs.Registry
 	bus        *obs.Bus
 	scope      string // job scope for progress events (see obs.WithScope)
 	width      *obs.Histogram
 	occupancy  *obs.Gauge
 	spillBytes *obs.Counter
 	peakBytes  *obs.Gauge
+	hashed     *obs.Counter
+	derived    *obs.Counter
 }
 
-// buildGraph explores the system with the level-synchronised worker pool
-// and returns the interned reachability graph. fp is the system's
-// systemFingerprint, which names and validates its snapshots.
-//
-// Observability: each build is one "mc.explore" span; the registry's
-// mc.* instruments are resolved once up front (all nil-safe no-ops when
-// no observer rides the context).
-func buildGraph(ctx context.Context, sys *ts.System, fp [32]byte, opts Options) (graph *StateGraph, err error) {
+// newLevelExplorer sets up the state both builders share: the empty
+// graph, which keeps the compiled rules, variables and initial state it
+// is built from so it can serve as a derivation base in turn, and the
+// registry's mc.* instruments, resolved once up front (all nil-safe
+// no-ops when no observer rides the context). fenced says whether the
+// arena keeps the fences hash-index confirms read.
+func newLevelExplorer(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options, fenced bool) *levelExplorer {
 	reg := obs.FromContext(ctx).Metrics()
-	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name))
-	hashed := reg.Counter("mc.explorations_hashed")
-	buildStart := time.Now()
-	var e *levelExplorer
-	defer func() {
-		if graph != nil {
-			n := graph.NumStates()
-			reg.Counter("mc.states_explored").Add(int64(n))
-			reg.Counter("mc.explorations").Inc()
-			if e.ranks == nil {
-				hashed.Inc()
-			}
-			if elapsed := time.Since(buildStart); elapsed > 0 {
-				reg.Gauge("mc.states_per_sec").Set(int64(float64(n) / elapsed.Seconds()))
-			}
-			span.SetAttr("states", strconv.Itoa(n))
-			span.SetAttr("truncated", strconv.FormatBool(graph.Truncated))
-		}
-		span.EndErr(err)
-	}()
-
-	rules, err := sys.CompileRules()
-	if err != nil {
-		return nil, err
-	}
-	vars := sys.Vars()
-	domains := make([]int, len(vars))
-	for i, v := range vars {
-		domains[i] = len(v.Domain)
-	}
 	init := sys.InitialState()
-	ranks := newRankTable(domains)
-	e = &levelExplorer{
+	return &levelExplorer{
 		g: &StateGraph{
 			System: sys.Name, fp: fp, Rules: rules.Rules, MaxStates: opts.maxStates(),
-			arena:      newStateArena(len(init), opts.SpillSegmentBytes, ranks == nil),
+			rules: rules, vars: slices.Clone(sys.Vars()), init: init,
+			arena:      newStateArena(len(init), opts.SpillSegmentBytes, fenced),
 			off:        []int32{0},
 			spillReads: reg.Counter("mc.spill_reads"),
 		},
 		opts:       opts,
 		rules:      rules,
-		ranks:      ranks,
-		domains:    domains,
+		start:      time.Now(),
+		reg:        reg,
 		bus:        obs.FromContext(ctx).Bus(),
 		scope:      obs.ScopeFromContext(ctx),
 		width:      reg.Histogram("mc.frontier_width", nil),
 		occupancy:  reg.Gauge("mc.visited_states"),
 		spillBytes: reg.Counter("mc.spill_bytes"),
 		peakBytes:  reg.Gauge("mc.peak_resident_state_bytes"),
+		hashed:     reg.Counter("mc.explorations_hashed"),
+		derived:    reg.Counter("mc.explorations_derived"),
 	}
+}
+
+// record counts a build that produced a graph on the registry and its
+// "mc.explore" span: derived and explored builds alike are explorations.
+func (e *levelExplorer) record(span *obs.Span, graph *StateGraph) {
+	if graph != nil {
+		n := graph.NumStates()
+		e.reg.Counter("mc.states_explored").Add(int64(n))
+		e.reg.Counter("mc.explorations").Inc()
+		switch {
+		case e.derive != nil:
+			e.derived.Inc()
+		case e.ranks == nil:
+			e.hashed.Inc()
+		}
+		if elapsed := time.Since(e.start); elapsed > 0 {
+			e.reg.Gauge("mc.states_per_sec").Set(int64(float64(n) / elapsed.Seconds()))
+		}
+		span.SetAttr("states", strconv.Itoa(n))
+		span.SetAttr("truncated", strconv.FormatBool(graph.Truncated))
+	}
+}
+
+// buildGraph explores the system with the level-synchronised worker pool
+// and returns the interned reachability graph. rules is the system
+// compiled, and fp its systemFingerprint, which names and validates its
+// snapshots. Each build is one "mc.explore" span.
+func buildGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options) (graph *StateGraph, err error) {
+	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name))
+	domains := make([]int, len(sys.Vars()))
+	for i, v := range sys.Vars() {
+		domains[i] = len(v.Domain)
+	}
+	ranks := newRankTable(domains)
+	e := newLevelExplorer(ctx, sys, rules, fp, opts, ranks == nil)
+	defer func() {
+		e.record(span, graph)
+		span.EndErr(err)
+	}()
+	e.ranks, e.domains = ranks, domains
 	if e.ranks == nil {
 		e.index = newStateIndex()
 		span.SetAttr("index", "hash")
@@ -171,11 +198,12 @@ func buildGraph(ctx context.Context, sys *ts.System, fp [32]byte, opts Options) 
 		}
 		if ok {
 			resumed = true
-			reg.Gauge("mc.resume_level").Set(int64(lvl))
+			e.reg.Gauge("mc.resume_level").Set(int64(lvl))
 			span.SetAttr("resume_level", strconv.Itoa(lvl))
 		}
 	}
 	if !resumed {
+		init := e.g.init
 		if _, err := e.intern(init, e.key(init), -1, -1); err != nil {
 			return nil, err
 		}
@@ -233,7 +261,10 @@ func (e *levelExplorer) intern(s ts.State, k uint64, parent, rule int32) (int32,
 
 // visitedBytes is the visited set's resident footprint.
 func (e *levelExplorer) visitedBytes() int64 {
-	if e.ranks != nil {
+	switch {
+	case e.derive != nil:
+		return int64(len(e.slotOf)) * 4
+	case e.ranks != nil:
 		return e.ranks.memBytes()
 	}
 	return e.index.memBytes()
@@ -261,11 +292,10 @@ func (e *levelExplorer) ensureIndex(extra int) error {
 	return nil
 }
 
-// run drives the level loop until the frontier drains, the budget
-// truncates or the context is cancelled.
+// run drives the level loop, exploring or deriving each level, until
+// the frontier drains, the budget truncates or the context is cancelled.
 func (e *levelExplorer) run(ctx context.Context) error {
 	g := e.g
-	workers := e.opts.workers()
 	defer g.trimEdges()
 	for e.lo < e.hi {
 		if ctx.Err() != nil {
@@ -278,10 +308,13 @@ func (e *levelExplorer) run(ctx context.Context) error {
 		}
 		e.width.Observe(float64(e.hi - e.lo))
 
-		if err := e.expandFrontier(workers); err != nil {
-			return err
+		var err error
+		if e.derive != nil {
+			err = e.deriveLevel()
+		} else if err = e.expandFrontier(e.opts.workers()); err == nil {
+			err = e.internLevel()
 		}
-		if err := e.internLevel(); err != nil {
+		if err != nil {
 			return err
 		}
 		if err := e.endOfLevel(); err != nil {

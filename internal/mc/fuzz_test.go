@@ -26,7 +26,10 @@ import (
 // truncation and the counterexample trace, for an invariant, a
 // never-fires and three response properties (a goal rule, a goal state
 // on a random variable, and one rule that is both trigger and goal),
-// and every counterexample must pass Certify. A product-budget mode
+// and every counterexample must pass Certify. The refined clone must be
+// served by derivation from the cached graph exactly when none of its
+// guards is residual, and its derived graph, complete and truncated,
+// must equal buildGraph's. A product-budget mode
 // checks the response properties with a state budget between the
 // graph's size N and 2N, so the graph completes and only the response
 // product can run out of budget.
@@ -134,7 +137,7 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 
 		// Truncate a first build at about half the reachable states, then
 		// resume the full build from the snapshots it left behind.
-		g, err := buildGraph(ctx, sys, systemFingerprint(sys), Options{Workers: 1})
+		g, err := explore(ctx, sys, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +181,22 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 			t.Fatalf("reuse: clone b got a %q graph, want %q", src, GraphShared)
 		}
 		checkOn("reuse", ctx, engine, b, want, Options{Workers: 4})
-		checkOn("refined", ctx, engine, a, sequential(a), Options{Workers: 4})
+		ro := obs.New()
+		checkOn("refined", obs.NewContext(ctx, ro), engine, a, sequential(a), Options{Workers: 4})
+		// The refinement derives a's graph from the cached one unless a
+		// guard is residual; derived graphs, complete and truncated,
+		// equal the explored ones.
+		residual := residualGuards(a)
+		wantDerived := int64(1)
+		if residual {
+			wantDerived = 0
+		}
+		if builds, derived := ro.Metrics().Counter("mc.explorations").Value(), ro.Metrics().Counter("mc.explorations_derived").Value(); builds != 1 || derived != wantDerived {
+			t.Fatalf("refined: %d builds, %d derived; want 1 build, %d derived (residual guards: %v)", builds, derived, wantDerived, residual)
+		}
+		if derives := deriveMatchesExplore(t, g, a); derives == residual {
+			t.Fatalf("refined: derives from the base graph = %v with residual guards = %v", derives, residual)
+		}
 
 		// Vacuity pruning: with the static pre-pass on, every property it
 		// does not prune gets the result of the full run, and every

@@ -5,7 +5,10 @@
 // the sequential explorer's so that counterexample traces come out
 // byte-identical. States live in the compact arena/index storage layer
 // (arena.go); the level-synchronised explorer that fills the graph is
-// in explore.go, and snapshot/resume in snapshot.go.
+// in explore.go, and snapshot/resume in snapshot.go. A graph keeps the
+// compiled rules, variables and initial state it was built from, so a
+// refined system's graph can be derived from it (derive.go) with the
+// same ids, parent tree and edge order the explorer would produce.
 package mc
 
 import (
@@ -34,6 +37,13 @@ type StateGraph struct {
 	System string
 	fp     [32]byte
 	Rules  []ts.CompiledRule
+
+	// rules, vars and init are the compiled system the graph was built
+	// from, so that a refinement of it can derive its graph from this
+	// one (derive.go).
+	rules *ts.RuleSet
+	vars  []ts.Var
+	init  ts.State
 
 	arena *stateArena
 	// off/edges are the adjacency in CSR form: the edges of state id are

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -414,6 +415,7 @@ type RuleSet struct {
 
 	words    int      // uint64 words per mask
 	base     []int    // first row of each variable
+	nrows    int      // rows over all variables
 	rows     []uint64 // one mask per (variable, value), words each
 	all      []uint64 // every rule's bit
 	residual []uint64 // rules whose guards fall outside the fragment
@@ -442,6 +444,61 @@ func (rs *RuleSet) EnabledSet(s State, dst []uint64) {
 		}
 	}
 }
+
+// Admits reports whether value x of variable v satisfies every literal
+// rule i's guard puts on v (always true for a residual guard).
+func (rs *RuleSet) Admits(i, v int, x uint8) bool { return rs.has(rs.base[v]+int(x), i) }
+
+// has reports whether rule i's bit is set in row r.
+func (rs *RuleSet) has(r, i int) bool { return rs.rows[r*rs.words+i/64]&(1<<(i%64)) != 0 }
+
+// Extends reports whether rs was compiled from base's system with rules
+// removed and variables appended: base's variables lead rs's with the
+// same domain sizes, rs's rules are a subsequence of base's by name, and
+// every kept rule has base's guard rows on the old variables and base's
+// assignments to them, so it fires from, and leads to, exactly what its
+// base rule does there. No rule of rs and no kept rule of base may have
+// a residual guard, whose rows say nothing. kept[j] is the base index of
+// rs's rule j.
+func (rs *RuleSet) Extends(base *RuleSet) (kept []int32, ok bool) {
+	old, oldRows := len(base.base), base.nrows
+	switch {
+	case old > len(rs.base) || !slices.Equal(rs.base[:old], base.base),
+		old < len(rs.base) && rs.base[old] != oldRows,
+		old == len(rs.base) && rs.nrows != oldRows,
+		slices.ContainsFunc(rs.residual, nonzero):
+		return nil, false
+	}
+	kept = make([]int32, len(rs.Rules))
+	i := 0
+	for j := range rs.Rules {
+		for i < len(base.Rules) && base.Rules[i].Name != rs.Rules[j].Name {
+			i++
+		}
+		if i == len(base.Rules) || base.residual[i/64]&(1<<(i%64)) != 0 {
+			return nil, false
+		}
+		for r := 0; r < oldRows; r++ {
+			if rs.has(r, j) != base.has(r, i) {
+				return nil, false
+			}
+		}
+		var sets []compiledAssign
+		for _, a := range rs.Rules[j].sets {
+			if a.idx < old {
+				sets = append(sets, a)
+			}
+		}
+		if !slices.Equal(sets, base.Rules[i].sets) {
+			return nil, false
+		}
+		kept[j] = int32(i)
+		i++
+	}
+	return kept, true
+}
+
+func nonzero(w uint64) bool { return w != 0 }
 
 // CompileRules lowers every rule for fast exploration: index-arithmetic
 // closures for guards and assignments, plus the guard bitsets (see
@@ -484,6 +541,7 @@ func (sys *System) lowerGuards(rs *RuleSet) {
 		rs.base[v] = nrows
 		nrows += len(vr.Domain)
 	}
+	rs.nrows = nrows
 	rs.rows = make([]uint64, nrows*w)
 	rs.all = make([]uint64, w)
 	rs.residual = make([]uint64, w)
