@@ -716,7 +716,7 @@ func BenchmarkCEGARVerifyAll(b *testing.B) {
 	}
 }
 
-// --- BENCH_dist.json series: disk-spillable exploration ---
+// --- BENCH_dist.json series: arena exploration ---
 
 // benchExploreOnce runs one full state-space exploration (a trivially
 // true invariant, so nothing short-circuits) under the given options
@@ -747,27 +747,6 @@ func BenchmarkExplore(b *testing.B) {
 	var states, resident int64
 	for i := 0; i < b.N; i++ {
 		states, resident = benchExploreOnce(b, sys, mc.Options{Workers: 4})
-	}
-	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
-	b.ReportMetric(float64(resident)/float64(states), "bytes/state")
-}
-
-// BenchmarkExploreSpill explores under a deliberately tight memory
-// budget so cold arena segments go to disk: resident bytes/state shows
-// the bounded-memory footprint, spilled-bytes/state what moved out.
-func BenchmarkExploreSpill(b *testing.B) {
-	m := benchModel(b, ue.ProfileConformant)
-	sys := m.Composed.System
-	dir := b.TempDir()
-	opts := mc.Options{
-		Workers:           4,
-		MemBudget:         1 << 15,
-		SpillDir:          dir,
-		SpillSegmentBytes: 1 << 12,
-	}
-	var states, resident int64
-	for i := 0; i < b.N; i++ {
-		states, resident = benchExploreOnce(b, sys, opts)
 	}
 	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
 	b.ReportMetric(float64(resident)/float64(states), "bytes/state")

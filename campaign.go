@@ -95,16 +95,12 @@ func RunJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 }
 
 // JobRunnerConfig tunes how the job service executes each analysis:
-// worker-pool width, the resident-memory budget
-// for state storage, and a snapshot root under which every job keeps
+// worker-pool width, and a snapshot root under which every job keeps
 // its own exploration checkpoints so a crashed or killed service
 // resumes mid-exploration instead of recomputing from scratch.
 type JobRunnerConfig struct {
 	// Workers bounds the per-job worker pool (0 = GOMAXPROCS).
 	Workers int
-	// MemBudget caps resident state-arena bytes per exploration; cold
-	// segments spill to disk beyond it (0 = unbounded).
-	MemBudget int64
 	// SnapshotRoot, when non-empty, gives each job a private snapshot
 	// directory keyed by the spec hash; it is removed when the job
 	// completes successfully.
@@ -118,7 +114,7 @@ func JobRunner(workers int) jobs.Runner {
 }
 
 // JobRunnerWith adapts RunJob into the job service's Runner hook with
-// full control over spilling and snapshot placement.
+// full control over the worker pool and snapshot placement.
 func JobRunnerWith(cfg JobRunnerConfig) jobs.Runner {
 	return func(ctx context.Context, spec jobs.Spec) (*jobs.Result, error) {
 		return runJob(ctx, spec, cfg)
@@ -128,9 +124,8 @@ func JobRunnerWith(cfg JobRunnerConfig) jobs.Runner {
 // NewFleetWorker assembles a fleet worker agent around the production
 // job runner: it pulls jobs from the coordinator over the lease
 // protocol and executes each through the same RunJob machinery a local
-// pool uses — per-job snapshot directories and memory budgets
-// included. The returned worker is ready for further tuning (Poll,
-// Backoff, Seed) before Run.
+// pool uses — per-job snapshot directories included. The returned
+// worker is ready for further tuning (Poll, Backoff, Seed) before Run.
 func NewFleetWorker(coord dist.Coordinator, id string, concurrency int, rcfg JobRunnerConfig, reg *obs.Registry) *dist.Worker {
 	return &dist.Worker{
 		Coordinator: coord,
@@ -155,10 +150,7 @@ func runJob(ctx context.Context, spec JobSpec, rcfg JobRunnerConfig) (*JobResult
 		return nil, err
 	}
 	snapDir := jobs.SnapshotDirFor(rcfg.SnapshotRoot, spec.Key())
-	opts := []Option{
-		WithWorkers(rcfg.Workers), WithFaults(cfg),
-		WithMemBudget(rcfg.MemBudget), WithSnapshotDir(snapDir),
-	}
+	opts := []Option{WithWorkers(rcfg.Workers), WithFaults(cfg), WithSnapshotDir(snapDir)}
 	if spec.NoVacuityPrune {
 		opts = append(opts, WithNoVacuityPrune())
 	}

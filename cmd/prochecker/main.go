@@ -104,7 +104,6 @@ func run(args []string) (err error) {
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no deadline); with -serve, bounds each local execution attempt only, not attempts leased to remote workers (those are bounded by -lease-ttl), and an expired attempt ends the job cancelled")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"worker pool size for -check: bounds both property-level parallelism and the model checker's exploration pool (1 = fully sequential)")
-	memBudget := fs.Int64("mem-budget", 0, "bound the model checker's resident exploration state bytes; cold arena segments spill to disk beyond it (0 = unbounded)")
 	snapshotDir := fs.String("snapshot-dir", "", "checkpoint model-checker exploration at level boundaries into this directory and resume from the newest snapshot; with -serve, the root for per-job snapshot directories")
 	quiet := fs.Bool("quiet", false, "suppress progress output on stderr (results only)")
 	verbose := fs.Bool("v", false, "stream span begin/end events to stderr as they happen")
@@ -194,7 +193,6 @@ func run(args []string) (err error) {
 			retryBackoff: *retryBackoff,
 			seed:         *seed,
 			manifestPath: *manifestPath,
-			memBudget:    *memBudget,
 			snapshotDir:  *snapshotDir,
 			metricsAddr:  *metricsAddr,
 			eventBuf:     *eventBuf,
@@ -208,7 +206,6 @@ func run(args []string) (err error) {
 			id:           *workerID,
 			concurrency:  *concurrency,
 			workers:      *workers,
-			memBudget:    *memBudget,
 			snapshotDir:  *snapshotDir,
 			retries:      *retries,
 			retryBackoff: *retryBackoff,
@@ -293,9 +290,6 @@ func run(args []string) (err error) {
 		}
 		if *timeout > 0 {
 			cfg["timeout"] = timeout.String()
-		}
-		if *memBudget > 0 {
-			cfg["mem_budget"] = strconv.FormatInt(*memBudget, 10)
 		}
 		if *snapshotDir != "" {
 			cfg["snapshot_dir"] = *snapshotDir
@@ -388,7 +382,6 @@ func run(args []string) (err error) {
 	analysisOpts := []prochecker.Option{
 		prochecker.WithWorkers(*workers), prochecker.WithObserver(o),
 		prochecker.WithFaults(faultCfg),
-		prochecker.WithMemBudget(*memBudget),
 		prochecker.WithSnapshotDir(*snapshotDir),
 	}
 	if *noVacuityPrune {

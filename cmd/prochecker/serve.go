@@ -38,7 +38,6 @@ type serveConfig struct {
 	retryBackoff time.Duration // base retry backoff
 	seed         int64         // retry-jitter seed
 	manifestPath string        // "" disables the shutdown manifest
-	memBudget    int64         // resident state-arena bytes per job (0 = unbounded)
 	snapshotDir  string        // root for per-job exploration checkpoints ("" disables)
 	metricsAddr  string        // debug endpoint (pprof/metrics/healthz); "" disables
 	eventBuf     int           // event-bus ring capacity (0 = default)
@@ -72,7 +71,6 @@ func runServe(cfg serveConfig) (err error) {
 	svc, err := jobs.New(jobs.Config{
 		Runner: prochecker.JobRunnerWith(prochecker.JobRunnerConfig{
 			Workers:      cfg.workers,
-			MemBudget:    cfg.memBudget,
 			SnapshotRoot: cfg.snapshotDir,
 		}),
 		Normalize:   prochecker.NormalizeJobSpec,

@@ -23,7 +23,6 @@ type workerConfig struct {
 	id           string        // worker identity ("" = host-pid)
 	concurrency  int           // parallel pull loops
 	workers      int           // per-job analysis pool size
-	memBudget    int64         // resident state-arena bytes per job
 	snapshotDir  string        // root for per-job exploration checkpoints
 	retries      int           // HTTP attempts per request (0 = default)
 	retryBackoff time.Duration // base HTTP retry backoff
@@ -59,7 +58,6 @@ func runWorker(cfg workerConfig) error {
 	}
 	w := prochecker.NewFleetWorker(cl, id, cfg.concurrency, prochecker.JobRunnerConfig{
 		Workers:      cfg.workers,
-		MemBudget:    cfg.memBudget,
 		SnapshotRoot: cfg.snapshotDir,
 	}, reg)
 	w.Seed = cfg.seed

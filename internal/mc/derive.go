@@ -116,14 +116,14 @@ func planDerivation(base *StateGraph, rules *ts.RuleSet, vars []ts.Var, init ts.
 }
 
 // deriveGraph builds sys's graph from d's base graph, one BFS level at
-// a time under the explorer's level loop: its budget truncation, spill
-// enforcement, gauges and progress events. A derived graph writes no
-// snapshots: a resumed run re-derives it from its resumed base. Its
-// "mc.explore" span carries index=derived and the base's state count.
+// a time under the explorer's level loop: its budget truncation, gauges
+// and progress events. A derived graph writes no snapshots: a resumed
+// run re-derives it from its resumed base. Its "mc.explore" span
+// carries index=derived and the base's state count.
 func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, fp [32]byte, opts Options) (graph *StateGraph, err error) {
 	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name))
 	opts.SnapshotDir = ""
-	e := newLevelExplorer(ctx, sys, rules, fp, opts, false)
+	e := newLevelExplorer(ctx, sys, rules, fp, opts)
 	defer func() {
 		e.record(span, graph)
 		span.EndErr(err)
@@ -140,7 +140,6 @@ func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *deri
 	}
 	e.lo, e.hi = 0, 1
 	if err := e.run(ctx); err != nil {
-		e.g.Release()
 		return nil, err
 	}
 	return e.g, nil
@@ -197,13 +196,9 @@ func (e *levelExplorer) deriveLevel() error {
 // followed by its appended values.
 func (e *levelExplorer) internSlot(slot, parent, rule int32) (int32, error) {
 	g, d := e.g, e.derive
-	s, err := d.base.StateAt(slot / d.extra)
-	if err != nil {
-		return -1, err
-	}
-	x := slot % d.extra
+	s, x := d.base.StateAt(slot/d.extra), slot%d.extra
 	e.scratch = append(append(e.scratch[:0], s...), d.values[x*d.width:][:d.width]...)
-	id, err := g.arena.append(e.scratch, 0)
+	id, err := g.arena.append(e.scratch)
 	if err != nil {
 		return -1, err
 	}

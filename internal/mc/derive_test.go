@@ -51,15 +51,7 @@ func sameGraph(t *testing.T, mode string, got, want *StateGraph) {
 		t.Fatalf("%s: parent tree differs", mode)
 	}
 	for id := int32(0); int(id) < want.NumStates(); id++ {
-		g, err := got.StateAt(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := want.StateAt(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(g, w) {
+		if g, w := got.StateAt(id), want.StateAt(id); !slices.Equal(g, w) {
 			t.Fatalf("%s: state %d is %v, want %v", mode, id, g, w)
 		}
 	}

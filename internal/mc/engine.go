@@ -299,12 +299,12 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 	}
 	switch p := prop.(type) {
 	case Invariant:
-		res, err = g.checkInvariant(sys, p)
+		res = g.checkInvariant(sys, p)
 	case NeverFires:
 		res = g.checkNeverFires(sys, p)
 	case Response:
 		start := time.Now()
-		res, err = g.checkResponse(sys, p, opts)
+		res = g.checkResponse(sys, p, opts)
 		if reg != nil && !g.Truncated {
 			// A truncated graph gets no product search, so it adds neither.
 			reg.Histogram("mc.response_ms", nil).Observe(obs.DurMS(time.Since(start)))
@@ -312,11 +312,6 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 		}
 	default:
 		return res, src, nil
-	}
-	if err != nil {
-		// A spilled-segment read failed mid-check; surface the I/O error
-		// rather than an unfounded verdict.
-		return res, src, fmt.Errorf("mc: checking %s: %w", prop.Name(), err)
 	}
 	if res.Truncated {
 		return res, src, fmt.Errorf("mc: checking %s: exploration truncated at %d states (budget %d): %w",
@@ -385,40 +380,37 @@ func (e *Engine) CheckAllContext(ctx context.Context, sys *ts.System, props []Pr
 // checkInvariant discharges AG p in one ordered pass over the graph: the
 // first state (in BFS intern order) violating the predicate is exactly
 // the state the sequential explorer would have flagged, so the parent
-// tree yields a byte-identical shortest counterexample. The pass streams
-// the arena, so spilled segments are loaded once each, in order.
-func (g *StateGraph) checkInvariant(sys *ts.System, p Invariant) (Result, error) {
+// tree yields a byte-identical shortest counterexample.
+func (g *StateGraph) checkInvariant(sys *ts.System, p Invariant) Result {
 	res := Result{Property: p.PropName, Kind: "invariant"}
 	holds, err := sys.CompileCond(p.Holds)
 	if err != nil {
-		return res, nil
+		return res
 	}
 	violation := int32(-1)
-	if err := g.forEachState(0, func(id int32, s ts.State) bool {
+	g.forEachState(func(id int32, s ts.State) bool {
 		if !holds(s) {
 			violation = id
 			return false
 		}
 		return true
-	}); err != nil {
-		return res, err
-	}
+	})
 	switch {
 	case violation == 0:
 		res.Counterexample = buildTrace(sys, nil, -1)
-		return res, nil
+		return res
 	case violation > 0:
 		res.StatesExplored = int(violation) + 1
 		res.Counterexample = buildTrace(sys, g.pathTo(violation), -1)
-		return res, nil
+		return res
 	}
 	res.StatesExplored = g.NumStates()
 	if g.Truncated {
 		res.Truncated = true
-		return res, nil
+		return res
 	}
 	res.Verified = true
-	return res, nil
+	return res
 }
 
 // checkNeverFires scans states in BFS order and their edges in rule
@@ -493,14 +485,14 @@ func (rp *responseProduct) succ(slot int32, ed graphEdge) int32 {
 // state is re-hashed and no edge is stored. Node order, edge order and
 // therefore StatesExplored and every trace are those of the sequential
 // implementation.
-func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Result, error) {
+func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) Result {
 	res := Result{Property: p.PropName, Kind: "response"}
 	if g.Truncated {
 		// Missing adjacency beyond the frontier would masquerade as
 		// deadlocks; a truncated graph cannot support the liveness search.
 		res.Truncated = true
 		res.StatesExplored = g.NumStates()
-		return res, nil
+		return res
 	}
 	rp := responseProduct{trigger: make([]bool, len(g.Rules)), goal: make([]bool, len(g.Rules))}
 	for i := range g.Rules {
@@ -512,15 +504,13 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Re
 	if p.GoalState != nil {
 		f, err := sys.CompileCond(p.GoalState)
 		if err != nil {
-			return res, nil
+			return res
 		}
 		rp.goalSat = make([]bool, g.NumStates())
-		if err := g.forEachState(0, func(id int32, s ts.State) bool {
+		g.forEachState(func(id int32, s ts.State) bool {
 			rp.goalSat[id] = f(s)
 			return true
-		}); err != nil {
-			return res, err
-		}
+		})
 	}
 
 	// Product BFS. parent holds each slot's parent slot (-1 for the
@@ -540,7 +530,7 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Re
 		if len(order) > maxStates {
 			res.Truncated = true
 			res.StatesExplored = len(order)
-			return res, nil
+			return res
 		}
 		slot := order[head]
 		for _, ed := range g.row(slot >> 1) {
@@ -593,7 +583,7 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Re
 			if len(row) == 0 {
 				path := nodePath(f.slot)
 				res.Counterexample = buildTrace(sys, path, len(path))
-				return res, nil
+				return res
 			}
 			advanced := false
 			for int(f.next) < len(row) {
@@ -609,7 +599,7 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Re
 					loopEntry := min(depth(next), len(path))
 					full := append(path, g.Rules[ed.rule].Name)
 					res.Counterexample = buildTrace(sys, full, loopEntry)
-					return res, nil
+					return res
 				case 0:
 					colour[next] = 1
 					stack = append(stack, frame{slot: next})
@@ -626,7 +616,7 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) (Re
 		}
 	}
 	res.Verified = true
-	return res, nil
+	return res
 }
 
 // ErrBudgetExhausted re-exports the resilience sentinel that CheckContext

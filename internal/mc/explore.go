@@ -5,7 +5,7 @@
 // order, interning every fresh state straight into the arena and the
 // visited set — exactly the sequential explorer's intern order, so state
 // ids, the parent tree and counterexample traces stay byte-identical to
-// CheckSequential for every worker count and memory budget.
+// CheckSequential for every worker count.
 //
 // Per state, phase 1 does no guard calls and no allocation. The rules
 // enabled in a state come from the ts.RuleSet guard bitsets: one AND of
@@ -23,10 +23,10 @@
 // adjacency (graph.go), presized per level from the candidate count.
 // The frontier is always the id range the previous level interned, and
 // exactly the states without an adjacency row yet. Level boundaries are
-// also where arena segments spill under the memory budget and snapshots
-// are checkpointed. A graph derived from a cached base graph (derive.go)
-// runs the same level loop and boundary bookkeeping, with one serial
-// pass over the base rows in place of the two phases.
+// also where snapshots are checkpointed. A graph derived from a cached
+// base graph (derive.go) runs the same level loop and boundary
+// bookkeeping, with one serial pass over the base rows in place of the
+// two phases.
 package mc
 
 import (
@@ -101,47 +101,43 @@ type levelExplorer struct {
 	chunks []chunk
 	counts []int32
 
-	start      time.Time
-	reg        *obs.Registry
-	bus        *obs.Bus
-	scope      string // job scope for progress events (see obs.WithScope)
-	width      *obs.Histogram
-	occupancy  *obs.Gauge
-	spillBytes *obs.Counter
-	peakBytes  *obs.Gauge
-	hashed     *obs.Counter
-	derived    *obs.Counter
+	start     time.Time
+	reg       *obs.Registry
+	bus       *obs.Bus
+	scope     string // job scope for progress events (see obs.WithScope)
+	width     *obs.Histogram
+	occupancy *obs.Gauge
+	peakBytes *obs.Gauge
+	hashed    *obs.Counter
+	derived   *obs.Counter
 }
 
 // newLevelExplorer sets up the state both builders share: the empty
 // graph, which keeps the compiled rules, variables and initial state it
 // is built from so it can serve as a derivation base in turn, and the
 // registry's mc.* instruments, resolved once up front (all nil-safe
-// no-ops when no observer rides the context). fenced says whether the
-// arena keeps the fences hash-index confirms read.
-func newLevelExplorer(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options, fenced bool) *levelExplorer {
+// no-ops when no observer rides the context).
+func newLevelExplorer(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options) *levelExplorer {
 	reg := obs.FromContext(ctx).Metrics()
 	init := sys.InitialState()
 	return &levelExplorer{
 		g: &StateGraph{
 			System: sys.Name, fp: fp, Rules: rules.Rules, MaxStates: opts.maxStates(),
 			rules: rules, vars: slices.Clone(sys.Vars()), init: init,
-			arena:      newStateArena(len(init), opts.SpillSegmentBytes, fenced),
-			off:        []int32{0},
-			spillReads: reg.Counter("mc.spill_reads"),
+			arena: newStateArena(len(init)),
+			off:   []int32{0},
 		},
-		opts:       opts,
-		rules:      rules,
-		start:      time.Now(),
-		reg:        reg,
-		bus:        obs.FromContext(ctx).Bus(),
-		scope:      obs.ScopeFromContext(ctx),
-		width:      reg.Histogram("mc.frontier_width", nil),
-		occupancy:  reg.Gauge("mc.visited_states"),
-		spillBytes: reg.Counter("mc.spill_bytes"),
-		peakBytes:  reg.Gauge("mc.peak_resident_state_bytes"),
-		hashed:     reg.Counter("mc.explorations_hashed"),
-		derived:    reg.Counter("mc.explorations_derived"),
+		opts:      opts,
+		rules:     rules,
+		start:     time.Now(),
+		reg:       reg,
+		bus:       obs.FromContext(ctx).Bus(),
+		scope:     obs.ScopeFromContext(ctx),
+		width:     reg.Histogram("mc.frontier_width", nil),
+		occupancy: reg.Gauge("mc.visited_states"),
+		peakBytes: reg.Gauge("mc.peak_resident_state_bytes"),
+		hashed:    reg.Counter("mc.explorations_hashed"),
+		derived:   reg.Counter("mc.explorations_derived"),
 	}
 }
 
@@ -177,7 +173,7 @@ func buildGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]b
 		domains[i] = len(v.Domain)
 	}
 	ranks := newRankTable(domains)
-	e := newLevelExplorer(ctx, sys, rules, fp, opts, ranks == nil)
+	e := newLevelExplorer(ctx, sys, rules, fp, opts)
 	defer func() {
 		e.record(span, graph)
 		span.EndErr(err)
@@ -210,7 +206,6 @@ func buildGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]b
 		e.lo, e.hi = 0, 1
 	}
 	if err := e.run(ctx); err != nil {
-		e.g.Release()
 		return nil, err
 	}
 	return e.g, nil
@@ -227,13 +222,12 @@ func (e *levelExplorer) key(s ts.State) uint64 {
 // lookup resolves state s (key k) against the visited set: its id, or
 // -1 with the position a fresh insert takes. Read-only, so the parallel
 // phase calls it concurrently.
-func (e *levelExplorer) lookup(k uint64, s ts.State) (int32, int, error) {
+func (e *levelExplorer) lookup(k uint64, s ts.State) (int32, int) {
 	if e.ranks != nil {
-		return e.ranks.ids[k], int(k), nil
+		return e.ranks.ids[k], int(k)
 	}
-	return e.index.probe(k, func(id int32) (bool, error) {
-		return e.g.arena.confirm(id, s, k, e.g.spillReads)
-	})
+	arena := e.g.arena
+	return e.index.probe(k, func(id int32) bool { return bytesEqual(arena.at(id), s) })
 }
 
 // intern returns the id of state s (key k), first appending it to the
@@ -242,11 +236,12 @@ func (e *levelExplorer) lookup(k uint64, s ts.State) (int32, int, error) {
 // (ensureIndex).
 func (e *levelExplorer) intern(s ts.State, k uint64, parent, rule int32) (int32, error) {
 	g := e.g
-	id, pos, err := e.lookup(k, s)
-	if err != nil || id >= 0 {
-		return id, err
+	id, pos := e.lookup(k, s)
+	if id >= 0 {
+		return id, nil
 	}
-	if id, err = g.arena.append(s, k); err != nil {
+	id, err := g.arena.append(s)
+	if err != nil {
 		return -1, err
 	}
 	g.parentState = append(g.parentState, parent)
@@ -273,23 +268,19 @@ func (e *levelExplorer) visitedBytes() int64 {
 // ensureIndex grows the hash index until extra more inserts stay under
 // 3/4 load, so the intern pass never grows it mid-level. The index
 // stores no hashes, so growth re-derives every position by re-hashing
-// the states themselves in one sequential arena pass (spilled segments
-// are read back a segment at a time). The dense table never grows.
-func (e *levelExplorer) ensureIndex(extra int) error {
+// the states themselves in one sequential arena pass. The dense table
+// never grows.
+func (e *levelExplorer) ensureIndex(extra int) {
 	if e.ranks != nil || (e.index.used+extra)*4 < len(e.index.slots)*3 {
-		return nil
+		return
 	}
 	grown := newStateIndex()
 	grown.reserve(e.index.used + extra)
-	err := e.g.arena.forEach(0, func(id int32, s []byte) bool {
+	e.g.arena.forEach(func(id int32, s []byte) bool {
 		grown.add(hashState(ts.State(s)), id)
 		return true
 	})
-	if err != nil {
-		return err
-	}
 	e.index = grown
-	return nil
 }
 
 // run drives the level loop, exploring or deriving each level, until
@@ -311,7 +302,8 @@ func (e *levelExplorer) run(ctx context.Context) error {
 		var err error
 		if e.derive != nil {
 			err = e.deriveLevel()
-		} else if err = e.expandFrontier(e.opts.workers()); err == nil {
+		} else {
+			e.expandFrontier(e.opts.workers())
 			err = e.internLevel()
 		}
 		if err != nil {
@@ -326,7 +318,7 @@ func (e *levelExplorer) run(ctx context.Context) error {
 
 // expandFrontier is phase 1: workers expand contiguous frontier chunks
 // into e.chunks and e.counts, the visited set frozen.
-func (e *levelExplorer) expandFrontier(workers int) error {
+func (e *levelExplorer) expandFrontier(workers int) {
 	n := int(e.hi - e.lo)
 	if cap(e.counts) < n {
 		e.counts = make([]int32, n)
@@ -351,37 +343,28 @@ func (e *levelExplorer) expandFrontier(workers int) error {
 		ch.cands, ch.states, ch.unresolved = ch.cands[:0], ch.states[:0], 0
 	}
 	if nChunks == 1 {
-		return e.expandChunk(&e.chunks[0])
+		e.expandChunk(&e.chunks[0])
+		return
 	}
-	errs := make([]error, nChunks)
 	var wg sync.WaitGroup
 	for c := range e.chunks {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			errs[c] = e.expandChunk(&e.chunks[c])
+			e.expandChunk(&e.chunks[c])
 		}(c)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // expandChunk expands frontier positions [c.lo, c.hi): the enabled set
 // from the guard bitsets, each successor applied into one scratch state
 // and looked up, only unresolved successors copied out.
-func (e *levelExplorer) expandChunk(c *chunk) error {
+func (e *levelExplorer) expandChunk(c *chunk) {
 	g := e.g
 	next, enabled := c.next, c.enabled
 	for fi := c.lo; fi < c.hi; fi++ {
-		cur, err := g.StateAt(e.lo + int32(fi))
-		if err != nil {
-			return err
-		}
+		cur := g.StateAt(e.lo + int32(fi))
 		e.rules.EnabledSet(cur, enabled)
 		pop := 0
 		for _, w := range enabled {
@@ -393,10 +376,7 @@ func (e *levelExplorer) expandChunk(c *chunk) error {
 				ri := wi*64 + bits.TrailingZeros64(w)
 				e.rules.Rules[ri].ApplyInto(next, cur)
 				k := e.key(next)
-				id, _, err := e.lookup(k, next)
-				if err != nil {
-					return err
-				}
+				id, _ := e.lookup(k, next)
 				cd := candidate{rule: int32(ri), id: id, key: k}
 				if id < 0 {
 					cd.at = int32(c.unresolved)
@@ -408,7 +388,6 @@ func (e *levelExplorer) expandChunk(c *chunk) error {
 		}
 		e.counts[fi] = int32(pop)
 	}
-	return nil
 }
 
 // internLevel is phase 2, the serial pass in canonical (frontier
@@ -431,9 +410,7 @@ func (e *levelExplorer) internLevel() error {
 	if len(g.edges)+total > math.MaxInt32 {
 		return fmt.Errorf("mc: exploration of %s exceeds %d edges", g.System, math.MaxInt32)
 	}
-	if err := e.ensureIndex(unresolved); err != nil {
-		return err
-	}
+	e.ensureIndex(unresolved)
 	g.growEdges(total)
 	g.off = slices.Grow(g.off, int(e.hi-e.lo))
 	stride := g.arena.stride
@@ -463,19 +440,11 @@ func (e *levelExplorer) internLevel() error {
 	return nil
 }
 
-// endOfLevel runs the level-boundary bookkeeping: spill enforcement
-// under the memory budget, residency and occupancy instruments, and the
-// snapshot checkpoint (every level, so completed explorations resume
-// for free).
+// endOfLevel runs the level-boundary bookkeeping: residency and
+// occupancy instruments, and the snapshot checkpoint (every level, so
+// completed explorations resume for free).
 func (e *levelExplorer) endOfLevel() error {
 	g := e.g
-	moved, err := g.arena.enforceBudget(e.opts.MemBudget, e.opts.SpillDir)
-	if err != nil {
-		return err
-	}
-	if moved > 0 {
-		e.spillBytes.Add(moved)
-	}
 	e.occupancy.Set(int64(g.NumStates()))
 	e.peakBytes.SetMax(g.arena.memBytes() + e.visitedBytes())
 	if e.opts.SnapshotDir != "" {

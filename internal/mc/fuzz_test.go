@@ -19,12 +19,11 @@ import (
 // bitsets and the residual closures run; wide pads the system with
 // unused variables past denseRankLimit, so every mode below explores
 // with the hash index instead of the dense rank table.
-// Every exploration mode — one or four workers, spilling under a tight
-// memory budget, resuming from the snapshots of a truncated build, and a
-// clone served the graph another clone built before refining itself —
-// must agree with CheckSequential on the verdict, the states explored,
-// truncation and the counterexample trace, for an invariant, a
-// never-fires and three response properties (a goal rule, a goal state
+// Every exploration mode — one or four workers, resuming from the
+// snapshots of a truncated build, and a clone served the graph another
+// clone built before refining itself — must agree with CheckSequential
+// on the verdict, the states explored, truncation and the
+// counterexample trace, for an invariant, a never-fires and three response properties (a goal rule, a goal state
 // on a random variable, and one rule that is both trigger and goal),
 // and every counterexample must pass Certify. The refined clone must be
 // served by derivation from the cached graph exactly when none of its
@@ -133,7 +132,6 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		ctx := context.Background()
 		check("workers=1", ctx, Options{Workers: 1})
 		check("workers=4", ctx, Options{Workers: 4})
-		check("spill", ctx, Options{Workers: 4, MemBudget: 1, SpillDir: t.TempDir(), SpillSegmentBytes: 1})
 
 		// Truncate a first build at about half the reachable states, then
 		// resume the full build from the snapshots it left behind.

@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sort"
 
-	"prochecker/internal/obs"
 	"prochecker/internal/ts"
 )
 
@@ -61,10 +60,6 @@ type StateGraph struct {
 	Truncated bool
 	// MaxStates is the budget the graph was built under.
 	MaxStates int
-
-	// spillReads counts membership confirms that had to read the spill
-	// file; resolved once per build, nil-safe.
-	spillReads *obs.Counter
 }
 
 // NumStates reports how many states were interned.
@@ -83,13 +78,9 @@ func (g *StateGraph) row(id int32) []graphEdge {
 	return g.edges[g.off[id]:g.off[id+1]]
 }
 
-// StateAt returns state id's packed assignment. Resident states are a
-// zero-copy view (do not mutate); spilled states are read into a fresh
-// buffer.
-func (g *StateGraph) StateAt(id int32) (ts.State, error) {
-	b, err := g.arena.at(id)
-	return ts.State(b), err
-}
+// StateAt returns a zero-copy view of state id's packed assignment (do
+// not mutate it).
+func (g *StateGraph) StateAt(id int32) ts.State { return ts.State(g.arena.at(id)) }
 
 // growEdges makes room for n more edges. The array at least doubles, so
 // a build copies its edges a bounded number of times; trimEdges drops
@@ -111,18 +102,11 @@ func (g *StateGraph) trimEdges() {
 	}
 }
 
-// forEachState streams states [from, NumStates) in id order, one
-// spilled-segment read at a time. The state view is only valid inside
-// the callback; return false to stop early.
-func (g *StateGraph) forEachState(from int32, f func(id int32, s ts.State) bool) error {
-	return g.arena.forEach(from, func(id int32, b []byte) bool { return f(id, ts.State(b)) })
+// forEachState streams every state in id order; the state view must
+// not be mutated. Return false to stop early.
+func (g *StateGraph) forEachState(f func(id int32, s ts.State) bool) {
+	g.arena.forEach(func(id int32, b []byte) bool { return f(id, ts.State(b)) })
 }
-
-// Release closes the graph's spill file, if any. The GC finalizer on
-// the arena is the backstop for graphs dropped from the engine cache;
-// tests and benchmarks that build many spilling graphs call Release
-// eagerly.
-func (g *StateGraph) Release() { g.arena.release() }
 
 // pathTo reconstructs the rule-name path from the initial state to id.
 func (g *StateGraph) pathTo(id int32) []string {
@@ -154,8 +138,8 @@ func (g *StateGraph) statesWhenProcessing(id, ri int32) int {
 }
 
 // hashState is FNV-1a over the packed state bytes: computed once per
-// candidate in the worker and reused for index probing and bloom
-// membership, instead of re-serialising the full assignment per intern.
+// candidate in the worker and reused for index probing in the intern
+// pass, instead of re-serialising the full assignment per intern.
 func hashState(s ts.State) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range s {

@@ -143,16 +143,6 @@ type Options struct {
 	// pool; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 
-	// MemBudget bounds resident exploration state bytes; beyond it, cold
-	// arena segments spill to disk (an unlinked temp file under
-	// SpillDir). <= 0 disables spilling.
-	MemBudget int64
-	// SpillDir hosts the anonymous spill file (os.TempDir() when empty).
-	SpillDir string
-	// SpillSegmentBytes overrides the arena segment payload size (default
-	// 256 KiB); smaller segments make spilling finer-grained under tight
-	// budgets.
-	SpillSegmentBytes int
 	// SnapshotDir, when non-empty, checkpoints exploration at every
 	// level boundary into CRC-checksummed snapshot files there and
 	// resumes from the newest valid snapshot of the same system on the

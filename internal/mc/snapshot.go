@@ -114,13 +114,10 @@ func (e *levelExplorer) writeSnapshot() (err error) {
 	sw.u32(uint32(n))
 	sw.u32(uint32(g.arena.stride))
 	sw.u32(uint32(len(g.Rules)))
-	ferr := g.arena.forEach(0, func(_ int32, s []byte) bool {
+	g.arena.forEach(func(_ int32, s []byte) bool {
 		sw.write(s)
 		return sw.err == nil
 	})
-	if ferr != nil {
-		return ferr
-	}
 	for id := 0; id < n; id++ {
 		sw.i32(g.parentState[id])
 		sw.i32(g.parentRule[id])
@@ -209,10 +206,10 @@ func (s *snapReader) u32() uint32 {
 func (s *snapReader) i32() int32 { return int32(s.u32()) }
 
 // tryResume loads the newest valid snapshot of this system from
-// opts.SnapshotDir into the explorer, rebuilding the index and
-// per-segment blooms by re-hashing the restored arena. A missing,
-// corrupt or mismatched snapshot is not an error — exploration simply
-// starts fresh; only I/O failure of the directory itself propagates.
+// opts.SnapshotDir into the explorer, rebuilding the visited set by
+// re-ranking or re-hashing the restored arena. A missing, corrupt or
+// mismatched snapshot is not an error — exploration simply starts
+// fresh; only I/O failure of the directory itself propagates.
 func (e *levelExplorer) tryResume() (int, bool, error) {
 	dir := e.opts.SnapshotDir
 	entries, err := os.ReadDir(dir)
@@ -317,10 +314,9 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 		return 0, false
 	}
 
-	// Rebuild the arena, per-segment blooms and the visited set by
-	// re-ranking or re-hashing the restored states; the (still empty)
-	// hash index is sized once up front, since the slot-only table
-	// cannot rehash in place. The arena is empty here (resume runs
+	// Rebuild the arena and the visited set by re-ranking or re-hashing
+	// the restored states; the (still empty) hash index is sized once up
+	// front, since the slot-only table cannot rehash in place. The arena is empty here (resume runs
 	// before any interning), so ids come out dense and in order by
 	// construction.
 	if g.arena.len() != 0 {
@@ -332,7 +328,7 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 	for id := 0; id < n; id++ {
 		s := states[id*stride : (id+1)*stride]
 		k := e.key(s)
-		aid, err := g.arena.append(s, k)
+		aid, err := g.arena.append(s)
 		if err != nil || int(aid) != id {
 			return 0, false
 		}

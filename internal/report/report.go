@@ -233,8 +233,8 @@ func NewEvaluator(m *Model) *Evaluator {
 	}
 }
 
-// SetMC tunes the model checker: worker pool, memory budget and spill
-// directory, snapshot/resume directory, vacuity pre-pass. opts.Workers
+// SetMC tunes the model checker: worker pool, snapshot/resume
+// directory, vacuity pre-pass. opts.Workers
 // (0 = GOMAXPROCS) also bounds EvaluateAllContext's property pool. Call
 // it before evaluations start; it is not synchronised with them.
 func (e *Evaluator) SetMC(opts mc.Options) {

@@ -157,14 +157,6 @@ func WithWorkers(n int) Option {
 	return func(a *Analysis) { a.mcOpts.Workers = n }
 }
 
-// WithMemBudget bounds the model checker's resident exploration state
-// bytes; beyond the budget, cold arena segments spill to an unlinked
-// temp file so large compositions complete in bounded memory. <= 0 (the
-// default) keeps everything resident.
-func WithMemBudget(bytes int64) Option {
-	return func(a *Analysis) { a.mcOpts.MemBudget = bytes }
-}
-
 // WithSnapshotDir checkpoints model-checker exploration at level
 // boundaries into dir and resumes from the newest valid snapshot on the
 // next run of the same model — a killed analysis picks up where its
