@@ -12,6 +12,7 @@ package prochecker
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -31,6 +32,7 @@ import (
 	"prochecker/internal/mc"
 	"prochecker/internal/obs"
 	"prochecker/internal/report"
+	"prochecker/internal/resilience"
 	"prochecker/internal/spec"
 	"prochecker/internal/sqn"
 	"prochecker/internal/testbed"
@@ -542,11 +544,36 @@ func BenchmarkCheckAllSequential(b *testing.B) {
 	list := catalogueMCProperties(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := mc.CheckAllSequential(sys, list, mc.Options{})
-		if len(results) != len(list) {
-			b.Fatalf("completed %d of %d", len(results), len(list))
+		for _, p := range list {
+			mc.CheckSequential(sys, p, mc.Options{})
 		}
 	}
+}
+
+// checkCatalogue checks every property of list on sys over a
+// workers-wide pool sharing the engine's cached exploration. With prune
+// set it first discharges the properties mc.Vacuous flags over the
+// system's static reachability, as the catalogue pool in report does,
+// and explores only the rest. It returns how many were pruned.
+func checkCatalogue(ctx context.Context, engine *mc.Engine, sys *ts.System, list []mc.Property, workers int, prune bool) (int, error) {
+	skip := make([]bool, len(list))
+	pruned := 0
+	if prune {
+		reach := mc.StaticReach(sys)
+		for i, p := range list {
+			if v, _ := mc.Vacuous(reach, sys, p); v {
+				skip[i] = true
+				pruned++
+			}
+		}
+	}
+	errs := make([]error, len(list))
+	resilience.FanOut(ctx, len(list), workers, func(i int) {
+		if !skip[i] {
+			_, errs[i] = engine.CheckContext(ctx, sys, list[i], mc.Options{Workers: workers})
+		}
+	})
+	return pruned, errors.Join(errs...)
 }
 
 // BenchmarkCheckAllParallel is the shared-frontier engine on the same
@@ -561,14 +588,10 @@ func BenchmarkCheckAllParallel(b *testing.B) {
 	var hits, misses, evictions int
 	for i := 0; i < b.N; i++ {
 		engine := mc.NewEngine()
-		// NoVacuityPrune keeps this the engine-vs-sequential comparison
-		// it has always been; the pruner has its own BENCH_sa series.
-		results, err := engine.CheckAllContext(context.Background(), sys, list, mc.Options{NoVacuityPrune: true})
-		if err != nil {
+		// No pruning: the engine checks every property the sequential
+		// baseline checks; the pruner has its own BENCH_sa series.
+		if _, err := checkCatalogue(context.Background(), engine, sys, list, 0, false); err != nil {
 			b.Fatal(err)
-		}
-		if len(results) != len(list) {
-			b.Fatalf("completed %d of %d", len(results), len(list))
 		}
 		h, m, e := engine.CacheCounters()
 		hits, misses, evictions = hits+h, misses+m, evictions+e
@@ -610,13 +633,8 @@ func BenchmarkCheckAllParallelWithSubscriber(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine := mc.NewEngine()
-		results, err := engine.CheckAllContext(ctx, sys, list, mc.Options{NoVacuityPrune: true})
-		if err != nil {
+		if _, err := checkCatalogue(ctx, mc.NewEngine(), sys, list, 0, false); err != nil {
 			b.Fatal(err)
-		}
-		if len(results) != len(list) {
-			b.Fatalf("completed %d of %d", len(results), len(list))
 		}
 	}
 	b.StopTimer()
@@ -638,7 +656,7 @@ func BenchmarkCheckAllParallelWithSubscriber(b *testing.B) {
 // static pre-pass saves in property passes. This is the workload where
 // vacuity bites hardest — the hand-built vocabulary leaves most of the
 // model-checked catalogue with statically-unfireable triggers.
-func benchVacuityCatalogue(b *testing.B, opts mc.Options) {
+func benchVacuityCatalogue(b *testing.B, prune bool) {
 	c, err := threat.Compose(threat.Config{
 		Name: "IMP/LTEInspector-plain",
 		UE:   ltemodels.LTEInspectorUE(),
@@ -650,36 +668,27 @@ func benchVacuityCatalogue(b *testing.B, opts mc.Options) {
 	sys := c.System
 	list := catalogueMCProperties(b)
 	engine := mc.NewEngine()
-	if _, err := engine.CheckAllContext(context.Background(), sys, list, opts); err != nil {
+	if _, err := checkCatalogue(context.Background(), engine, sys, list, 1, prune); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	pruned := 0
 	for i := 0; i < b.N; i++ {
-		results, err := engine.CheckAllContext(context.Background(), sys, list, opts)
-		if err != nil {
+		var err error
+		if pruned, err = checkCatalogue(context.Background(), engine, sys, list, 1, prune); err != nil {
 			b.Fatal(err)
-		}
-		if len(results) != len(list) {
-			b.Fatalf("completed %d of %d", len(results), len(list))
-		}
-		pruned = 0
-		for _, r := range results {
-			if r.Vacuous {
-				pruned++
-			}
 		}
 	}
 	b.ReportMetric(float64(pruned), "pruned/op")
 }
 
-// BenchmarkCheckAllVacuityUnpruned is the escape-hatch run: every
+// BenchmarkCheckAllVacuityUnpruned is the reference run: every
 // catalogue property is explored. Workers is pinned to 1 in both
 // variants so the measured wall time equals the total property-pass
 // work — with a parallel pool the pruner's savings hide in scheduler
 // slack and the comparison measures load balancing instead.
 func BenchmarkCheckAllVacuityUnpruned(b *testing.B) {
-	benchVacuityCatalogue(b, mc.Options{Workers: 1, NoVacuityPrune: true})
+	benchVacuityCatalogue(b, false)
 }
 
 // BenchmarkCheckAllVacuityPruned is the default pipeline: the abstract
@@ -687,13 +696,14 @@ func BenchmarkCheckAllVacuityUnpruned(b *testing.B) {
 // the checker spends passes on them. ci.sh gates the speedup versus the
 // unpruned run at 1.15x in BENCH_sa.json.
 func BenchmarkCheckAllVacuityPruned(b *testing.B) {
-	benchVacuityCatalogue(b, mc.Options{Workers: 1})
+	benchVacuityCatalogue(b, true)
 }
 
 // BenchmarkCEGARVerifyAll times the full MC ⇄ CPV loop over the same
 // property set through the catalogue pool, where unrefined properties
 // share one cached exploration via lazy clone-on-refine. The vacuity
-// pre-pass is off so every property runs the loop.
+// pre-pass is on, as in every production run, so statically vacuous
+// properties skip the loop.
 func BenchmarkCEGARVerifyAll(b *testing.B) {
 	m := benchModel(b, ue.ProfileConformant)
 	var list []props.Property
@@ -704,9 +714,7 @@ func BenchmarkCEGARVerifyAll(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := report.NewEvaluator(m)
-		ev.SetMC(mc.Options{NoVacuityPrune: true})
-		verdicts, err := ev.EvaluateAllContext(context.Background(), list)
+		verdicts, err := report.NewEvaluator(m).EvaluateAllContext(context.Background(), list)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -150,11 +150,7 @@ func runJob(ctx context.Context, spec JobSpec, rcfg JobRunnerConfig) (*JobResult
 		return nil, err
 	}
 	snapDir := jobs.SnapshotDirFor(rcfg.SnapshotRoot, spec.Key())
-	opts := []Option{WithWorkers(rcfg.Workers), WithFaults(cfg), WithSnapshotDir(snapDir)}
-	if spec.NoVacuityPrune {
-		opts = append(opts, WithNoVacuityPrune())
-	}
-	a, err := AnalyzeContext(ctx, impl, opts...)
+	a, err := AnalyzeContext(ctx, impl, WithWorkers(rcfg.Workers), WithFaults(cfg), WithSnapshotDir(snapDir))
 	if err != nil {
 		return nil, err
 	}
@@ -214,9 +210,6 @@ type CampaignSpec struct {
 	// Properties selects catalogue property IDs (empty = full
 	// catalogue).
 	Properties []string `json:"properties,omitempty"`
-	// NoVacuityPrune disables the static vacuity pre-pass in every
-	// cell of the matrix.
-	NoVacuityPrune bool `json:"no_vacuity_prune,omitempty"`
 }
 
 // Jobs expands the matrix into normalized job specs, implementations
@@ -233,11 +226,10 @@ func (c CampaignSpec) Jobs() ([]JobSpec, error) {
 	for _, impl := range c.Impls {
 		for _, f := range faults {
 			spec, err := NormalizeJobSpec(JobSpec{
-				Impl:           impl,
-				Faults:         f,
-				Seed:           c.Seed,
-				Properties:     append([]string(nil), c.Properties...),
-				NoVacuityPrune: c.NoVacuityPrune,
+				Impl:       impl,
+				Faults:     f,
+				Seed:       c.Seed,
+				Properties: append([]string(nil), c.Properties...),
 			})
 			if err != nil {
 				return nil, err

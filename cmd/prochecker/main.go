@@ -95,7 +95,6 @@ func run(args []string) (err error) {
 	check := fs.String("check", "", "verify one property by ID, or 'all'")
 	lintMode := fs.Bool("lint", false, "run the model linter over the extracted FSM and threat composition, print the diagnostics, and gate the exit code on -lint-gate")
 	lintGate := fs.String("lint-gate", "error", "with -lint, minimum severity that fails the run: info | warn | error | none")
-	noVacuityPrune := fs.Bool("no-vacuity-prune", false, "disable the static vacuity pre-pass: explore every model-checked property even when its trigger is statically unreachable")
 	validate := fs.String("validate", "", "validate an attack on the testbed: p1 | p3")
 	list := fs.Bool("list", false, "list the property catalogue")
 	runConf := fs.Bool("conformance", false, "run the conformance suite and report per-case outcomes")
@@ -224,7 +223,6 @@ func run(args []string) (err error) {
 			faults:       *faults,
 			seed:         *seed,
 			check:        *check,
-			noPrune:      *noVacuityPrune,
 			timeout:      *timeout,
 			retries:      *retries,
 			retryBackoff: *retryBackoff,
@@ -379,15 +377,10 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	analysisOpts := []prochecker.Option{
+	a, err := prochecker.AnalyzeContext(ctx, implementation,
 		prochecker.WithWorkers(*workers), prochecker.WithObserver(o),
 		prochecker.WithFaults(faultCfg),
-		prochecker.WithSnapshotDir(*snapshotDir),
-	}
-	if *noVacuityPrune {
-		analysisOpts = append(analysisOpts, prochecker.WithNoVacuityPrune())
-	}
-	a, err := prochecker.AnalyzeContext(ctx, implementation, analysisOpts...)
+		prochecker.WithSnapshotDir(*snapshotDir))
 	if err != nil {
 		return err
 	}

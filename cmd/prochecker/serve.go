@@ -221,7 +221,6 @@ type clientConfig struct {
 	faults       string // ';'-separated specs in campaign mode
 	seed         int64
 	check        string // property selection ("" or "all" = full catalogue)
-	noPrune      bool   // disable the static vacuity pre-pass for submitted jobs
 	timeout      time.Duration
 	retries      int           // HTTP attempts per request (0 = default)
 	retryBackoff time.Duration // base backoff between attempts
@@ -242,11 +241,10 @@ func runClient(cfg clientConfig) error {
 
 	if cfg.campaign != "" {
 		spec := prochecker.CampaignSpec{
-			Impls:          splitList(cfg.campaign, ","),
-			Faults:         splitList(cfg.faults, ";"),
-			Seed:           cfg.seed,
-			Properties:     props,
-			NoVacuityPrune: cfg.noPrune,
+			Impls:      splitList(cfg.campaign, ","),
+			Faults:     splitList(cfg.faults, ";"),
+			Seed:       cfg.seed,
+			Properties: props,
 		}
 		camp, err := cl.SubmitCampaign(ctx, spec)
 		if err != nil {
@@ -283,11 +281,10 @@ func runClient(cfg clientConfig) error {
 	}
 
 	job, err := cl.SubmitJob(ctx, jobs.Spec{
-		Impl:           cfg.impl,
-		Faults:         cfg.faults,
-		Seed:           cfg.seed,
-		Properties:     props,
-		NoVacuityPrune: cfg.noPrune,
+		Impl:       cfg.impl,
+		Faults:     cfg.faults,
+		Seed:       cfg.seed,
+		Properties: props,
 	})
 	if err != nil {
 		return err

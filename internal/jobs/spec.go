@@ -42,11 +42,6 @@ type Spec struct {
 	// (or will be) computed against: a catalogue change invalidates
 	// every cached verdict by changing every key.
 	Catalogue string `json:"catalogue,omitempty"`
-	// NoVacuityPrune disables the model checker's static vacuity
-	// pre-pass for this job. It participates in the key (omitempty
-	// keeps default-spec keys stable): a pruned and an unpruned run
-	// store distinct results even though their verdicts agree.
-	NoVacuityPrune bool `json:"no_vacuity_prune,omitempty"`
 }
 
 // Key is the spec's content address: the SHA-256 of its canonical JSON

@@ -158,11 +158,10 @@ func (vacuousPropertyPass) Info() Info {
 			"so the property holds without exploration. The verdict is " +
 			"sound — the abstraction over-approximates fireability — but a " +
 			"vacuously-holding property exercises nothing: the model " +
-			"checker's vacuity pruning skips it (see -no-vacuity-prune), " +
-			"and a property that is vacuous on every profile may be " +
-			"mis-stated.",
+			"checker's vacuity pruning skips it, and a property that is " +
+			"vacuous on every profile may be mis-stated.",
 		Fix: "confirm the trigger's rule-name pattern matches the composed " +
-			"system's vocabulary; audit with -no-vacuity-prune",
+			"system's vocabulary (-smv prints it)",
 	}
 }
 

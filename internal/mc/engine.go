@@ -27,11 +27,11 @@ import (
 	"prochecker/internal/ts"
 )
 
-// DefaultEngine backs the package-level Check/CheckAll entry points. A
-// process-wide cache is safe: entries are keyed by system pointer and
-// generation, shared between systems of identical structure, bounded by
-// engineCacheEntries, and concurrent builds of the same graph are
-// collapsed into one.
+// DefaultEngine backs the package-level Check, CheckContext and
+// CheckSourced entry points. A process-wide cache is safe: entries are
+// keyed by system pointer and generation, shared between systems of
+// identical structure, bounded by engineCacheEntries, and concurrent
+// builds of the same graph are collapsed into one.
 var DefaultEngine = NewEngine()
 
 // engineCacheEntries bounds the graph cache; the oldest entry is evicted
@@ -318,63 +318,6 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 			prop.Name(), res.StatesExplored, opts.maxStates(), resilience.ErrBudgetExhausted)
 	}
 	return res, src, nil
-}
-
-// CheckAll verifies the properties concurrently, results in order.
-func (e *Engine) CheckAll(sys *ts.System, props []Property, opts Options) []Result {
-	out, _ := e.CheckAllContext(context.Background(), sys, props, opts)
-	return out
-}
-
-// CheckAllContext fans the property list out over a bounded worker pool
-// (resilience.FanOut, Options.Workers wide) sharing one exploration. The
-// result slice is indexed 1:1 with props — ordering is deterministic
-// regardless of worker interleaving — and the aggregated error collects
-// per-property budget exhaustion plus a single cancellation entry when
-// the walk was cut short.
-func (e *Engine) CheckAllContext(ctx context.Context, sys *ts.System, props []Property, opts Options) ([]Result, error) {
-	out := make([]Result, len(props))
-	perErr := make([]error, len(props))
-
-	// Static vacuity pre-pass: properties whose trigger matches no
-	// statically-fireable rule are discharged without exploration. The
-	// fixpoint is linear in rules × rounds, negligible next to any
-	// single exploration.
-	pruned := make([]bool, len(props))
-	if !opts.NoVacuityPrune && len(props) > 0 && ctx.Err() == nil {
-		reach := StaticReach(sys)
-		reg := obs.FromContext(ctx).Metrics()
-		for i, p := range props {
-			if v, witness := Vacuous(reach, sys, p); v {
-				out[i] = vacuousResult(p, witness)
-				pruned[i] = true
-				reg.Counter("mc.vacuity_pruned").Inc()
-			}
-		}
-	}
-
-	resilience.FanOut(ctx, len(props), opts.workers(), func(i int) {
-		if !pruned[i] {
-			out[i], perErr[i] = e.CheckContext(ctx, sys, props[i], opts)
-		}
-	})
-
-	var errs resilience.Collector
-	completed := 0
-	for i := range props {
-		switch {
-		case perErr[i] == nil && out[i].Property != "":
-			completed++
-		case perErr[i] != nil && !resilience.Cancelled(perErr[i]):
-			completed++ // truncated results still carry a (partial) verdict
-			errs.Add(perErr[i])
-		}
-	}
-	if ctx.Err() != nil {
-		errs.Add(fmt.Errorf("mc: catalogue stopped after %d of %d properties: %w",
-			completed, len(props), resilience.ErrCancelled))
-	}
-	return out, errs.Err()
 }
 
 // checkInvariant discharges AG p in one ordered pass over the graph: the

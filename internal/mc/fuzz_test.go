@@ -32,9 +32,8 @@ import (
 // checks the response properties with a state budget between the
 // graph's size N and 2N, so the graph completes and only the response
 // product can run out of budget.
-// CheckAllContext with the vacuity pre-pass on must
-// match the full run on every property it does not prune, and prune
-// only properties CheckSequential verifies.
+// Every property the static vacuity pre-pass (Vacuous) flags must be
+// one CheckSequential verifies.
 func FuzzExploreMatchesSequential(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint8(0), uint8(0), false)
 	f.Add(int64(3), uint8(2), uint8(30), uint8(0), false)
@@ -196,25 +195,12 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 			t.Fatalf("refined: derives from the base graph = %v with residual guards = %v", derives, residual)
 		}
 
-		// Vacuity pruning: with the static pre-pass on, every property it
-		// does not prune gets the result of the full run, and every
-		// property it prunes is one the sequential checker verifies.
-		pruned, err := NewEngine().CheckAllContext(ctx, sys, props, Options{Workers: 4})
-		if err != nil {
-			t.Fatalf("vacuity: pruned run: %v", err)
-		}
-		full, err := NewEngine().CheckAllContext(ctx, sys, props, Options{Workers: 4, NoVacuityPrune: true})
-		if err != nil {
-			t.Fatalf("vacuity: full run: %v", err)
-		}
+		// Vacuity pruning: every property the static pre-pass flags is
+		// one the sequential checker verifies.
+		reach := StaticReach(sys)
 		for i, p := range props {
-			switch {
-			case full[i].Vacuous:
-				t.Fatalf("vacuity %s: pruned with the pre-pass off", p.Name())
-			case pruned[i].Vacuous && !want[i].Verified:
-				t.Fatalf("vacuity %s: pruned, but the sequential checker finds it violated", p.Name())
-			case !pruned[i].Vacuous && !reflect.DeepEqual(pruned[i], full[i]):
-				t.Fatalf("vacuity %s: pre-pass on %+v, off %+v", p.Name(), pruned[i], full[i])
+			if vac, _ := Vacuous(reach, sys, p); vac && !want[i].Verified {
+				t.Fatalf("vacuity %s: flagged vacuous, but the sequential checker finds it violated", p.Name())
 			}
 		}
 	})

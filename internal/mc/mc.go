@@ -126,21 +126,14 @@ type Result struct {
 	// Truncated marks exploration that hit Options.MaxStates; Verified
 	// is false then even without a counterexample (unknown).
 	Truncated bool
-	// Vacuous marks a property CheckAll discharged statically: its
-	// trigger matches no statically-fireable rule, so it holds without
-	// exploration (Verified is true, StatesExplored stays zero).
-	Vacuous bool
-	// VacuityWitness is the static argument recorded in place of a
-	// trace when Vacuous is set.
-	VacuityWitness string
 }
 
 // Options tunes the checker.
 type Options struct {
 	MaxStates int
 	// Workers bounds the exploration worker pool and the property-level
-	// parallelism of CheckAll and of the report.Evaluator catalogue
-	// pool; 0 means runtime.GOMAXPROCS(0).
+	// parallelism of the report.Evaluator catalogue pool; 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 
 	// SnapshotDir, when non-empty, checkpoints exploration at every
@@ -148,10 +141,6 @@ type Options struct {
 	// resumes from the newest valid snapshot of the same system on the
 	// next build.
 	SnapshotDir string
-	// NoVacuityPrune disables the static vacuity pre-pass in CheckAll:
-	// every property is explored even when its trigger is statically
-	// unreachable. The escape hatch for auditing the pruner.
-	NoVacuityPrune bool
 }
 
 func (o Options) maxStates() int {
@@ -551,29 +540,4 @@ func indexOfNode(parent []int, parentRule []string, id int, path []string) int {
 		return len(path)
 	}
 	return depth
-}
-
-// CheckAll verifies a list of properties concurrently on the shared
-// reachability graph, returning results in property order.
-func CheckAll(sys *ts.System, props []Property, opts Options) []Result {
-	out, _ := DefaultEngine.CheckAllContext(context.Background(), sys, props, opts)
-	return out
-}
-
-// CheckAllContext is CheckAll with cancellation and aggregated typed
-// errors (budget exhaustion per property, a single cancellation entry
-// when the catalogue walk is cut short).
-func CheckAllContext(ctx context.Context, sys *ts.System, props []Property, opts Options) ([]Result, error) {
-	return DefaultEngine.CheckAllContext(ctx, sys, props, opts)
-}
-
-// CheckAllSequential is the pre-shared-frontier batch path: one fresh
-// exploration per property, strictly in order. Kept as the differential
-// and benchmark baseline.
-func CheckAllSequential(sys *ts.System, props []Property, opts Options) []Result {
-	out := make([]Result, 0, len(props))
-	for _, p := range props {
-		out = append(out, CheckSequential(sys, p, opts))
-	}
-	return out
 }

@@ -181,18 +181,6 @@ func TestTruncation(t *testing.T) {
 	}
 }
 
-func TestCheckAllOrder(t *testing.T) {
-	sys := counter(t, 2, true)
-	props := []Property{
-		Invariant{PropName: "p1", Holds: ts.True{}},
-		NeverFires{PropName: "p2", Match: func(string) bool { return false }},
-	}
-	results := CheckAll(sys, props, Options{})
-	if len(results) != 2 || results[0].Property != "p1" || results[1].Property != "p2" {
-		t.Errorf("CheckAll = %+v", results)
-	}
-}
-
 func TestTraceStringMarksLoop(t *testing.T) {
 	tr := &Trace{Steps: []Step{{Rule: "a"}, {Rule: "b"}}, LoopStart: 1}
 	s := tr.String()

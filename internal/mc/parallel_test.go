@@ -209,47 +209,32 @@ func TestResponseCheckAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestCheckAllDeterministic runs the catalogue batch twice on a parallel
-// engine and against the sequential baseline: identical slices all round.
+// TestCheckAllDeterministic checks the whole model-checked catalogue
+// twice, each time 8 properties at a time on one fresh engine, and
+// against the sequential baseline: identical slices all round.
 func TestCheckAllDeterministic(t *testing.T) {
 	sys := composedSystem(t)
 	list := catalogueMC(t)
-	// NoVacuityPrune keeps this a pure engine-vs-sequential comparison;
-	// the pruner has its own differential in vacuity_test.go.
-	opts := mc.Options{Workers: 8, NoVacuityPrune: true}
-	first, err := mc.NewEngine().CheckAllContext(context.Background(), sys, list, opts)
-	if err != nil {
-		t.Fatalf("CheckAllContext: %v", err)
+	opts := mc.Options{Workers: 8}
+	run := func() []mc.Result {
+		t.Helper()
+		engine := mc.NewEngine()
+		out := make([]mc.Result, len(list))
+		errs := make([]error, len(list))
+		resilience.FanOut(context.Background(), len(list), opts.Workers, func(i int) {
+			out[i], errs[i] = engine.CheckContext(context.Background(), sys, list[i], opts)
+		})
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("CheckContext: %v", err)
+		}
+		return out
 	}
-	second, err := mc.NewEngine().CheckAllContext(context.Background(), sys, list, opts)
-	if err != nil {
-		t.Fatalf("CheckAllContext (second run): %v", err)
-	}
+	first, second := run(), run()
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("two parallel runs disagree")
 	}
-	sequential := mc.CheckAllSequential(sys, list, opts)
-	if len(first) != len(sequential) {
-		t.Fatalf("result count: parallel %d, sequential %d", len(first), len(sequential))
-	}
-	for i := range first {
-		assertSameResult(t, list[i].Name(), first[i], sequential[i])
-	}
-}
-
-// TestCheckAllContextCancelled: a dead context stops the batch with the
-// typed cancellation error and no phantom verdicts.
-func TestCheckAllContextCancelled(t *testing.T) {
-	sys := chain(t, 4, true)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	list := []mc.Property{
-		mc.Invariant{PropName: "a", Holds: ts.Neq{Var: "x", Value: "zz"}},
-		mc.Invariant{PropName: "b", Holds: ts.Neq{Var: "x", Value: "zz"}},
-	}
-	_, err := mc.NewEngine().CheckAllContext(ctx, sys, list, mc.Options{Workers: 2})
-	if !errors.Is(err, resilience.ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
+	for i, p := range list {
+		assertSameResult(t, p.Name(), first[i], mc.CheckSequential(sys, p, opts))
 	}
 }
 

@@ -3,11 +3,11 @@
 // property's trigger can fire at all. A NeverFires property whose match
 // pattern covers no statically-fireable rule can never be violated; a
 // Response property whose trigger covers none can never incur an
-// obligation. Both hold vacuously — CheckAll skips exploring them and
-// returns the static witness instead, unless Options.NoVacuityPrune
-// asks for the full run. The abstraction over-approximates fireability,
-// so pruning is sound: a skipped property is one the explorer would
-// have verified.
+// obligation. Both hold vacuously: the catalogue pool
+// (report.Evaluator) skips exploring them and records the static
+// witness instead. The abstraction over-approximates fireability, so
+// pruning is sound: a skipped property is one the explorer would have
+// verified.
 package mc
 
 import (
@@ -51,16 +51,4 @@ func Vacuous(reach *dataflow.RuleReach, sys *ts.System, prop Property) (bool, st
 		return true, fmt.Sprintf("no rule matching the response trigger is statically fireable (%s)", reach.Witness())
 	}
 	return false, ""
-}
-
-// vacuousResult builds the pruned stand-in verdict for a statically
-// vacuous property.
-func vacuousResult(prop Property, witness string) Result {
-	return Result{
-		Property:       prop.Name(),
-		Kind:           prop.kind(),
-		Verified:       true,
-		Vacuous:        true,
-		VacuityWitness: witness,
-	}
 }

@@ -14,6 +14,7 @@ import (
 	"prochecker/internal/core/threat"
 	"prochecker/internal/ltemodels"
 	"prochecker/internal/mc"
+	"prochecker/internal/obs"
 	"prochecker/internal/resilience"
 	"prochecker/internal/ts"
 )
@@ -51,17 +52,17 @@ func ruleContains(substr string) func(string) bool {
 }
 
 // catalogueLikeProps builds a small mixed batch: a property that needs a
-// refinement, one that verifies outright, and one with an attack.
+// refinement, one that verifies outright, and one with an attack. The
+// one that verifies is an always-true invariant rather than a
+// never-matching NeverFires, which the vacuity pre-pass would discharge
+// without exploring.
 func catalogueLikeProps() []props.Property {
 	return []props.Property{
 		mcProperty(mc.NeverFires{
 			PropName: "refined-forgery",
 			Match:    ruleContains("ue:recv:authentication_request@inject"),
 		}),
-		mcProperty(mc.NeverFires{
-			PropName: "trivially-verified",
-			Match:    func(string) bool { return false },
-		}),
+		mcProperty(mc.Invariant{PropName: "trivially-verified", Holds: ts.True{}}),
 		mcProperty(mc.NeverFires{
 			PropName: "replay-attack",
 			Match:    ruleContains("ue:recv:authentication_request@replay"),
@@ -76,7 +77,7 @@ func TestEvaluateAllParallelMatchesSequential(t *testing.T) {
 	list := catalogueLikeProps()
 	run := func(workers int) []Verdict {
 		t.Helper()
-		vs, err := poolEvaluator(m, mc.Options{Workers: workers, NoVacuityPrune: true}).
+		vs, err := poolEvaluator(m, mc.Options{Workers: workers}).
 			EvaluateAllContext(context.Background(), list)
 		if err != nil {
 			t.Fatalf("EvaluateAllContext with %d worker(s): %v", workers, err)
@@ -115,6 +116,33 @@ func TestEvaluateAllOrdering(t *testing.T) {
 	}
 }
 
+// TestEvaluateAllVacuityPrePass: the pool discharges a property whose
+// trigger matches no statically-fireable rule without exploring it, and
+// still checks the live one next to it.
+func TestEvaluateAllVacuityPrePass(t *testing.T) {
+	list := []props.Property{
+		mcProperty(mc.NeverFires{PropName: "dead", Match: func(string) bool { return false }}),
+		mcProperty(mc.NeverFires{PropName: "live", Match: ruleContains("ue:recv:authentication_request@replay")}),
+	}
+	o := obs.New()
+	vs, err := NewEvaluator(lteModel(t)).EvaluateAllContext(obs.NewContext(context.Background(), o), list)
+	if err != nil {
+		t.Fatalf("EvaluateAllContext: %v", err)
+	}
+	if len(vs) != 2 {
+		t.Fatalf("got %d verdicts, want 2", len(vs))
+	}
+	if dead := vs[0]; !dead.Vacuous || !dead.Verified || dead.States != 0 || !strings.HasPrefix(dead.Detail, "vacuously holds: ") {
+		t.Errorf("dead = %+v, want a vacuous verified verdict with its witness and no exploration", dead)
+	}
+	if live := vs[1]; live.Vacuous || !live.Detected {
+		t.Errorf("live = %+v, want an explored attack verdict", live)
+	}
+	if n := o.Metrics().Counter("mc.vacuity_pruned").Value(); n != 1 {
+		t.Errorf("mc.vacuity_pruned = %d, want 1", n)
+	}
+}
+
 func TestEvaluateAllContextCollectsAndStops(t *testing.T) {
 	m := lteModel(t)
 	// A trivially-true invariant: verifies in one iteration when live,
@@ -145,8 +173,8 @@ func TestEvaluateAllContextCollectsAndStops(t *testing.T) {
 // TestEvaluateAllBudgetExhausted: the pool keeps a budget-exhausted
 // property's inconclusive verdict and surfaces the typed error.
 func TestEvaluateAllBudgetExhausted(t *testing.T) {
-	prop := mcProperty(mc.NeverFires{PropName: "p", Match: func(string) bool { return false }})
-	e := poolEvaluator(lteModel(t), mc.Options{MaxStates: 3, NoVacuityPrune: true})
+	prop := mcProperty(mc.Invariant{PropName: "p", Holds: ts.True{}})
+	e := poolEvaluator(lteModel(t), mc.Options{MaxStates: 3})
 	vs, err := e.EvaluateAllContext(context.Background(), []props.Property{prop})
 	if !errors.Is(err, resilience.ErrBudgetExhausted) {
 		t.Fatalf("want ErrBudgetExhausted, got %v", err)
@@ -214,17 +242,33 @@ func waitEval(t *testing.T, e *Evaluator, what string, cond func(inflight, waiti
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// heldContext is a cancellable context whose Err blocks until release
+// is closed, so a run using it cannot get past its first cancellation
+// check before the test lets it.
+type heldContext struct {
+	context.Context
+	release chan struct{}
+}
+
+func (c heldContext) Err() error {
+	<-c.release
+	return c.Context.Err()
+}
+
 // TestWaiterEvaluatesAfterCancelledRun: a caller that finds the property
 // in flight and waits on it gets a verdict of its own when the running
-// caller is cancelled, instead of that caller's cancellation.
+// caller is cancelled, instead of that caller's cancellation. The
+// running caller's context holds it at its first cancellation check
+// until the waiter has joined and the cancellation is in.
 func TestWaiterEvaluatesAfterCancelledRun(t *testing.T) {
 	const k = 160
 	m := &Model{Composed: &threat.Composed{System: odometer(t, k)}}
-	e := poolEvaluator(m, mc.Options{Workers: 1, NoVacuityPrune: true})
-	prop := mcProperty(mc.NeverFires{PropName: "never", Match: func(string) bool { return false }})
+	e := poolEvaluator(m, mc.Options{Workers: 1})
+	prop := mcProperty(mc.Invariant{PropName: "always", Holds: ts.True{}})
 
-	runCtx, cancel := context.WithCancel(context.Background())
+	cancelCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	runCtx := heldContext{Context: cancelCtx, release: make(chan struct{})}
 	runErr := make(chan error, 1)
 	go func() {
 		_, err := e.EvaluateContext(runCtx, prop)
@@ -243,6 +287,7 @@ func TestWaiterEvaluatesAfterCancelledRun(t *testing.T) {
 	}()
 	waitEval(t, e, "the waiter to join the run", func(_, waiting int) bool { return waiting == 1 })
 	cancel()
+	close(runCtx.release)
 
 	if err := <-runErr; !resilience.Cancelled(err) {
 		t.Fatalf("first run: want a cancellation, got %v", err)

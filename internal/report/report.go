@@ -233,10 +233,10 @@ func NewEvaluator(m *Model) *Evaluator {
 	}
 }
 
-// SetMC tunes the model checker: worker pool, snapshot/resume
-// directory, vacuity pre-pass. opts.Workers
-// (0 = GOMAXPROCS) also bounds EvaluateAllContext's property pool. Call
-// it before evaluations start; it is not synchronised with them.
+// SetMC tunes the model checker: state budget, worker pool and
+// snapshot/resume directory. opts.Workers (0 = GOMAXPROCS) also bounds
+// EvaluateAllContext's property pool. Call it before evaluations start;
+// it is not synchronised with them.
 func (e *Evaluator) SetMC(opts mc.Options) {
 	e.cfg.MC = opts
 }
@@ -378,12 +378,8 @@ func (e *Evaluator) evaluate(ctx context.Context, p props.Property) (_ Verdict, 
 
 // vacuityCheck runs the static vacuity pre-pass for a model-checked
 // property on the composed base system, caching the abstract
-// reachability fixpoint per system generation. Disabled by the
-// MC.NoVacuityPrune escape hatch.
+// reachability fixpoint per system generation.
 func (e *Evaluator) vacuityCheck(p props.Property) (bool, string) {
-	if e.cfg.MC.NoVacuityPrune {
-		return false, ""
-	}
 	sys := e.model.Composed.System
 	gen := sys.Generation()
 	e.mu.Lock()

@@ -134,7 +134,8 @@ func TestClassifyWrappedMultiErrorChains(t *testing.T) {
 }
 
 // TestCollectorAggregatesWrappedChains drives the same mix through the
-// Collector, the way CheckAllContext actually builds its error.
+// Collector, the way report.Evaluator.EvaluateAllContext builds its
+// catalogue error.
 func TestCollectorAggregatesWrappedChains(t *testing.T) {
 	var c Collector
 	c.Add(fmt.Errorf("S06: %w", fmt.Errorf("deadline: %w", ErrCancelled)))

@@ -185,16 +185,6 @@ func WithObserver(o *obs.Observer) Option {
 	return func(a *Analysis) { a.obsv = o }
 }
 
-// WithNoVacuityPrune disables the static vacuity pre-pass: every
-// model-checked property is explored even when the dataflow layer
-// proves its trigger statically unreachable. The default (pruning on)
-// returns identical verdicts for non-vacuous properties and verifies
-// vacuous ones without exploration; this escape hatch is for auditing
-// the pruner itself.
-func WithNoVacuityPrune() Option {
-	return func(a *Analysis) { a.mcOpts.NoVacuityPrune = true }
-}
-
 // Observer returns the recorder attached with WithObserver (nil when
 // observability is off).
 func (a *Analysis) Observer() *obs.Observer { return a.obsv }

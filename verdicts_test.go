@@ -164,3 +164,68 @@ func firstDiff(want, got string) string {
 	}
 	return "(identical lines, differing length)"
 }
+
+// TestVacuityPruneSoundOnProfiles checks the static vacuity pre-pass on
+// the shipped models: every model-checked catalogue property mc.Vacuous
+// flags on a profile's composed system must verify when the engine
+// explores it anyway, with no counterexample and no truncation, and the
+// flagged set must be exactly the corpus's "verdict: vacuous" entries.
+func TestVacuityPruneSoundOnProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores the composed model of every profile")
+	}
+	wantCount := map[Implementation]int{SRSLTE: 20, Conformant: 25, OAI: 18}
+	for _, impl := range Implementations() {
+		t.Run(string(impl), func(t *testing.T) {
+			a, err := Analyze(impl)
+			if err != nil {
+				t.Fatalf("Analyze: %v", err)
+			}
+			sys := a.model.Composed.System
+			reach := mc.StaticReach(sys)
+			engine := mc.NewEngine()
+			var flagged []string
+			for _, p := range props.Catalogue() {
+				if p.Kind != props.KindMC {
+					continue
+				}
+				if vac, _ := mc.Vacuous(reach, sys, p.MC()); !vac {
+					continue
+				}
+				flagged = append(flagged, p.ID)
+				res, err := engine.CheckContext(context.Background(), sys, p.MC(), mc.Options{})
+				if err != nil || !res.Verified || res.Counterexample != nil || res.Truncated {
+					t.Errorf("%s: flagged vacuous, but exploring it gives verified=%v counterexample=%v truncated=%v err=%v",
+						p.ID, res.Verified, res.Counterexample != nil, res.Truncated, err)
+				}
+			}
+			corpus := corpusVacuous(t, impl)
+			if strings.Join(flagged, " ") != strings.Join(corpus, " ") {
+				t.Errorf("flagged vacuous: %v\ncorpus vacuous:  %v", flagged, corpus)
+			}
+			if len(flagged) != wantCount[impl] {
+				t.Errorf("%d properties flagged vacuous, want %d", len(flagged), wantCount[impl])
+			}
+		})
+	}
+}
+
+// corpusVacuous lists, in catalogue order, the properties the verdict
+// corpus of impl records as "verdict: vacuous".
+func corpusVacuous(t *testing.T, impl Implementation) []string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "verdicts", "v1", string(impl)+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	id := ""
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "== "); ok {
+			id, _, _ = strings.Cut(rest, " ")
+		} else if line == "verdict: vacuous" {
+			out = append(out, id)
+		}
+	}
+	return out
+}
