@@ -89,19 +89,21 @@ echo "== CEGAR exploration counts =="
 # nodes summed over every check (mc.response_nodes) pin the node set the
 # pending-product walks visit. Every refined graph must derive from a
 # cached base graph (mc.explorations_derived), so a refinement that
-# silently falls back to full exploration fails here.
-for want in "srsLTE 7 45 20 7119025 6" "conformant 6 25 5 5133337 5" "OAI 8 34 7 5209753 7"; do
-    read -r impl explorations iterations refinements response_nodes derived <<<"$want"
+# silently falls back to full exploration fails here. The edge-segment
+# bytes allocated over all builds (mc.edge_bytes) pin the write-once
+# edge storage: a build that over-reserves or pads more shows up here.
+for want in "srsLTE 7 45 20 7119025 6 77594624" "conformant 6 25 5 5133337 5 61341696" "OAI 8 34 7 5209753 7 80216064"; do
+    read -r impl explorations iterations refinements response_nodes derived edge_bytes <<<"$want"
     "$lint_dir/prochecker" -impl "$impl" -check all -quiet -manifest "$lint_dir/$impl-checkall.json" > /dev/null \
         || { echo "exploration counts: $impl -check all failed"; exit 1; }
     got=""
-    for metric in mc.explorations cegar.iterations cegar.refinements mc.explorations_hashed mc.response_nodes mc.explorations_derived; do
+    for metric in mc.explorations cegar.iterations cegar.refinements mc.explorations_hashed mc.response_nodes mc.explorations_derived mc.edge_bytes; do
         got="$got $(sed -n "s/.*\"$metric\": *\([0-9]*\).*/\1/p" "$lint_dir/$impl-checkall.json" | head -1)"
     done
-    [[ "$got" == " $explorations $iterations $refinements 0 $response_nodes $derived" ]] \
-        || { echo "exploration counts: $impl explorations/iterations/refinements/hashed/response nodes/derived =$got, want $explorations $iterations $refinements 0 $response_nodes $derived"; exit 1; }
+    [[ "$got" == " $explorations $iterations $refinements 0 $response_nodes $derived $edge_bytes" ]] \
+        || { echo "exploration counts: $impl explorations/iterations/refinements/hashed/response nodes/derived/edge bytes =$got, want $explorations $iterations $refinements 0 $response_nodes $derived $edge_bytes"; exit 1; }
 done
-echo "CEGAR exploration counts OK (srsLTE 7/45/20, conformant 6/25/5, OAI 8/34/7, all dense, response nodes pinned, 6/5/7 derived)"
+echo "CEGAR exploration counts OK (srsLTE 7/45/20, conformant 6/25/5, OAI 8/34/7, all dense, response nodes pinned, 6/5/7 derived, edge bytes pinned)"
 
 echo "== observability smoke =="
 # Start a real run with the live metrics endpoint, scrape /metrics

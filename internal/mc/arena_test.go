@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -95,5 +96,77 @@ func TestArenaSegmentBoundaries(t *testing.T) {
 			int(id) != 2*a.perSeg || e.g.NumStates() != n {
 			t.Fatalf("stride %d: re-intern gave id %d with %d states, error %v", stride, id, e.g.NumStates(), err)
 		}
+	}
+}
+
+// TestEdgeSegmentBoundaries writes synthetic rows through the builders'
+// row writer (reserveRow, closeRow) and reads every one back through
+// row(): empty rows, on both sides of a segment boundary; a row that
+// exactly fills a segment; a row that does not fit the open segment's
+// tail and skips to the next one; a reservation larger than the row
+// written into it, as a derived build makes, both with and without
+// edges, the latter leaving the next row to fill the old tail; and five
+// segments in all.
+func TestEdgeSegmentBoundaries(t *testing.T) {
+	g := &StateGraph{System: "edges", off: []int32{0}}
+	var want [][]graphEdge
+	write := func(reserve, n int) {
+		t.Helper()
+		row, err := g.reserveRow(reserve)
+		if err != nil || len(row) != 0 || cap(row) != reserve {
+			t.Fatalf("row %d: reserveRow(%d) gave len %d cap %d, error %v", len(want), reserve, len(row), cap(row), err)
+		}
+		edges := make([]graphEdge, n)
+		for i := range edges {
+			edges[i] = graphEdge{rule: int32(len(want)), to: int32(i)}
+		}
+		g.closeRow(append(row, edges...))
+		want = append(want, edges)
+	}
+	segs := func(n int) {
+		t.Helper()
+		if len(g.segs) != n {
+			t.Fatalf("after row %d: %d segments, want %d", len(want)-1, len(g.segs), n)
+		}
+	}
+	write(0, 0)
+	segs(0)
+	write(3, 3)
+	write(0, 0)
+	write(edgeSegLen-3, edgeSegLen-3) // fills segment 0 exactly
+	write(0, 0)
+	segs(1)
+	write(edgeSegLen-2, edgeSegLen-2) // segment 1, two edges left
+	write(3, 3)                       // skips to segment 2
+	segs(3)
+	write(edgeSegLen-8, 2) // a reservation that fits, mostly unused
+	write(edgeSegLen, 5)   // skips to segment 3, five edges used
+	segs(4)
+	write(edgeSegLen-4, 0) // allocates segment 4 ahead, but writes nothing
+	segs(5)
+	write(edgeSegLen-5, edgeSegLen-5) // fills segment 3's tail exactly
+	write(1, 1)                       // starts segment 4, already there
+	segs(5)
+	if g.expanded() != len(want) {
+		t.Fatalf("%d rows written, %d expanded", len(want), g.expanded())
+	}
+	for id, w := range want {
+		got := g.row(int32(id))
+		if !slices.Equal(got, w) || cap(got) != len(got) {
+			t.Fatalf("row %d: %d edges (cap %d), want %d: %v", id, len(got), cap(got), len(w), w)
+		}
+	}
+	if got := g.row(int32(len(want))); got != nil {
+		t.Errorf("unexpanded state has row %v", got)
+	}
+	if want := int64(5 * edgeSegLen * 8); g.edgeBytes() != want {
+		t.Errorf("edgeBytes %d, want %d", g.edgeBytes(), want)
+	}
+	if _, err := g.reserveRow(edgeSegLen + 1); err == nil {
+		t.Error("a row longer than a segment was reserved")
+	}
+	full := &StateGraph{System: "full", off: []int32{math.MaxInt32 - 2}}
+	if _, err := full.reserveRow(5); err == nil {
+		t.Error("a row past MaxInt32 edges, padding included, was reserved")
 	}
 }

@@ -9,14 +9,16 @@
 // state's base row in rule order and interning fresh states in
 // (frontier position, rule) order — the explorer's order — so ids, the
 // parent tree, edge order and every counterexample are byte-identical
-// to buildGraph's, with no guard evaluated and no state hashed.
+// to buildGraph's, with no guard evaluated and no state hashed. The
+// target has at most base states × appended-variable assignments
+// states, so its per-state arrays are allocated once at that bound and
+// never regrown, and each row reserves its base row's length in the
+// write-once edge segments (graph.go) and keeps what survives.
 package mc
 
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"math"
 	"slices"
 	"strconv"
 
@@ -131,10 +133,16 @@ func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *deri
 	span.SetAttr("index", "derived")
 	span.SetAttr("base_states", strconv.Itoa(d.base.NumStates()))
 	e.derive = d
-	e.slotOf = make([]int32, int(d.extra)*d.base.NumStates())
+	bound := int(d.extra) * d.base.NumStates()
+	e.slotOf = make([]int32, bound)
 	for i := range e.slotOf {
 		e.slotOf[i] = -1
 	}
+	e.slots = make([]int32, 0, bound)
+	g := e.g
+	g.off = make([]int32, 1, bound+1)
+	g.parentState = make([]int32, 0, bound)
+	g.parentRule = make([]int32, 0, bound)
 	if _, err := e.internSlot(d.initSlot, -1, -1); err != nil {
 		return nil, err
 	}
@@ -148,25 +156,20 @@ func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *deri
 // deriveLevel expands the frontier [lo, hi) from the base rows: in id
 // order, each state's base edges in rule order, skipping pruned rules
 // and guards the appended values reject. Fresh successors are interned
-// as they are met, and each state's kept edges become its CSR row,
-// presized from the frontier's summed base-row lengths.
+// as they are met, and each state's kept edges become its row, written
+// into room reserved for its whole base row.
 func (e *levelExplorer) deriveLevel() error {
 	g, d := e.g, e.derive
 	base, extra := d.base, d.extra
-	total := 0
-	for _, slot := range e.slots[e.lo:e.hi] {
-		b := slot / extra
-		total += int(base.off[b+1] - base.off[b])
-	}
-	if len(g.edges)+total > math.MaxInt32 {
-		return fmt.Errorf("mc: exploration of %s exceeds %d edges", g.System, math.MaxInt32)
-	}
-	g.growEdges(total)
-	g.off = slices.Grow(g.off, int(e.hi-e.lo))
 	for id := e.lo; id < e.hi; id++ {
 		slot := e.slots[id]
 		x := slot % extra
-		for _, ed := range base.row(slot / extra) {
+		baseRow := base.row(slot / extra)
+		row, err := g.reserveRow(len(baseRow))
+		if err != nil {
+			return err
+		}
+		for _, ed := range baseRow {
 			j := d.ruleOf[ed.rule]
 			if j < 0 {
 				continue
@@ -178,14 +181,13 @@ func (e *levelExplorer) deriveLevel() error {
 			next := ed.to*extra + nx
 			to := e.slotOf[next]
 			if to < 0 {
-				var err error
 				if to, err = e.internSlot(next, id, j); err != nil {
 					return err
 				}
 			}
-			g.edges = append(g.edges, graphEdge{rule: j, to: to})
+			row = append(row, graphEdge{rule: j, to: to})
 		}
-		g.off = append(g.off, int32(len(g.edges)))
+		g.closeRow(row)
 	}
 	e.lo, e.hi = e.hi, int32(g.NumStates())
 	e.level++

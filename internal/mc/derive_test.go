@@ -3,10 +3,14 @@ package mc
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
+	"prochecker/internal/core/threat"
+	"prochecker/internal/ltemodels"
 	"prochecker/internal/obs"
+	"prochecker/internal/spec"
 	"prochecker/internal/ts"
 )
 
@@ -38,17 +42,24 @@ func residualGuards(sys *ts.System) bool {
 }
 
 // sameGraph fails unless got and want agree on every state's bytes, the
-// parent tree, the CSR adjacency and truncation.
+// parent tree, the adjacency row for row and truncation. Rows are
+// compared, not off: a derived build reserves room for whole base rows,
+// so its rows may skip to a new edge segment at other ids.
 func sameGraph(t *testing.T, mode string, got, want *StateGraph) {
 	t.Helper()
 	switch {
 	case got.NumStates() != want.NumStates() || got.Truncated != want.Truncated:
 		t.Fatalf("%s: %d states truncated=%v, want %d truncated=%v",
 			mode, got.NumStates(), got.Truncated, want.NumStates(), want.Truncated)
-	case !slices.Equal(got.off, want.off) || !slices.Equal(got.edges, want.edges):
-		t.Fatalf("%s: adjacency differs", mode)
+	case got.expanded() != want.expanded():
+		t.Fatalf("%s: %d states expanded, want %d", mode, got.expanded(), want.expanded())
 	case !slices.Equal(got.parentState, want.parentState) || !slices.Equal(got.parentRule, want.parentRule):
 		t.Fatalf("%s: parent tree differs", mode)
+	}
+	for id := int32(0); int(id) < want.expanded(); id++ {
+		if g, w := got.row(id), want.row(id); !slices.Equal(g, w) {
+			t.Fatalf("%s: row %d is %v, want %v", mode, id, g, w)
+		}
 	}
 	for id := int32(0); int(id) < want.NumStates(); id++ {
 		if g, w := got.StateAt(id), want.StateAt(id); !slices.Equal(g, w) {
@@ -277,5 +288,91 @@ func TestDerivationStructuralCheck(t *testing.T) {
 				t.Fatalf("target served by %d builds, %d derived; want 1 build, %d derived", builds, derived, wantDerived)
 			}
 		})
+	}
+}
+
+// composedModel builds the threat-instrumented LTEInspector model the
+// catalogue properties are written against.
+func composedModel(t *testing.T) *ts.System {
+	t.Helper()
+	c, err := threat.Compose(threat.Config{
+		Name: "parallel-test",
+		UE:   ltemodels.LTEInspectorUE(),
+		MME:  ltemodels.MME(),
+	})
+	if err != nil {
+		t.Fatalf("Compose: %v", err)
+	}
+	return c.System
+}
+
+// guardReplay applies the CEGAR loop's guard-replay refinement for msg
+// to sys in place: an observation bit set by every rule that puts a
+// genuine msg on a channel, and required by the adversary's replays of
+// it. Such a refinement derives from sys's graph.
+func guardReplay(t *testing.T, sys *ts.System, msg string) *ts.System {
+	t.Helper()
+	obsVar := "obs_" + msg
+	if err := sys.AddVar(obsVar, "0", "1"); err != nil {
+		t.Fatal(err)
+	}
+	genuine := threat.Slot(spec.MessageName(msg), threat.OriginGenuine)
+	sys.MapRules(func(r ts.Rule) ts.Rule {
+		for _, a := range r.Assigns {
+			if a.Value == genuine && (a.Var == threat.VarDL || a.Var == threat.VarUL) {
+				r.Assigns = append(slices.Clone(r.Assigns), ts.Assign{Var: obsVar, Value: "1"})
+				break
+			}
+		}
+		if r.Tags[threat.TagActor] == "adv" && r.Tags[threat.TagKind] == "replay" && r.Tags[threat.TagMsg] == msg {
+			r.Guard = ts.And{r.Guard, ts.Eq{Var: obsVar, Value: "1"}}
+		}
+		return r
+	})
+	return sys
+}
+
+// TestDerivedBuildAllocBudget pins what a derived build allocates
+// against what the graph it builds keeps: edge segments are written
+// once and the per-state arrays are allocated once at the derivation's
+// bound, so deriving a guard-replay refinement of the composed model
+// from its cached base allocates at most 1.3× the resident bytes of the
+// result (edge segments, off, parent tree, the build's slot tables and
+// the arena).
+func TestDerivedBuildAllocBudget(t *testing.T) {
+	ctx := context.Background()
+	base := composedModel(t)
+	bg, err := explore(ctx, base, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := guardReplay(t, base.Clone(), "service_accept")
+	rules, err := sys.CompileRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := planDerivation(bg, rules, sys.Vars(), sys.InitialState())
+	if !ok {
+		t.Fatal("the guard-replay refinement does not derive from the composed model's graph")
+	}
+	fp := systemFingerprint(sys)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := deriveGraph(ctx, sys, rules, d, fp, Options{Workers: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.segs) < 3 {
+		t.Fatalf("derived graph fills %d edge segments, want at least 3 to cross segment boundaries", len(g.segs))
+	}
+	slotTables := 2 * 4 * int64(d.extra) * int64(bg.NumStates()) // slotOf and slots
+	resident := g.edgeBytes() + 4*int64(cap(g.off)+cap(g.parentState)+cap(g.parentRule)) +
+		slotTables + g.arena.memBytes()
+	allocated := int64(after.TotalAlloc - before.TotalAlloc)
+	ratio := float64(allocated) / float64(resident)
+	t.Logf("derived %d states: allocated %d bytes for %d resident (%.2f×)", g.NumStates(), allocated, resident, ratio)
+	if ratio > 1.3 {
+		t.Fatalf("derived build allocated %d bytes, %.2f× its %d resident bytes; want at most 1.3×", allocated, ratio, resident)
 	}
 }

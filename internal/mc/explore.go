@@ -19,8 +19,9 @@
 // load. Larger systems fall back to the open-addressing hash index over
 // the arena (arena.go).
 //
-// Phase 2 appends each frontier state's edges to the graph's CSR
-// adjacency (graph.go), presized per level from the candidate count.
+// Phase 2 writes each frontier state's edges as its row of the graph's
+// write-once edge segments (graph.go), reserving exactly the state's
+// candidate count.
 // The frontier is always the id range the previous level interned, and
 // exactly the states without an adjacency row yet. Level boundaries are
 // also where snapshots are checkpointed. A graph derived from a cached
@@ -32,7 +33,6 @@ package mc
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -157,7 +157,10 @@ func (e *levelExplorer) record(span *obs.Span, graph *StateGraph) {
 		if elapsed := time.Since(e.start); elapsed > 0 {
 			e.reg.Gauge("mc.states_per_sec").Set(int64(float64(n) / elapsed.Seconds()))
 		}
+		edgeBytes := graph.edgeBytes()
+		e.reg.Counter("mc.edge_bytes").Add(edgeBytes)
 		span.SetAttr("states", strconv.Itoa(n))
+		span.SetAttr("edge_bytes", strconv.FormatInt(edgeBytes, 10))
 		span.SetAttr("truncated", strconv.FormatBool(graph.Truncated))
 	}
 }
@@ -287,7 +290,6 @@ func (e *levelExplorer) ensureIndex(extra int) {
 // the frontier drains, the budget truncates or the context is cancelled.
 func (e *levelExplorer) run(ctx context.Context) error {
 	g := e.g
-	defer g.trimEdges()
 	for e.lo < e.hi {
 		if ctx.Err() != nil {
 			return fmt.Errorf("mc: exploration of %s after %d states: %w",
@@ -402,16 +404,11 @@ func (e *levelExplorer) internLevel() error {
 		return fmt.Errorf("mc: internal error: frontier [%d, %d) is not the unexpanded id range [%d, %d)",
 			e.lo, e.hi, g.expanded(), g.NumStates())
 	}
-	total, unresolved := 0, 0
+	unresolved := 0
 	for i := range e.chunks {
-		total += len(e.chunks[i].cands)
 		unresolved += e.chunks[i].unresolved
 	}
-	if len(g.edges)+total > math.MaxInt32 {
-		return fmt.Errorf("mc: exploration of %s exceeds %d edges", g.System, math.MaxInt32)
-	}
 	e.ensureIndex(unresolved)
-	g.growEdges(total)
 	g.off = slices.Grow(g.off, int(e.hi-e.lo))
 	stride := g.arena.stride
 	for ci := range e.chunks {
@@ -419,6 +416,10 @@ func (e *levelExplorer) internLevel() error {
 		k := 0
 		for fi := c.lo; fi < c.hi; fi++ {
 			from := e.lo + int32(fi)
+			row, err := g.reserveRow(int(e.counts[fi]))
+			if err != nil {
+				return err
+			}
 			for end := k + int(e.counts[fi]); k < end; k++ {
 				cd := &c.cands[k]
 				to := cd.id
@@ -430,9 +431,9 @@ func (e *levelExplorer) internLevel() error {
 					}
 					to = id
 				}
-				g.edges = append(g.edges, graphEdge{rule: cd.rule, to: to})
+				row = append(row, graphEdge{rule: cd.rule, to: to})
 			}
-			g.off = append(g.off, int32(len(g.edges)))
+			g.closeRow(row)
 		}
 	}
 	e.lo, e.hi = e.hi, int32(g.NumStates())

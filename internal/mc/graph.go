@@ -9,13 +9,28 @@
 // compiled rules, variables and initial state it was built from, so a
 // refined system's graph can be derived from it (derive.go) with the
 // same ids, parent tree and edge order the explorer would produce.
+//
+// Edges are stored write-once, like the arena's states: in fixed
+// segments of edgeSegLen edges, allocated when the writer reaches them
+// and never moved or copied, with no row crossing a segment. A build
+// therefore never copies the edges it already holds, and a cached graph
+// holds no growth slack beyond the open segment's tail.
 package mc
 
 import (
-	"slices"
+	"fmt"
+	"math"
 	"sort"
 
 	"prochecker/internal/ts"
+)
+
+// edgeSegBits sizes the edge segments: 1<<16 edges, 512 KiB each, so
+// segment allocations are rare and the tail a row skips is shorter
+// than that row.
+const (
+	edgeSegBits = 16
+	edgeSegLen  = 1 << edgeSegBits
 )
 
 // graphEdge is one outgoing transition of the reachability graph.
@@ -45,11 +60,16 @@ type StateGraph struct {
 	init  ts.State
 
 	arena *stateArena
-	// off/edges are the adjacency in CSR form: the edges of state id are
-	// edges[off[id]:off[id+1]], in rule order. Only expanded states have
-	// a row; len(off)-1 of them, always a prefix of the ids.
+	// off/segs are the adjacency in segmented CSR form. Edge position p
+	// is segs[p>>edgeSegBits][p&(edgeSegLen-1)], and state id's edges,
+	// in rule order, end at off[id+1]. A row never crosses a segment: one
+	// that did not fit in the tail of the segment before it starts at its
+	// own segment's base instead of off[id] (row). Only expanded states
+	// have a row; len(off)-1 of them, always a prefix of the ids. rowAt
+	// is where the row being written starts (reserveRow).
 	off   []int32
-	edges []graphEdge
+	segs  [][]graphEdge
+	rowAt int32
 	// parentState/parentRule form the BFS tree: the (state, rule) that
 	// first reached each state; -1 for the initial state.
 	parentState []int32
@@ -70,37 +90,67 @@ func (g *StateGraph) NumStates() int { return g.arena.len() }
 func (g *StateGraph) expanded() int { return len(g.off) - 1 }
 
 // row returns state id's outgoing edges in rule order; empty for a
-// state the build never expanded.
+// state the build never expanded. The row's segment is the one holding
+// its last edge, and its start is clamped to that segment's base, which
+// skips the padding a row that did not fit left behind.
 func (g *StateGraph) row(id int32) []graphEdge {
 	if int(id) >= g.expanded() {
 		return nil
 	}
-	return g.edges[g.off[id]:g.off[id+1]]
+	lo, hi := g.off[id], g.off[id+1]
+	if lo == hi {
+		return nil
+	}
+	s := (hi - 1) >> edgeSegBits
+	base := s << edgeSegBits
+	return g.segs[s][max(lo, base)-base : hi-base : hi-base]
 }
+
+// reserveRow makes room for the next state's row of at most n edges and
+// returns it empty with capacity n: in the open segment, or at the base
+// of the next one when the open segment's tail is shorter than n. The
+// builder appends the row's edges into it and hands it to closeRow.
+func (g *StateGraph) reserveRow(n int) ([]graphEdge, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	if n > edgeSegLen {
+		return nil, fmt.Errorf("mc: a state of %s has %d edges, more than a %d-edge segment", g.System, n, edgeSegLen)
+	}
+	at := int(g.off[len(g.off)-1])
+	if at&(edgeSegLen-1)+n > edgeSegLen {
+		at = (at>>edgeSegBits + 1) << edgeSegBits
+	}
+	if at+n > math.MaxInt32 {
+		return nil, fmt.Errorf("mc: exploration of %s exceeds %d edges", g.System, math.MaxInt32)
+	}
+	s := at >> edgeSegBits
+	if s == len(g.segs) {
+		g.segs = append(g.segs, make([]graphEdge, edgeSegLen))
+	}
+	g.rowAt = int32(at)
+	i := at & (edgeSegLen - 1)
+	return g.segs[s][i : i : i+n], nil
+}
+
+// closeRow ends the row reserveRow returned, now holding the state's
+// edges. An empty row ends where the previous one did, so a reservation
+// it did not use leaves no gap in off.
+func (g *StateGraph) closeRow(row []graphEdge) {
+	end := g.off[len(g.off)-1]
+	if len(row) > 0 {
+		end = g.rowAt + int32(len(row))
+	}
+	g.off = append(g.off, end)
+}
+
+// edgeBytes is the adjacency's resident footprint: every edge segment
+// allocated so far.
+func (g *StateGraph) edgeBytes() int64 { return int64(len(g.segs)) * edgeSegLen * 8 }
 
 // StateAt returns a zero-copy view of state id's packed assignment (do
 // not mutate it).
 func (g *StateGraph) StateAt(id int32) ts.State { return ts.State(g.arena.at(id)) }
-
-// growEdges makes room for n more edges. The array at least doubles, so
-// a build copies its edges a bounded number of times; trimEdges drops
-// the slack once the build ends.
-func (g *StateGraph) growEdges(n int) {
-	if cap(g.edges)-len(g.edges) >= n {
-		return
-	}
-	grown := make([]graphEdge, len(g.edges), max(2*cap(g.edges), len(g.edges)+n))
-	copy(grown, g.edges)
-	g.edges = grown
-}
-
-// trimEdges reallocates the edge array to its length, so a cached graph
-// holds no growth slack.
-func (g *StateGraph) trimEdges() {
-	if cap(g.edges) > len(g.edges) {
-		g.edges = slices.Clone(g.edges)
-	}
-}
 
 // forEachState streams every state in id order; the state view must
 // not be mutated. Return false to stop early.

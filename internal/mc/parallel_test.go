@@ -13,8 +13,6 @@ import (
 	"testing"
 
 	"prochecker/internal/core/props"
-	"prochecker/internal/core/threat"
-	"prochecker/internal/ltemodels"
 	"prochecker/internal/mc"
 	"prochecker/internal/resilience"
 	"prochecker/internal/ts"
@@ -24,15 +22,7 @@ import (
 // catalogue properties are written against.
 func composedSystem(t *testing.T) *ts.System {
 	t.Helper()
-	c, err := threat.Compose(threat.Config{
-		Name: "parallel-test",
-		UE:   ltemodels.LTEInspectorUE(),
-		MME:  ltemodels.MME(),
-	})
-	if err != nil {
-		t.Fatalf("Compose: %v", err)
-	}
-	return c.System
+	return mc.ComposedModel(t)
 }
 
 // catalogueMC lists the model-checked subset of the property catalogue.

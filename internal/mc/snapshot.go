@@ -280,25 +280,27 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 		parentState[id] = r.i32()
 		parentRule[id] = r.i32()
 	}
-	// The adjacency is read into CSR form; the frontier must be the id
-	// suffix without rows, as the explorer leaves it at every level.
-	off := make([]int32, 1, n+1)
-	var edges []graphEdge
-	rowCounts := make([]int, n)
+	// The adjacency is read into edge segments through the builders' row
+	// writer; the frontier must be the id suffix without rows, as the
+	// explorer leaves it at every level.
+	adj := &StateGraph{System: g.System, off: make([]int32, 1, n+1)}
 	for id := 0; id < n && r.err == nil; id++ {
 		count := int(r.u32())
 		if count > len(g.Rules) {
 			return 0, false
 		}
-		rowCounts[id] = count
+		row, err := adj.reserveRow(count)
+		if err != nil {
+			return 0, false
+		}
 		for i := 0; i < count; i++ {
 			rule, to := r.i32(), r.i32()
 			if rule < 0 || int(rule) >= nRules || to < 0 || int(to) >= n {
 				return 0, false
 			}
-			edges = append(edges, graphEdge{rule: rule, to: to})
+			row = append(row, graphEdge{rule: rule, to: to})
 		}
-		off = append(off, int32(len(edges)))
+		adj.closeRow(row)
 	}
 	nFrontier := int(r.u32())
 	lo := n - nFrontier
@@ -306,7 +308,7 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 		return 0, false
 	}
 	for i := 0; i < nFrontier; i++ {
-		if int(r.i32()) != lo+i || rowCounts[lo+i] != 0 {
+		if int(r.i32()) != lo+i || len(adj.row(int32(lo+i))) != 0 {
 			return 0, false
 		}
 	}
@@ -340,8 +342,7 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 	}
 	g.parentState = parentState
 	g.parentRule = parentRule
-	g.off = off[:lo+1]
-	g.edges = edges
+	g.off, g.segs = adj.off[:lo+1], adj.segs
 	e.lo, e.hi = int32(lo), int32(n)
 	e.level = level
 	return level, true

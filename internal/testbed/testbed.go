@@ -225,11 +225,8 @@ func ReplayTraceContext(ctx context.Context, profile ue.Profile, trace *mc.Trace
 		return out, fmt.Errorf("testbed: %w", err)
 	}
 
+	// A lasso's loop is replayed once: one pass suffices on the testbed.
 	limit := len(trace.Steps)
-	if trace.LoopStart >= 0 && trace.LoopStart < limit {
-		// One pass through the lasso suffices on the testbed.
-		limit = len(trace.Steps)
-	}
 	for _, step := range trace.Steps[:limit] {
 		if ctx.Err() != nil {
 			out.FinalUEState = env.UE.State()
