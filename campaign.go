@@ -10,9 +10,7 @@ import (
 
 	"prochecker/internal/channel"
 	"prochecker/internal/core/props"
-	"prochecker/internal/dist"
 	"prochecker/internal/jobs"
-	"prochecker/internal/obs"
 )
 
 // The job subsystem's data types, re-exported for the service API:
@@ -118,21 +116,6 @@ func JobRunner(workers int) jobs.Runner {
 func JobRunnerWith(cfg JobRunnerConfig) jobs.Runner {
 	return func(ctx context.Context, spec jobs.Spec) (*jobs.Result, error) {
 		return runJob(ctx, spec, cfg)
-	}
-}
-
-// NewFleetWorker assembles a fleet worker agent around the production
-// job runner: it pulls jobs from the coordinator over the lease
-// protocol and executes each through the same RunJob machinery a local
-// pool uses — per-job snapshot directories included. The returned
-// worker is ready for further tuning (Poll, Backoff, Seed) before Run.
-func NewFleetWorker(coord dist.Coordinator, id string, concurrency int, rcfg JobRunnerConfig, reg *obs.Registry) *dist.Worker {
-	return &dist.Worker{
-		Coordinator: coord,
-		Runner:      JobRunnerWith(rcfg),
-		ID:          id,
-		Concurrency: concurrency,
-		Metrics:     reg,
 	}
 }
 

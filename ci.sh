@@ -113,8 +113,6 @@ smoke_dir=$(mktemp -d)
 smoke_pid=""
 cleanup_smoke() {
     [[ -n "$smoke_pid" ]] && kill "$smoke_pid" 2>/dev/null || true
-    [[ -n "${worker_a_pid:-}" ]] && kill "$worker_a_pid" 2>/dev/null || true
-    [[ -n "${worker_b_pid:-}" ]] && kill "$worker_b_pid" 2>/dev/null || true
     rm -rf "$smoke_dir" "$lint_dir"
 }
 trap cleanup_smoke EXIT
@@ -375,77 +373,6 @@ grep -q "wal checkpointed" "$smoke_dir/crash2.log" \
     || { echo "smoke: drain printed no WAL checkpoint banner"; cat "$smoke_dir/crash2.log"; exit 1; }
 echo "crash-recovery smoke OK (campaign $campaign_id survived SIGKILL, ${hits} cache hit(s) on resubmit)"
 
-echo "== fleet smoke =="
-# Boot a workerless coordinator, attach two fleet worker agents over the
-# lease API, drive a campaign through them, prove both workers took
-# leases, and assert a resubmission is served entirely from the store.
-fleet_store="$smoke_dir/fleet-store"
-fleet_wal="$smoke_dir/fleet-wal"
-"$smoke_dir/prochecker" -serve 127.0.0.1:0 -store "$fleet_store" -wal "$fleet_wal" \
-    -workers 0 -retries 3 -lease-ttl 10s \
-    2> "$smoke_dir/fleet.log" &
-smoke_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's#.*serving jobs API on http://\([^/]*\)/v1/jobs.*#\1#p' "$smoke_dir/fleet.log" | head -1)
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-[[ -n "$addr" ]] || { echo "smoke: fleet coordinator never came up"; cat "$smoke_dir/fleet.log"; exit 1; }
-
-"$smoke_dir/prochecker" -worker -server "http://$addr" -worker-id smoke-a -concurrency 1 \
-    -snapshot-dir "$smoke_dir/fleet-snap-a" 2> "$smoke_dir/fleet-worker-a.log" &
-worker_a_pid=$!
-"$smoke_dir/prochecker" -worker -server "http://$addr" -worker-id smoke-b -concurrency 1 \
-    -snapshot-dir "$smoke_dir/fleet-snap-b" 2> "$smoke_dir/fleet-worker-b.log" &
-worker_b_pid=$!
-
-campaign_id=$(curl -sf -X POST -H 'Content-Type: application/json' \
-    -d "$campaign_body" "http://$addr/v1/jobs" | sed -n 's/.*"id": *"\(c-[0-9]*\)".*/\1/p')
-[[ -n "$campaign_id" ]] || { echo "smoke: fleet campaign submission failed"; exit 1; }
-state=""
-for _ in $(seq 1 600); do
-    state=$(campaign_state "$addr" "$campaign_id")
-    [[ "$state" == "done" || "$state" == "failed" || "$state" == "cancelled" ]] && break
-    sleep 0.1
-done
-[[ "$state" == "done" ]] || { echo "smoke: fleet campaign ended ${state:-lost}, want done"; cat "$smoke_dir/fleet.log"; exit 1; }
-
-# Both workers must have taken leases: the per-worker gauge families
-# exist on /metrics, and every completed job is attributed to one.
-fleet_metrics=$(curl -sf "http://$addr/metrics")
-for w in smoke-a smoke-b; do
-    grep -q "prochecker_jobs_leases_active{worker=\"$w\"}" <<<"$fleet_metrics" \
-        || { echo "smoke: worker $w never took a lease"; grep leases_active <<<"$fleet_metrics"; exit 1; }
-done
-grep -q 'prochecker_dist_leases_granted [1-9]' <<<"$fleet_metrics" \
-    || { echo "smoke: no leases granted on the fleet coordinator"; exit 1; }
-curl -sf "http://$addr/v1/jobs" | grep -q '"worker": *"smoke-' \
-    || { echo "smoke: completed jobs carry no worker attribution"; exit 1; }
-
-# Resubmit the same matrix: every cell must come out of the store, with
-# no new leases handed out for cached work.
-granted_before=$(sed -n 's/^prochecker_dist_leases_granted \([0-9]*\)$/\1/p' <<<"$fleet_metrics")
-curl -sf -X POST -H 'Content-Type: application/json' \
-    -d "$campaign_body" "http://$addr/v1/jobs" > /dev/null
-hits=$(cache_hits "$addr")
-[[ "${hits:-0}" -ge 4 ]] || { echo "smoke: fleet resubmission produced ${hits:-0} cache hits, want >= 4"; exit 1; }
-sleep 0.5
-granted_after=$(curl -sf "http://$addr/metrics" | sed -n 's/^prochecker_dist_leases_granted \([0-9]*\)$/\1/p')
-[[ "$granted_after" == "$granted_before" ]] \
-    || { echo "smoke: cached resubmission consumed leases ($granted_before -> $granted_after)"; exit 1; }
-
-kill -TERM "$worker_a_pid" "$worker_b_pid"
-wait "$worker_a_pid" || { echo "smoke: worker smoke-a exited dirty"; cat "$smoke_dir/fleet-worker-a.log"; exit 1; }
-wait "$worker_b_pid" || { echo "smoke: worker smoke-b exited dirty"; cat "$smoke_dir/fleet-worker-b.log"; exit 1; }
-worker_a_pid="" worker_b_pid=""
-kill -TERM "$smoke_pid"
-drain_rc=0
-wait "$smoke_pid" || drain_rc=$?
-smoke_pid=""
-[[ "$drain_rc" -eq 0 ]] || { echo "smoke: fleet coordinator drain exited $drain_rc, want 0"; cat "$smoke_dir/fleet.log"; exit 1; }
-echo "fleet smoke OK (campaign $campaign_id done across 2 workers, ${hits} cache hit(s) on resubmit)"
-
 echo "== snapshot-resume smoke =="
 # Run a real check that checkpoints its exploration, then run it again
 # over the same snapshot directory: the second run must resume from the
@@ -665,23 +592,3 @@ overhead=$(sed -n 's/.*"subscriber_overhead_vs_bare": *\([0-9.]*\).*/\1/p' BENCH
 [[ -n "$overhead" ]] && awk -v o="$overhead" 'BEGIN { exit !(o <= 1.05) }' \
     || { echo "bench gate: live-subscriber overhead ${overhead:-unmeasured} exceeds the 5% bound"; exit 1; }
 echo "streaming overhead gate OK (${overhead}x vs bare catalogue run)"
-
-echo "== fleet bench baseline =="
-# 1-worker vs 2-worker campaign wall-clock through the lease protocol.
-# The runner is a fixed 40ms sleep standing in for off-box remote
-# compute, so the ratio measures how much campaign latency the
-# coordinator overlaps across workers (honest even on a 1-CPU host).
-fleet_bench_out=$(go test -run '^$' -bench 'BenchmarkFleetCampaign$' -benchtime 3x ./internal/server)
-echo "$fleet_bench_out"
-
-# Render into BENCH_fleet.json with the 2-worker speedup the acceptance
-# criterion reads (>= 1.5x):
-#   BenchmarkFleetCampaign/workers=1   3   378667631 ns/op
-echo "$fleet_bench_out" | bench_json "distributed campaign over the lease protocol, 9 cells x 40ms fixed service time" BENCH_fleet.json \
-    fleet_speedup_2_workers_vs_1 BenchmarkFleetCampaign/workers=1 BenchmarkFleetCampaign/workers=2
-echo "wrote BENCH_fleet.json"
-
-fleet_speedup=$(sed -n 's/.*"fleet_speedup_2_workers_vs_1": *\([0-9.]*\).*/\1/p' BENCH_fleet.json | head -1)
-[[ -n "$fleet_speedup" ]] && awk -v s="$fleet_speedup" 'BEGIN { exit !(s >= 1.5) }' \
-    || { echo "bench gate: fleet speedup ${fleet_speedup:-unmeasured} is below the 1.5x floor"; exit 1; }
-echo "fleet speedup gate OK (${fleet_speedup}x with 2 workers vs 1)"

@@ -55,9 +55,7 @@ type serveProc struct {
 
 // startServe launches the binary in serve mode against the given
 // store+WAL directories and waits for it to announce its address.
-// Extra flags (fleet mode: -workers 0, -lease-ttl, ...) override the
-// defaults, since the flag package keeps the last occurrence.
-func startServe(t *testing.T, bin, storeDir, walDir string, extra ...string) *serveProc {
+func startServe(t *testing.T, bin, storeDir, walDir string) *serveProc {
 	t.Helper()
 	// The snapshot root lives beside the store so exploration
 	// checkpoints, like results, survive the restart cycle.
@@ -69,7 +67,6 @@ func startServe(t *testing.T, bin, storeDir, walDir string, extra ...string) *se
 		"-queue", "16",
 		"-snapshot-dir", filepath.Join(storeDir, "snapshots"),
 	}
-	args = append(args, extra...)
 	cmd := exec.Command(bin, args...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

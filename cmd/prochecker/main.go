@@ -40,17 +40,11 @@
 //	prochecker -server http://127.0.0.1:8080 -campaign conformant,srsLTE,OAI -follow
 //	prochecker -replay-flight /var/lib/prochecker/flight/j-0001.jsonl
 //
-//	# fleet mode: coordinator (no local pool) + remote pull workers,
-//	# with per-tenant admission quotas in front of submission
-//	prochecker -serve :8080 -store /var/lib/prochecker -wal /var/lib/prochecker-wal \
-//	    -workers 0 -retries 3 -lease-ttl 30s -quota 'alice=10@2,*=100@50'
-//	prochecker -worker -server http://127.0.0.1:8080 -concurrency 2
-//
 // Exit codes follow the resilience taxonomy: 0 clean, 1 internal
 // error, 2 cancelled/deadline, 3 fault-induced failure, 4 analysis
 // budget exhausted, 5 recovered test-case panic, 6 model-lint gate,
 // 7 retry attempts exhausted (job quarantined), 8 worker lease
-// expired.
+// expired (only jobs restored from an older write-ahead log).
 package main
 
 import (
@@ -100,7 +94,7 @@ func run(args []string) (err error) {
 	runConf := fs.Bool("conformance", false, "run the conformance suite and report per-case outcomes")
 	faults := fs.String("faults", "", "fault-injection spec applied to the conformance run behind -conformance and analysis modes (-lint, -dot, -check, ...), e.g. drop=0.05,corrupt=0.02,dup=0.01,reorder=0.1")
 	seed := fs.Int64("seed", 1, "base PRNG seed for -faults (runs are reproducible per seed)")
-	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no deadline); with -serve, bounds each local execution attempt only, not attempts leased to remote workers (those are bounded by -lease-ttl), and an expired attempt ends the job cancelled")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no deadline); with -serve, bounds each execution attempt, and an expired attempt ends the job cancelled")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"worker pool size for -check: bounds both property-level parallelism and the model checker's exploration pool (1 = fully sequential)")
 	snapshotDir := fs.String("snapshot-dir", "", "checkpoint model-checker exploration at level boundaries into this directory and resume from the newest snapshot; with -serve, the root for per-job snapshot directories")
@@ -124,20 +118,13 @@ func run(args []string) (err error) {
 	follow := fs.Bool("follow", false, "with -submit/-campaign, tail the job/campaign event stream (SSE) live until terminal, then print verdicts")
 	eventBuf := fs.Int("event-buf", 0, "with -serve, event-bus ring capacity for SSE streaming and the flight recorder (0 = default)")
 	replayFlight := fs.String("replay-flight", "", "replay a per-job flight recording (<store>/flight/<job-id>.jsonl) after verifying its CRC footer, then exit")
-	leaseTTL := fs.Duration("lease-ttl", 0, "with -serve, TTL on fleet-worker job leases; a lease that stops heartbeating this long requeues its job (0 = default 30s)")
-	quota := fs.String("quota", "", "with -serve, per-tenant admission quotas as comma-separated tenant=burst@rate entries ('*' = default quota), e.g. 'alice=10@2,*=100@50'")
-	workerMode := fs.Bool("worker", false, "fleet worker mode: pull jobs from -server over the lease API and run them locally")
-	concurrency := fs.Int("concurrency", 1, "with -worker, parallel jobs pulled at once")
-	workerID := fs.String("worker-id", "", "with -worker, stable worker identity in leases/metrics (default host-pid)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h/-help: usage already printed, not a failure
 		}
 		return err
 	}
-	// -workers 0 is the pure-coordinator form of -serve: no local pool,
-	// every job executed by remote fleet workers.
-	if *workers < 1 && !(*workers == 0 && *serveAddr != "") {
+	if *workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d", *workers)
 	}
 	if *quiet && *verbose {
@@ -151,17 +138,6 @@ func run(args []string) (err error) {
 	}
 	if (*submit || *campaignList != "") && *serverURL == "" {
 		return errors.New("-submit/-campaign require -server URL")
-	}
-	if *workerMode {
-		if *serverURL == "" {
-			return errors.New("-worker requires -server URL")
-		}
-		if *serveAddr != "" || *submit || *campaignList != "" {
-			return errors.New("-worker excludes -serve/-submit/-campaign")
-		}
-		if *concurrency < 1 {
-			return fmt.Errorf("-concurrency must be >= 1, got %d", *concurrency)
-		}
 	}
 	if *submit && *campaignList != "" {
 		return errors.New("-submit and -campaign are mutually exclusive")
@@ -195,21 +171,6 @@ func run(args []string) (err error) {
 			snapshotDir:  *snapshotDir,
 			metricsAddr:  *metricsAddr,
 			eventBuf:     *eventBuf,
-			leaseTTL:     *leaseTTL,
-			quota:        *quota,
-		})
-	}
-	if *workerMode {
-		return runWorker(workerConfig{
-			serverURL:    *serverURL,
-			id:           *workerID,
-			concurrency:  *concurrency,
-			workers:      *workers,
-			snapshotDir:  *snapshotDir,
-			retries:      *retries,
-			retryBackoff: *retryBackoff,
-			seed:         *seed,
-			metricsAddr:  *metricsAddr,
 		})
 	}
 	if *submit || *campaignList != "" {

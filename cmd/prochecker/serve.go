@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"prochecker"
-	"prochecker/internal/dist"
 	"prochecker/internal/jobs"
 	"prochecker/internal/obs"
 	"prochecker/internal/resilience"
@@ -41,8 +40,6 @@ type serveConfig struct {
 	snapshotDir  string        // root for per-job exploration checkpoints ("" disables)
 	metricsAddr  string        // debug endpoint (pprof/metrics/healthz); "" disables
 	eventBuf     int           // event-bus ring capacity (0 = default)
-	leaseTTL     time.Duration // fleet-worker lease TTL (0 = jobs.DefaultLeaseTTL)
-	quota        string        // per-tenant admission quota spec ("" disables the gate)
 }
 
 // runServe hosts the job service until SIGINT/SIGTERM, then drains
@@ -78,13 +75,12 @@ func runServe(cfg serveConfig) (err error) {
 		WALDir:      cfg.walDir,
 		Retry:       jobs.RetryPolicy{MaxAttempts: cfg.retries, Backoff: cfg.retryBackoff, Seed: cfg.seed},
 		Queue:       cfg.queueCap,
-		Workers:     cfg.workers, // -workers 0: pure coordinator, all execution on fleet workers
+		Workers:     cfg.workers,
 		Timeout:     cfg.timeout,
 		BaseContext: base,
 		Metrics:     o.Metrics(),
 		Events:      bus,
 		FlightDir:   flightDir,
-		LeaseTTL:    cfg.leaseTTL,
 	})
 	if err != nil {
 		return err
@@ -95,15 +91,7 @@ func runServe(cfg serveConfig) (err error) {
 			"prochecker: wal recovery from %s: %d record(s) replayed, %d result(s) adopted, %d job(s) requeued, %d terminal kept\n",
 			cfg.walDir, recovery.Replayed, recovery.Adopted, recovery.Requeued, recovery.Terminal)
 	}
-	opts := []server.Option{server.WithBus(bus)}
-	if cfg.quota != "" {
-		quotas, qerr := dist.ParseQuotaSpec(cfg.quota)
-		if qerr != nil {
-			return qerr
-		}
-		opts = append(opts, server.WithTenantGate(dist.NewGate(quotas, o.Metrics())))
-	}
-	srv := server.New(svc, o.Metrics(), opts...)
+	srv := server.New(svc, o.Metrics(), server.WithBus(bus))
 
 	// Optional debug endpoint alongside the API: pprof,
 	// Prometheus /metrics, and a /healthz whose readiness flips to 503
@@ -388,9 +376,6 @@ func formatBusEvent(ev obs.BusEvent) (string, bool) {
 		if a := ev.Attrs["attempt"]; a != "" && a != "1" {
 			detail += " attempt=" + a
 		}
-		if w := ev.Attrs["worker"]; w != "" {
-			detail += " worker=" + w
-		}
 		if ev.Attrs["cache_hit"] == "true" {
 			detail += " cache_hit"
 		}
@@ -401,9 +386,6 @@ func formatBusEvent(ev obs.BusEvent) (string, bool) {
 			detail += "  " + firstLine(ev.Err)
 		}
 		return fmt.Sprintf("[%s] %s %s%s", scope, ev.Type, ev.Name, detail), true
-	case "lease":
-		return fmt.Sprintf("[%s] lease %s %s worker=%s attempt=%s",
-			scope, ev.Attrs["lease"], ev.Name, ev.Attrs["worker"], ev.Attrs["attempt"]), true
 	case "progress":
 		return fmt.Sprintf("[%s] level %d: %s states, frontier %s (%s)",
 			scope, ev.Value, ev.Attrs["states"], ev.Attrs["frontier"], ev.Attrs["system"]), true

@@ -29,6 +29,12 @@ func TestServiceFlagValidation(t *testing.T) {
 		{[]string{"-campaign", "OAI"}, "require -server"},
 		{[]string{"-server", "http://x", "-submit", "-campaign", "OAI"}, "mutually exclusive"},
 		{[]string{"-wait"}, "-wait requires"},
+		{[]string{"-serve", ":0", "-workers", "0"}, "-workers must be >= 1"},
+		{[]string{"-worker", "-server", "http://x"}, "flag provided but not defined: -worker"},
+		{[]string{"-serve", ":0", "-worker-id", "w1"}, "flag provided but not defined: -worker-id"},
+		{[]string{"-serve", ":0", "-concurrency", "2"}, "flag provided but not defined: -concurrency"},
+		{[]string{"-serve", ":0", "-lease-ttl", "30s"}, "flag provided but not defined: -lease-ttl"},
+		{[]string{"-serve", ":0", "-quota", "alice=10@2"}, "flag provided but not defined: -quota"},
 	}
 	for _, c := range cases {
 		err := run(c.args)

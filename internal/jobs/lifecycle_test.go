@@ -18,7 +18,7 @@ import (
 // lifecycleTrace renders what a scenario left behind, timestamps
 // stripped: per job (in ID order) every WAL record and every scoped bus
 // event in append order, then the queue-depth metric events, then the
-// final jobs.*/dist.* counters and gauges (histograms by count). Read
+// final jobs.* counters and gauges (histograms by count). Read
 // before Close, so the WAL still holds the full history rather than the
 // drain's compacted checkpoint.
 func lifecycleTrace(t *testing.T, walDir string, bus *obs.Bus, reg *obs.Registry) string {
@@ -47,7 +47,6 @@ func lifecycleTrace(t *testing.T, walDir string, bus *obs.Bus, reg *obs.Registry
 			}
 			parts := []string{"wal", string(rec.Type)}
 			for _, kv := range [][2]string{
-				{"action", rec.Action}, {"lease", rec.Lease}, {"worker", rec.Worker},
 				{"state", string(rec.State)}, {"class", rec.Class}, {"error", rec.Error},
 			} {
 				if kv[1] != "" {
@@ -109,7 +108,7 @@ func lifecycleTrace(t *testing.T, walDir string, bus *obs.Bus, reg *obs.Registry
 
 	var metrics []string
 	for name, v := range reg.Snapshot() {
-		if !strings.HasPrefix(name, "jobs.") && !strings.HasPrefix(name, "dist.") {
+		if !strings.HasPrefix(name, "jobs.") {
 			continue
 		}
 		switch v := v.(type) {
@@ -139,28 +138,9 @@ func waitState(t *testing.T, s *Service, id string, want State) {
 	t.Fatalf("job %s never reached %s", id, want)
 }
 
-// mustAcquire polls the lease API until a job is handed out (a retried
-// job reappears only after its backoff).
-func mustAcquire(t *testing.T, s *Service, worker string) (Lease, Job) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		l, j, ok, err := s.AcquireLease(worker)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			return l, j
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("%s never acquired a lease", worker)
-	return Lease{}, Job{}
-}
-
 // TestLifecyclePinned pins the observable lifecycle of every execution
-// path — local pool and lease API, success, retry, quarantine, cancel,
-// expiry and abandonment — down to the WAL record sequence, the bus
+// path — success, retry, quarantine, cancel while queued and while
+// running — down to the WAL record sequence, the bus
 // event sequence and the metric values, so a rework of the queue
 // transitions cannot shift any of them.
 func TestLifecyclePinned(t *testing.T) {
@@ -172,13 +152,6 @@ func TestLifecyclePinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(s.Close)
-		return s, dir, bus, reg
-	}
-	leased := func(t *testing.T, retry RetryPolicy) (*Service, string, *obs.Bus, *obs.Registry) {
-		dir, bus := t.TempDir(), obs.NewBus(256, nil)
-		s, reg := coordinator(t, func(c *Config) {
-			c.WALDir, c.Events, c.Retry = dir, bus, retry
-		})
 		return s, dir, bus, reg
 	}
 	submit := func(t *testing.T, s *Service, sp Spec) string {
@@ -237,53 +210,6 @@ func TestLifecyclePinned(t *testing.T) {
 			waitState(t, s, id, StateCancelled)
 			return dir, bus, reg
 		}},
-		{"lease-done", func(t *testing.T) (string, *obs.Bus, *obs.Registry) {
-			s, dir, bus, reg := leased(t, RetryPolicy{})
-			submit(t, s, spec)
-			l, j := mustAcquire(t, s, "w1")
-			if _, err := s.CompleteLease(l.ID, resultFor(t, j)); err != nil {
-				t.Fatal(err)
-			}
-			return dir, bus, reg
-		}},
-		{"lease-expiry-requeue-done", func(t *testing.T) (string, *obs.Bus, *obs.Registry) {
-			s, dir, bus, reg := leased(t, retryPolicy(3))
-			submit(t, s, spec)
-			l, _ := mustAcquire(t, s, "w1")
-			if n := s.ExpireLeases(l.Expiry.Add(time.Second)); n != 1 {
-				t.Fatalf("ExpireLeases = %d, want 1", n)
-			}
-			l2, j2 := mustAcquire(t, s, "w2")
-			if _, err := s.CompleteLease(l2.ID, resultFor(t, j2)); err != nil {
-				t.Fatal(err)
-			}
-			return dir, bus, reg
-		}},
-		{"lease-abandon", func(t *testing.T) (string, *obs.Bus, *obs.Registry) {
-			s, dir, bus, reg := leased(t, RetryPolicy{})
-			submit(t, s, spec)
-			l, _ := mustAcquire(t, s, "w1")
-			if _, err := s.FailLease(l.ID, "cancelled", "worker shutting down"); err != nil {
-				t.Fatal(err)
-			}
-			l2, j2 := mustAcquire(t, s, "w2")
-			if _, err := s.CompleteLease(l2.ID, resultFor(t, j2)); err != nil {
-				t.Fatal(err)
-			}
-			return dir, bus, reg
-		}},
-		{"cancel-leased", func(t *testing.T) (string, *obs.Bus, *obs.Registry) {
-			s, dir, bus, reg := leased(t, RetryPolicy{})
-			id := submit(t, s, spec)
-			l, j := mustAcquire(t, s, "w1")
-			if _, err := s.Cancel(id); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.CompleteLease(l.ID, resultFor(t, j)); err == nil {
-				t.Fatal("upload after cancel accepted, want stale")
-			}
-			return dir, bus, reg
-		}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -306,9 +232,6 @@ j-0001 bus job queued
 j-0001 bus job running attempt=1
 j-0001 bus job done attempt=1 class=none
 events jobs.queue_depth=1 jobs.queue_depth=0
-metric dist.leases_expired=0
-metric dist.leases_granted=0
-metric dist.stale_results=0
 metric jobs.cache_misses=1
 metric jobs.completed=1
 metric jobs.queue_depth=0
@@ -331,9 +254,6 @@ j-0001 bus job retrying attempt=1
 j-0001 bus job running attempt=2
 j-0001 bus job done attempt=2 class=none
 events jobs.queue_depth=1 jobs.queue_depth=0 jobs.queue_depth=0
-metric dist.leases_expired=0
-metric dist.leases_granted=0
-metric dist.stale_results=0
 metric jobs.cache_misses=1
 metric jobs.completed=1
 metric jobs.queue_depth=0
@@ -357,9 +277,6 @@ j-0001 bus job retrying attempt=1
 j-0001 bus job running attempt=2
 j-0001 bus job quarantined attempt=2 class=retry-exhausted err=jobs: j-0001 quarantined after 2 attempts (last: attempt 2: fault injected): retry attempts exhausted
 events jobs.queue_depth=1 jobs.queue_depth=0 jobs.queue_depth=0
-metric dist.leases_expired=0
-metric dist.leases_granted=0
-metric dist.stale_results=0
 metric jobs.cache_misses=1
 metric jobs.completed=1
 metric jobs.quarantined=1
@@ -382,9 +299,6 @@ j-0002 wal terminal state=cancelled class=cancelled error=jobs: j-0002 cancelled
 j-0002 bus job queued
 j-0002 bus job cancelled class=cancelled err=jobs: j-0002 cancelled while queued: run cancelled
 events jobs.queue_depth=1 jobs.queue_depth=0 jobs.queue_depth=1
-metric dist.leases_expired=0
-metric dist.leases_granted=0
-metric dist.stale_results=0
 metric jobs.cache_misses=2
 metric jobs.completed=2
 metric jobs.queue_depth=0
@@ -406,134 +320,8 @@ j-0001 bus job queued
 j-0001 bus job running attempt=1
 j-0001 bus job cancelled attempt=1 class=cancelled err=context canceled
 events jobs.queue_depth=1 jobs.queue_depth=0
-metric dist.leases_expired=0
-metric dist.leases_granted=0
-metric dist.stale_results=0
 metric jobs.cache_misses=1
 metric jobs.completed=1
-metric jobs.queue_depth=0
-metric jobs.queue_latency_ms#1
-metric jobs.running=0
-metric jobs.submitted=1
-metric jobs.terminal.cancelled=1
-metric jobs.terminal_by_impl{impl=srsLTE}=1
-`,
-	"lease-done": `j-0001 wal submitted
-j-0001 wal started attempt=1
-j-0001 wal lease action=grant lease=l-0001 worker=w1
-j-0001 wal lease action=release lease=l-0001 worker=w1
-j-0001 wal terminal state=done class=none
-j-0001 bus job queued
-j-0001 bus lease granted attempt=1 lease=l-0001 worker=w1
-j-0001 bus job running attempt=1 worker=w1
-j-0001 bus lease completed attempt=1 lease=l-0001 worker=w1
-j-0001 bus job done attempt=1 class=none worker=w1
-events jobs.queue_depth=1 jobs.queue_depth=0
-metric dist.leases_expired=0
-metric dist.leases_granted=1
-metric dist.stale_results=0
-metric jobs.cache_misses=1
-metric jobs.completed=1
-metric jobs.leases_active{worker=w1}=0
-metric jobs.queue_depth=0
-metric jobs.queue_latency_ms#1
-metric jobs.running=0
-metric jobs.store_entries=0
-metric jobs.store_evictions=0
-metric jobs.store_quarantined=0
-metric jobs.submitted=1
-metric jobs.terminal.none=1
-metric jobs.terminal_by_impl{impl=srsLTE}=1
-`,
-	"lease-expiry-requeue-done": `j-0001 wal submitted
-j-0001 wal started attempt=1
-j-0001 wal lease action=grant lease=l-0001 worker=w1
-j-0001 wal lease action=release lease=l-0001 worker=w1
-j-0001 wal started attempt=2
-j-0001 wal lease action=grant lease=l-0002 worker=w2
-j-0001 wal lease action=release lease=l-0002 worker=w2
-j-0001 wal terminal state=done class=none
-j-0001 bus job queued
-j-0001 bus lease granted attempt=1 lease=l-0001 worker=w1
-j-0001 bus job running attempt=1 worker=w1
-j-0001 bus lease expired attempt=1 lease=l-0001 worker=w1
-j-0001 bus job retrying attempt=1 worker=w1
-j-0001 bus lease granted attempt=2 lease=l-0002 worker=w2
-j-0001 bus job running attempt=2 worker=w2
-j-0001 bus lease completed attempt=2 lease=l-0002 worker=w2
-j-0001 bus job done attempt=2 class=none worker=w2
-events jobs.queue_depth=1 jobs.queue_depth=0 jobs.queue_depth=0
-metric dist.leases_expired=1
-metric dist.leases_granted=2
-metric dist.stale_results=0
-metric jobs.cache_misses=1
-metric jobs.completed=1
-metric jobs.leases_active{worker=w1}=0
-metric jobs.leases_active{worker=w2}=0
-metric jobs.queue_depth=0
-metric jobs.queue_latency_ms#1
-metric jobs.retries=1
-metric jobs.running=0
-metric jobs.store_entries=0
-metric jobs.store_evictions=0
-metric jobs.store_quarantined=0
-metric jobs.submitted=1
-metric jobs.terminal.none=1
-metric jobs.terminal_by_impl{impl=srsLTE}=1
-`,
-	"lease-abandon": `j-0001 wal submitted
-j-0001 wal started attempt=1
-j-0001 wal lease action=grant lease=l-0001 worker=w1
-j-0001 wal lease action=release lease=l-0001 worker=w1
-j-0001 wal started attempt=1
-j-0001 wal lease action=grant lease=l-0002 worker=w2
-j-0001 wal lease action=release lease=l-0002 worker=w2
-j-0001 wal terminal state=done class=none
-j-0001 bus job queued
-j-0001 bus lease granted attempt=1 lease=l-0001 worker=w1
-j-0001 bus job running attempt=1 worker=w1
-j-0001 bus lease abandoned attempt=0 lease=l-0001 worker=w1
-j-0001 bus job requeued worker=w1
-j-0001 bus lease granted attempt=1 lease=l-0002 worker=w2
-j-0001 bus job running attempt=1 worker=w2
-j-0001 bus lease completed attempt=1 lease=l-0002 worker=w2
-j-0001 bus job done attempt=1 class=none worker=w2
-events jobs.queue_depth=1 jobs.queue_depth=0 jobs.queue_depth=1 jobs.queue_depth=0
-metric dist.leases_abandoned=1
-metric dist.leases_expired=0
-metric dist.leases_granted=2
-metric dist.stale_results=0
-metric jobs.cache_misses=1
-metric jobs.completed=1
-metric jobs.leases_active{worker=w1}=0
-metric jobs.leases_active{worker=w2}=0
-metric jobs.queue_depth=0
-metric jobs.queue_latency_ms#1
-metric jobs.running=0
-metric jobs.store_entries=0
-metric jobs.store_evictions=0
-metric jobs.store_quarantined=0
-metric jobs.submitted=1
-metric jobs.terminal.none=1
-metric jobs.terminal_by_impl{impl=srsLTE}=1
-`,
-	"cancel-leased": `j-0001 wal submitted
-j-0001 wal started attempt=1
-j-0001 wal lease action=grant lease=l-0001 worker=w1
-j-0001 wal lease action=release lease=l-0001 worker=w1
-j-0001 wal terminal state=cancelled class=cancelled error=jobs: j-0001 cancelled while leased to w1: run cancelled
-j-0001 bus job queued
-j-0001 bus lease granted attempt=1 lease=l-0001 worker=w1
-j-0001 bus job running attempt=1 worker=w1
-j-0001 bus lease cancelled attempt=1 lease=l-0001 worker=w1
-j-0001 bus job cancelled attempt=1 class=cancelled worker=w1 err=jobs: j-0001 cancelled while leased to w1: run cancelled
-events jobs.queue_depth=1 jobs.queue_depth=0
-metric dist.leases_expired=0
-metric dist.leases_granted=1
-metric dist.stale_results=1
-metric jobs.cache_misses=1
-metric jobs.completed=1
-metric jobs.leases_active{worker=w1}=0
 metric jobs.queue_depth=0
 metric jobs.queue_latency_ms#1
 metric jobs.running=0

@@ -44,20 +44,17 @@ func (s State) Terminal() bool {
 // Attempts counts execution attempts (retries make it exceed 1), and
 // Recovered marks a job requeued from the WAL after a crash.
 type Job struct {
-	ID        string  `json:"id"`
-	Key       string  `json:"key"`
-	Spec      Spec    `json:"spec"`
-	State     State   `json:"state"`
-	CacheHit  bool    `json:"cache_hit,omitempty"`
-	Attempts  int     `json:"attempts,omitempty"`
-	Recovered bool    `json:"recovered,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	Class     string  `json:"class,omitempty"`
-	ExitCode  int     `json:"exit_code"`
-	Result    *Result `json:"result,omitempty"`
-	// Worker names the fleet worker that last leased the job ("" while
-	// only the coordinator's local executors have run it).
-	Worker      string     `json:"worker,omitempty"`
+	ID          string     `json:"id"`
+	Key         string     `json:"key"`
+	Spec        Spec       `json:"spec"`
+	State       State      `json:"state"`
+	CacheHit    bool       `json:"cache_hit,omitempty"`
+	Attempts    int        `json:"attempts,omitempty"`
+	Recovered   bool       `json:"recovered,omitempty"`
+	Error       string     `json:"error,omitempty"`
+	Class       string     `json:"class,omitempty"`
+	ExitCode    int        `json:"exit_code"`
+	Result      *Result    `json:"result,omitempty"`
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
@@ -139,14 +136,12 @@ type Config struct {
 	// DefaultQueueCap. Jobs requeued from the WAL were admitted before
 	// the crash and may transiently exceed the bound.
 	Queue int
-	// Workers is the number of local executors running jobs in-process;
-	// 0 makes the service a pure coordinator whose every job is executed
-	// by fleet workers pulling through the lease API. Local executors and
-	// leases share one queue, so both may be used at once.
+	// Workers is the number of executors running jobs in-process; New
+	// rejects fewer than one.
 	Workers int
-	// Timeout bounds each local execution attempt (0 = none); an expired
+	// Timeout bounds each execution attempt (0 = none); an expired
 	// attempt ends the job cancelled (deadlines are deterministic, so
-	// they are not retried). Leased attempts are bounded by LeaseTTL.
+	// they are not retried).
 	Timeout time.Duration
 	// BaseContext is the parent of every job's context — the place to
 	// install a process-wide obs observer. Defaults to
@@ -164,10 +159,6 @@ type Config struct {
 	// stream is written to <FlightDir>/<job-id>.jsonl with a CRC footer,
 	// replayable offline for post-mortem debugging. Requires Events.
 	FlightDir string
-	// LeaseTTL bounds how long a distributed worker may hold a job
-	// without heartbeating before the lease expires and the job
-	// requeues. Defaults to DefaultLeaseTTL.
-	LeaseTTL time.Duration
 }
 
 // DefaultQueueCap bounds the queue when Config.Queue <= 0.
@@ -198,14 +189,7 @@ type task struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	cancel    context.CancelFunc // set while a local executor runs it
-
-	// Distributed execution: set while the task is leased to a remote
-	// worker (leaseID empties on release; worker persists for
-	// attribution).
-	worker      string
-	leaseID     string
-	leaseExpiry time.Time
+	cancel    context.CancelFunc // set while an executor runs it
 }
 
 // RecoveryStats summarises what New reconstructed from the WAL.
@@ -222,18 +206,12 @@ type RecoveryStats struct {
 	// Terminal counts failed/cancelled/quarantined jobs restored
 	// as-is.
 	Terminal int `json:"terminal_restored"`
-	// LeasesRestored counts unexpired worker leases re-adopted from the
-	// WAL: their jobs stay running under the original worker instead of
-	// requeueing, so a coordinator restart does not double-schedule work
-	// a live worker still holds.
-	LeasesRestored int `json:"leases_restored"`
 }
 
 // Service owns the queue, the job table and (when configured) the
 // write-ahead log making all of it crash-safe. A job moves through one
 // set of transitions — enqueueLocked, takeLocked, completeLocked or
-// failLocked, finishLocked — whether a local executor or a leased fleet
-// worker runs the attempt.
+// failLocked, finishLocked — run by the service's executors.
 type Service struct {
 	cfg    Config
 	base   context.Context
@@ -250,17 +228,11 @@ type Service struct {
 	inflight map[string]string // key -> id of the queued/running job
 	pending  []*task           // FIFO of runnable tasks
 	nqueued  int               // tasks in StateQueued (backpressure bound)
-	running  int               // attempts in flight, local or leased
-	nworkers int               // local executor goroutines not yet exited
+	running  int               // attempts in flight
+	nworkers int               // executor goroutines not yet exited
 	metas    []Record          // opaque layer-above records, one per ID
-	leases   map[string]*task  // active lease ID -> leased task
-	leaseSeq int
 	draining bool
 	recovery RecoveryStats
-
-	sweepStop chan struct{} // closed by drain to stop the lease sweeper
-	sweepDone chan struct{} // closed when the sweeper exits
-	sweepOnce sync.Once
 
 	checkpointOnce sync.Once
 }
@@ -274,6 +246,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Runner == nil {
 		return nil, errors.New("jobs: Config.Runner is required")
 	}
+	if cfg.Workers < 1 {
+		return nil, fmt.Errorf("jobs: Config.Workers must be >= 1, got %d", cfg.Workers)
+	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = DefaultQueueCap
 	}
@@ -281,19 +256,13 @@ func New(cfg Config) (*Service, error) {
 		cfg.BaseContext = context.Background()
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = DefaultLeaseTTL
-	}
 	s := &Service{
-		cfg:       cfg,
-		base:      cfg.BaseContext,
-		bus:       cfg.Events,
-		rng:       rand.New(rand.NewSource(cfg.Retry.Seed)),
-		tasks:     make(map[string]*task),
-		inflight:  make(map[string]string),
-		leases:    make(map[string]*task),
-		sweepStop: make(chan struct{}),
-		sweepDone: make(chan struct{}),
+		cfg:      cfg,
+		base:     cfg.BaseContext,
+		bus:      cfg.Events,
+		rng:      rand.New(rand.NewSource(cfg.Retry.Seed)),
+		tasks:    make(map[string]*task),
+		inflight: make(map[string]string),
 	}
 	s.cond = sync.NewCond(&s.mu)
 
@@ -306,9 +275,6 @@ func New(cfg Config) (*Service, error) {
 		reg.Gauge("jobs.queue_depth")
 		reg.Gauge("jobs.running")
 		reg.Histogram("jobs.queue_latency_ms", nil)
-		reg.Counter("dist.leases_granted")
-		reg.Counter("dist.leases_expired")
-		reg.Counter("dist.stale_results")
 	}
 
 	if cfg.WALDir != "" {
@@ -348,7 +314,6 @@ func New(cfg Config) (*Service, error) {
 	for w := 0; w < cfg.Workers; w++ {
 		go s.worker()
 	}
-	go s.sweeper()
 	return s, nil
 }
 
@@ -361,10 +326,8 @@ func (s *Service) replay(recs []Record) {
 	defer s.mu.Unlock()
 	reg := s.cfg.Metrics
 	s.recovery.Replayed = len(recs)
-	// Lease bookkeeping across the record stream: grants/renewals upsert,
-	// releases delete, so what survives the loop is the set of leases
-	// that were live at crash time (expiry decides re-adoption below).
-	liveLeases := make(map[string]Record)
+	// Record types this version does not know (the lease records of
+	// older logs) are skipped; compaction then drops them.
 	for _, rec := range recs {
 		switch rec.Type {
 		case RecSubmitted:
@@ -404,28 +367,6 @@ func (s *Service) replay(recs []Record) {
 			}
 		case RecMeta:
 			s.putMetaLocked(rec)
-		case RecLease:
-			switch rec.Action {
-			case LeaseGrant:
-				liveLeases[rec.Lease] = rec
-			case LeaseRenew:
-				if g, ok := liveLeases[rec.Lease]; ok {
-					g.Expiry = rec.Expiry
-					liveLeases[rec.Lease] = g
-				}
-			case LeaseRelease:
-				delete(liveLeases, rec.Lease)
-			}
-		}
-	}
-
-	// Index the surviving leases by job for the settle loop; expired
-	// grants fall through to the ordinary requeue path.
-	now := time.Now()
-	leaseByJob := make(map[string]Record, len(liveLeases))
-	for _, g := range liveLeases {
-		if g.Expiry.After(now) {
-			leaseByJob[g.ID] = g
 		}
 	}
 
@@ -447,29 +388,6 @@ func (s *Service) replay(recs []Record) {
 			t.finished, t.cacheHit, t.attempts = time.Time{}, false, 0
 			s.requeueReplayedLocked(t)
 		case !t.state.Terminal():
-			if g, ok := leaseByJob[id]; ok {
-				// A live worker still holds this job under an unexpired
-				// lease: re-adopt the assignment instead of requeueing, so
-				// the restarted coordinator accepts the worker's heartbeats
-				// and eventual result. The sweeper reclaims it as usual if
-				// the worker is in fact gone.
-				t.state = StateRunning
-				t.recovered = true
-				t.worker = g.Worker
-				t.leaseID = g.Lease
-				t.leaseExpiry = g.Expiry
-				s.leases[g.Lease] = t
-				s.inflight[t.key] = t.id
-				if n := idSeq(g.Lease); n > s.leaseSeq {
-					s.leaseSeq = n
-				}
-				s.running++
-				s.recovery.LeasesRestored++
-				reg.Counter("jobs.recovered_leases").Inc()
-				reg.Gauge(obs.LabeledStr("jobs.leases_active", "worker", t.worker)).Add(1)
-				reg.Gauge("jobs.running").Add(1)
-				continue
-			}
 			// Queued or mid-attempt at crash time. The interrupted
 			// attempt is retried without counting against the policy.
 			if t.attempts > 0 {
@@ -489,12 +407,6 @@ func (s *Service) requeueReplayedLocked(t *task) {
 	s.recovery.Requeued++
 	s.cfg.Metrics.Counter("jobs.recovered_requeued").Inc()
 }
-
-// ClassifiedError rebuilds a classifiable error from a serialized
-// failure class and message — the bridge for worker-reported failures
-// crossing the lease HTTP boundary, sharing the WAL replay machinery so
-// errors.Is and exit codes see the taxonomy sentinel through Unwrap.
-func ClassifiedError(class, msg string) error { return reconstructError(class, msg) }
 
 // reconstructError rebuilds a classifiable error from a serialized
 // failure class: the message survives byte-identical while errors.Is
@@ -543,8 +455,8 @@ func (s *Service) Recovery() RecoveryStats {
 }
 
 // LogMeta durably journals an opaque record for the layer above the job
-// service (the HTTP server persists campaign membership and tenant quota
-// balances through it) and keeps it across compactions. A record
+// service (the HTTP server persists campaign membership through it) and
+// keeps it across compactions. A record
 // replaces any earlier one with the same ID, so mutable state
 // re-journalled under a stable ID keeps only its latest payload; the WAL
 // itself stays append-only, and replay collapses it the same way.
@@ -685,24 +597,16 @@ func (s *Service) Cancel(id string) (Job, error) {
 }
 
 // stopLocked cancels a non-terminal job. A queued job (including one
-// waiting out a retry backoff) ends cancelled at once. A local attempt
-// has its context cancelled and ends when its runner returns. A leased
-// attempt has no local context, so the lease is released and the job
-// ends cancelled at once; the worker's eventual upload is discarded as
-// stale.
+// waiting out a retry backoff) ends cancelled at once. A running
+// attempt has its context cancelled and ends when its runner returns.
 func (s *Service) stopLocked(t *task) {
 	switch {
 	case t.state == StateQueued:
 		s.nqueued--
 		s.cfg.Metrics.Gauge("jobs.queue_depth").Add(-1)
 		s.finishLocked(t, StateCancelled, fmt.Errorf("jobs: %s cancelled while queued: %w", t.id, resilience.ErrCancelled))
-	case t.state != StateRunning:
-	case t.cancel != nil:
+	case t.state == StateRunning && t.cancel != nil:
 		t.cancel()
-	case t.leaseID != "":
-		s.releaseLeaseLocked(t, "cancelled")
-		s.finishLocked(t, StateCancelled,
-			fmt.Errorf("jobs: %s cancelled while leased to %s: %w", t.id, t.worker, resilience.ErrCancelled))
 	}
 }
 
@@ -730,18 +634,13 @@ func (s *Service) Drain(ctx context.Context) (int, error) {
 
 	done := make(chan struct{})
 	go func() {
-		// One barrier for every running attempt, local or leased, and
-		// for the local executors' exit. Fleet workers keep renewing and
-		// settling leases during the drain, and a dead worker's lease is
-		// reclaimed by the sweeper within one TTL (draining disables
-		// retries, so reclamation is terminal and the wait is bounded).
+		// One barrier for every running attempt and for the executors'
+		// exit.
 		s.mu.Lock()
 		for s.running > 0 || s.nworkers > 0 {
 			s.cond.Wait()
 		}
 		s.mu.Unlock()
-		s.sweepOnce.Do(func() { close(s.sweepStop) })
-		<-s.sweepDone
 		close(done)
 	}()
 	select {
@@ -800,14 +699,6 @@ func (s *Service) liveRecordsLocked() []Record {
 				Type: RecStarted, ID: t.id, Attempt: t.attempts, At: t.started.UTC(),
 			})
 		}
-		if t.leaseID != "" {
-			// An active worker assignment survives compaction as a single
-			// grant at its current expiry.
-			recs = append(recs, Record{
-				Type: RecLease, ID: t.id, Lease: t.leaseID, Worker: t.worker,
-				Action: LeaseGrant, Expiry: t.leaseExpiry.UTC(), At: t.started.UTC(),
-			})
-		}
 		if t.state.Terminal() {
 			recs = append(recs, terminalRecord(t))
 		}
@@ -827,7 +718,7 @@ func (s *Service) Close() {
 	s.Drain(context.Background()) //nolint:errcheck // background ctx never expires
 }
 
-// worker is one local executor: take → run → complete, or retry or
+// worker is one executor: take → run → complete, or retry or
 // finalize, until the drain empties the queue.
 func (s *Service) worker() {
 	for {
@@ -852,7 +743,8 @@ func (s *Service) worker() {
 		}
 		t.cancel = cancel
 		spec, attempt := t.spec, t.attempts
-		s.publishRunningLocked(t)
+		s.publishJobLocked(t, string(StateRunning))
+		s.publishQueueDepthLocked()
 		s.mu.Unlock()
 
 		// The job's ID becomes the scope of every span the runner starts,
@@ -904,8 +796,7 @@ func (s *Service) enqueueLocked(t *task, delay time.Duration) {
 
 // takeLocked pops the oldest queued task and starts an attempt on it,
 // skipping tasks cancelled while they waited; nil when nothing is
-// queued. The caller runs the attempt (a local executor) or leases it
-// out, then publishes the start with publishRunningLocked.
+// queued.
 func (s *Service) takeLocked() *task {
 	for len(s.pending) > 0 {
 		t := s.pending[0]
@@ -932,14 +823,8 @@ func (s *Service) takeLocked() *task {
 	return nil
 }
 
-// publishRunningLocked announces an attempt takeLocked started.
-func (s *Service) publishRunningLocked(t *task) {
-	s.publishJobLocked(t, string(StateRunning))
-	s.publishQueueDepthLocked()
-}
-
-// endAttemptLocked retires one running attempt, local or leased; Drain
-// waits for the count to reach zero.
+// endAttemptLocked retires one running attempt; Drain waits for the
+// count to reach zero.
 func (s *Service) endAttemptLocked() {
 	s.running--
 	s.cfg.Metrics.Gauge("jobs.running").Add(-1)
@@ -1030,9 +915,6 @@ func (s *Service) publishJobLocked(t *task, name string) {
 	if t.state.Terminal() {
 		attrs["class"] = terminalClass(t.state, t.err)
 	}
-	if t.worker != "" {
-		attrs["worker"] = t.worker
-	}
 	if t.err != nil {
 		ev.Err = t.err.Error()
 	}
@@ -1074,7 +956,6 @@ func (s *Service) snapshotLocked(t *task) Job {
 		Attempts:    t.attempts,
 		Recovered:   t.recovered,
 		Result:      t.result,
-		Worker:      t.worker,
 		SubmittedAt: t.submitted,
 	}
 	if t.err != nil {

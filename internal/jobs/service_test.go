@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -593,5 +594,59 @@ func TestSortProperties(t *testing.T) {
 	}
 	if SortProperties([]string{}) != nil {
 		t.Fatal("SortProperties(empty) != nil")
+	}
+}
+
+// TestNewRejectsNoWorkers: a service without executors would never run
+// a job, so New refuses it.
+func TestNewRejectsNoWorkers(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		s, err := New(Config{Runner: (&fakeRunner{}).run, Workers: n})
+		if err == nil {
+			s.Close()
+			t.Fatalf("New(Workers: %d) succeeded, want an error", n)
+		}
+		if !strings.Contains(err.Error(), "Workers must be >= 1") {
+			t.Fatalf("New(Workers: %d) = %v, want the Workers bound", n, err)
+		}
+	}
+}
+
+// TestLogMetaReplaceKeepsLatest: metas logged under one ID survive
+// replay as a single live record holding the newest payload.
+func TestLogMetaReplaceKeepsLatest(t *testing.T) {
+	walDir := t.TempDir()
+	open := func() *Service {
+		s, err := New(Config{Runner: (&fakeRunner{}).run, Workers: 1, WALDir: walDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	s := open()
+	if err := s.LogMeta("c-0001", json.RawMessage(`{"job_ids":["j-0001"]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LogMeta("c-0001", json.RawMessage(`{"job_ids":["j-0002"]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LogMeta("c-0002", json.RawMessage(`{"job_ids":["j-0003"]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if metas := s.Metas(); len(metas) != 2 {
+		t.Fatalf("live metas = %d, want 2 (replaced + appended)", len(metas))
+	}
+	s.Close()
+
+	metas := open().Metas()
+	var first []Record
+	for _, m := range metas {
+		if m.ID == "c-0001" {
+			first = append(first, m)
+		}
+	}
+	if len(first) != 1 || string(first[0].Meta) != `{"job_ids":["j-0002"]}` {
+		t.Fatalf("replayed c-0001 metas = %+v, want one record with the latest payload", first)
 	}
 }

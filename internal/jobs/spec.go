@@ -1,7 +1,6 @@
 // Package jobs is the batch-analysis subsystem: a bounded FIFO job
-// queue with backpressure, executed by local executors running specs
-// through an injected runner and/or by fleet workers holding leases,
-// and a content-addressed on-disk result store with LRU eviction that
+// queue with backpressure, executed by in-process executors running
+// specs through an injected runner, and a content-addressed on-disk result store with LRU eviction that
 // dedupes repeated work.
 //
 // The package is deliberately protocol-agnostic: a Spec is data, the

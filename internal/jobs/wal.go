@@ -23,37 +23,20 @@ type RecordType string
 // The WAL record vocabulary. A job's lifecycle is journalled as one
 // RecSubmitted, zero or more RecStarted (one per attempt), and at most
 // one RecTerminal; RecMeta carries opaque payloads for the layers above
-// the job service (the HTTP server persists campaign membership and
-// tenant quota balances with it). RecLease journals distributed worker
-// assignments — grant, renew, release — so crash recovery spans remote
-// attempts: a replayed unexpired lease keeps its job running instead of
-// requeueing it under the worker's feet.
+// the job service (the HTTP server persists campaign membership with
+// it).
 const (
 	RecSubmitted RecordType = "submitted"
 	RecStarted   RecordType = "started"
 	RecTerminal  RecordType = "terminal"
 	RecMeta      RecordType = "meta"
-	RecLease     RecordType = "lease"
-)
-
-// Lease-record actions (Record.Action when Type is RecLease).
-const (
-	// LeaseGrant assigns a queued job to a worker under a TTL.
-	LeaseGrant = "grant"
-	// LeaseRenew extends a held lease's expiry (heartbeat).
-	LeaseRenew = "renew"
-	// LeaseRelease ends a lease without implying the job's outcome:
-	// result uploaded, failure reported, expiry, or abandonment.
-	LeaseRelease = "release"
 )
 
 // Record is one WAL entry. Which fields are meaningful depends on Type:
 // submitted carries the spec and key, started the attempt number,
-// terminal the final state with its resilience class, meta an opaque
-// payload, and lease the lease ID, worker, action and expiry. At is
-// informational wall time; replay never orders by it (append order is
-// the order of record) — except that a replayed lease grant/renew is
-// live only while its Expiry is still in the future.
+// terminal the final state with its resilience class, and meta an
+// opaque payload. At is informational wall time; replay never orders by
+// it (append order is the order of record).
 type Record struct {
 	Type     RecordType      `json:"type"`
 	ID       string          `json:"id,omitempty"`
@@ -65,10 +48,6 @@ type Record struct {
 	Error    string          `json:"error,omitempty"`
 	CacheHit bool            `json:"cache_hit,omitempty"`
 	Meta     json.RawMessage `json:"meta,omitempty"`
-	Lease    string          `json:"lease,omitempty"`
-	Worker   string          `json:"worker,omitempty"`
-	Action   string          `json:"action,omitempty"`
-	Expiry   time.Time       `json:"expiry,omitempty"`
 	At       time.Time       `json:"at,omitempty"`
 }
 

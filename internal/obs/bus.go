@@ -19,7 +19,7 @@ type BusEvent struct {
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"`
 	// Type is one of "span_start", "span_end", "note", "metric", "job",
-	// "campaign", "lease", "progress" or "dropped".
+	// "campaign", "progress" or "dropped".
 	Type string `json:"type"`
 	// Scope names the job or campaign the event belongs to ("" for
 	// process-wide events); streaming endpoints filter on it.

@@ -22,9 +22,11 @@
 //   - RetryExhausted: a retry policy spent every attempt on a failure
 //     class that is normally transient; the job is poisoned and was
 //     quarantined instead of blocking the queue forever.
-//   - LeaseExpired: a distributed worker holding a job lease stopped
-//     heartbeating (crash, partition); the work was not wrong, the
-//     worker vanished, so the job is requeued for another worker.
+//   - LeaseExpired: a remote worker holding a job lease stopped
+//     heartbeating. Nothing produces this kind any more: only a job
+//     restored from a write-ahead log written by an older version,
+//     which still had fleet workers, carries it, and it keeps its exit
+//     code so such a job reports the same outcome after the upgrade.
 package resilience
 
 import (
@@ -59,10 +61,9 @@ var (
 	// attempts on a retryable failure class; the job is quarantined as
 	// poisoned rather than retried forever.
 	ErrRetryExhausted = errors.New("retry attempts exhausted")
-	// ErrLeaseExpired marks a job whose distributed worker lease ran
-	// out without a heartbeat or result: the worker crashed or was
-	// partitioned away mid-attempt. The failure says nothing about the
-	// job itself, so it is the canonical retryable class.
+	// ErrLeaseExpired marks a job whose remote worker lease ran out
+	// without a heartbeat or result. Only older write-ahead logs hold
+	// jobs of this class; replay restores them with it.
 	ErrLeaseExpired = errors.New("worker lease expired")
 )
 
@@ -80,7 +81,7 @@ const (
 	KindCasePanic                   // recovered test-case panic
 	KindModelLint                   // model-lint gate tripped
 	KindRetryExhausted              // retry policy spent on a transient class
-	KindLeaseExpired                // distributed worker lease ran out mid-attempt
+	KindLeaseExpired                // remote worker lease ran out (older WALs only)
 	KindInternal                    // genuine pipeline fault
 )
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"prochecker"
-	"prochecker/internal/dist"
 	"prochecker/internal/jobs"
 	"prochecker/internal/resilience"
 )
@@ -40,9 +39,6 @@ type Client struct {
 	Backoff time.Duration
 	// Seed drives the jitter PRNG so a retry schedule is reproducible.
 	Seed int64
-	// Tenant, when set, is sent as the X-ProChecker-Tenant header so the
-	// server's admission gate charges this client's quota.
-	Tenant string
 
 	rngOnce sync.Once
 	rngMu   sync.Mutex
@@ -89,11 +85,7 @@ func retryAfter(resp *http.Response) time.Duration {
 // carry the resilience taxonomy where the status implies one.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var payload []byte
-	if raw, ok := body.(json.RawMessage); ok {
-		// Pre-encoded bytes (canonical result uploads) pass through
-		// verbatim — re-marshalling would perturb the canonical form.
-		payload = raw
-	} else if body != nil {
+	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
 			return fmt.Errorf("server: encoding request: %w", err)
@@ -136,9 +128,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		if payload != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
-		if c.Tenant != "" {
-			req.Header.Set(TenantHeader, c.Tenant)
-		}
 		resp, err := c.http().Do(req)
 		if err != nil {
 			lastErr = fmt.Errorf("server: %s %s: %w", method, path, err)
@@ -164,10 +153,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 				return lastErr
 			}
 			continue
-		}
-		if out == nil || resp.StatusCode == http.StatusNoContent {
-			resp.Body.Close()
-			return nil
 		}
 		err = json.NewDecoder(resp.Body).Decode(out)
 		resp.Body.Close()
@@ -255,54 +240,6 @@ func (c *Client) Campaign(ctx context.Context, id string) (Campaign, error) {
 	}
 	err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id, nil, &out)
 	return out.Campaign, err
-}
-
-// Client implements the fleet worker's coordinator interface over the
-// /v1/leases API.
-var _ dist.Coordinator = (*Client)(nil)
-
-// AcquireLease requests one queued job under a lease for the named
-// worker; (nil, nil) means the queue is empty.
-func (c *Client) AcquireLease(ctx context.Context, worker string) (*dist.Grant, error) {
-	var g dist.Grant
-	body := struct {
-		Worker string `json:"worker"`
-	}{worker}
-	if err := c.do(ctx, http.MethodPost, "/v1/leases", body, &g); err != nil {
-		return nil, err
-	}
-	if g.Lease.ID == "" { // 204: nothing queued
-		return nil, nil
-	}
-	return &g, nil
-}
-
-// RenewLease heartbeats a held lease.
-func (c *Client) RenewLease(ctx context.Context, leaseID string) error {
-	return c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/heartbeat", nil, nil)
-}
-
-// CompleteLease uploads the leased job's canonical result bytes.
-func (c *Client) CompleteLease(ctx context.Context, leaseID string, canonical []byte) error {
-	return c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/result", json.RawMessage(canonical), nil)
-}
-
-// FailLease reports the leased job's classified failure.
-func (c *Client) FailLease(ctx context.Context, leaseID, class, msg string) error {
-	body := struct {
-		Class string `json:"class"`
-		Error string `json:"error"`
-	}{class, msg}
-	return c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/fail", body, nil)
-}
-
-// Leases lists the coordinator's active leases.
-func (c *Client) Leases(ctx context.Context) ([]jobs.Lease, error) {
-	var out struct {
-		Leases []jobs.Lease `json:"leases"`
-	}
-	err := c.do(ctx, http.MethodGet, "/v1/leases", nil, &out)
-	return out.Leases, err
 }
 
 // WaitJob polls until the job reaches a terminal state (or ctx

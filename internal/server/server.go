@@ -9,11 +9,6 @@
 //	GET    /v1/campaigns             list campaigns
 //	GET    /v1/campaigns/{id}        campaign status + differential report
 //	GET    /v1/campaigns/{id}/events live SSE stream across the campaign's jobs
-//	POST   /v1/leases                acquire a job lease (fleet workers; see dist.go)
-//	GET    /v1/leases                list active leases
-//	POST   /v1/leases/{id}/heartbeat renew a lease
-//	POST   /v1/leases/{id}/result    upload a leased job's canonical result
-//	POST   /v1/leases/{id}/fail      report a leased job's classified failure
 //	GET    /healthz                  readiness (503 while draining)
 //	GET    /metrics                  Prometheus text exposition (queue/cache/pipeline metrics)
 //
@@ -42,10 +37,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"prochecker"
-	"prochecker/internal/dist"
 	"prochecker/internal/jobs"
 	"prochecker/internal/obs"
 	"prochecker/internal/report"
@@ -75,7 +68,6 @@ type Server struct {
 	svc      *jobs.Service
 	mux      *http.ServeMux
 	bus      *obs.Bus
-	gate     *dist.Gate
 	draining atomic.Bool
 
 	mu        sync.Mutex
@@ -111,23 +103,21 @@ func WithBus(b *obs.Bus) Option {
 // New builds a Server on the given service and exposes the metrics
 // registry (the service's and the pipeline's shared one) on /metrics in
 // Prometheus text format. Campaigns journalled to a WAL by a previous
-// incarnation are restored with their original IDs and membership.
+// incarnation are restored with their original IDs and membership; a
+// meta whose ID is not a campaign ID (older logs hold other kinds) is
+// skipped.
 func New(svc *jobs.Service, reg *obs.Registry, opts ...Option) *Server {
 	s := &Server{svc: svc, campaigns: make(map[string]*campaignRecord)}
 	for _, opt := range opts {
 		opt(s)
 	}
 	for _, m := range svc.Metas() {
-		if name, ok := strings.CutPrefix(m.ID, "tenant:"); ok {
-			// Journalled tenant quota balance, not a campaign.
-			var tm tenantMeta
-			if s.gate != nil && json.Unmarshal(m.Meta, &tm) == nil {
-				s.gate.Restore(name, tm.Tokens, tm.At)
-			}
+		n, ok := campaignSeq(m.ID)
+		if !ok {
 			continue
 		}
 		var meta campaignMeta
-		if json.Unmarshal(m.Meta, &meta) != nil || m.ID == "" {
+		if json.Unmarshal(m.Meta, &meta) != nil {
 			continue
 		}
 		if _, dup := s.campaigns[m.ID]; dup {
@@ -136,18 +126,7 @@ func New(svc *jobs.Service, reg *obs.Registry, opts ...Option) *Server {
 		rec := &campaignRecord{id: m.ID, spec: meta.Spec, jobIDs: meta.JobIDs}
 		s.campaigns[rec.id] = rec
 		s.order = append(s.order, rec.id)
-		if n := campaignSeq(m.ID); n > s.seq {
-			s.seq = n
-		}
-	}
-	if s.gate != nil {
-		// Journal every admission so balances survive a restart; the
-		// replace-by-ID meta keeps one live record per tenant.
-		s.gate.SetJournal(func(tenant string, tokens float64, at time.Time) {
-			if meta, err := json.Marshal(tenantMeta{Tokens: tokens, At: at}); err == nil {
-				svc.LogMeta("tenant:"+tenant, meta) //nolint:errcheck // balance still live in memory
-			}
-		})
+		s.seq = max(s.seq, n)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -158,11 +137,6 @@ func New(svc *jobs.Service, reg *obs.Registry, opts ...Option) *Server {
 	mux.HandleFunc("GET /v1/campaigns", s.handleListCampaigns)
 	mux.HandleFunc("GET /v1/campaigns/{id}", s.handleGetCampaign)
 	mux.HandleFunc("GET /v1/campaigns/{id}/events", s.handleCampaignEvents)
-	mux.HandleFunc("POST /v1/leases", s.handleAcquireLease)
-	mux.HandleFunc("GET /v1/leases", s.handleListLeases)
-	mux.HandleFunc("POST /v1/leases/{id}/heartbeat", s.handleHeartbeat)
-	mux.HandleFunc("POST /v1/leases/{id}/result", s.handleLeaseResult)
-	mux.HandleFunc("POST /v1/leases/{id}/fail", s.handleLeaseFail)
 	mux.Handle("GET /metrics", reg.PrometheusHandler("prochecker"))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if s.draining.Load() {
@@ -230,17 +204,15 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	writeError(w, status, err)
 }
 
-// campaignSeq parses the numeric suffix of a "c-0042" style ID.
-func campaignSeq(id string) int {
-	i := strings.LastIndexByte(id, '-')
-	if i < 0 {
-		return 0
+// campaignSeq parses the number of a "c-0042" style campaign ID; ok is
+// false for any other ID.
+func campaignSeq(id string) (n int, ok bool) {
+	digits, ok := strings.CutPrefix(id, "c-")
+	if !ok || digits == "" || strings.Trim(digits, "0123456789") != "" {
+		return 0, false
 	}
-	n, err := strconv.Atoi(id[i+1:])
-	if err != nil {
-		return 0
-	}
-	return n
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
 }
 
 // submitRequest is the POST /v1/jobs body: either a single inline job
@@ -261,10 +233,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Campaign != nil {
-		s.submitCampaign(w, r, *req.Campaign)
-		return
-	}
-	if !s.admit(w, r, 1) {
+		s.submitCampaign(w, *req.Campaign)
 		return
 	}
 	job, err := s.svc.Submit(req.Spec)
@@ -281,14 +250,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // is all-or-nothing: if a cell is rejected (queue full, draining), the
 // cells already enqueued for this campaign are cancelled and the whole
 // request fails with that cell's status.
-func (s *Server) submitCampaign(w http.ResponseWriter, r *http.Request, spec prochecker.CampaignSpec) {
+func (s *Server) submitCampaign(w http.ResponseWriter, spec prochecker.CampaignSpec) {
 	specs, err := spec.Jobs()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// A campaign is admitted as a unit, charged by cell count.
-	if !s.admit(w, r, float64(len(specs))) {
 		return
 	}
 	var ids []string
