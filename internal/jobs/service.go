@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -482,6 +483,16 @@ func (s *Service) putMetaLocked(rec Record) {
 		}
 	}
 	s.metas = append(s.metas, rec)
+}
+
+// DropMeta forgets the live meta record with the given ID, so the next
+// compaction leaves it out of the WAL. The layer above drops the metas
+// it no longer reads (kinds only older logs hold); without it they
+// would be rewritten by every compaction forever.
+func (s *Service) DropMeta(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.metas = slices.DeleteFunc(s.metas, func(rec Record) bool { return rec.ID == id })
 }
 
 // Metas returns the live meta records in first-append order.

@@ -9,7 +9,9 @@
 // map-based design both replaced (string headers, bucket overhead,
 // per-state slice allocations, a second copy of every state as its own
 // map key). The arena is segmented so it grows without copying the
-// states it already holds.
+// states it already holds, and each segment is allocated at its full
+// length and written once, so a copy of the arena's header taken at a
+// level boundary stays a valid view while later states are appended.
 package mc
 
 import "fmt"
@@ -25,7 +27,8 @@ const arenaSegmentTargetBytes = 256 << 10
 
 // stateArena stores packed states append-only in fixed-size segments of
 // perSeg states each. It is written only by the serial phases of the
-// explorer; the parallel phases read it concurrently, lock-free.
+// explorer; the parallel phases, and readers of a published copy of
+// the header, read it concurrently, lock-free.
 type stateArena struct {
 	stride  int // bytes per state (number of system variables)
 	perSeg  int // states per segment, power of two
@@ -62,9 +65,9 @@ func (a *stateArena) append(s []byte) (int32, error) {
 	}
 	si := a.n >> a.segBits
 	if si == len(a.segs) {
-		a.segs = append(a.segs, make([]byte, 0, a.perSeg*a.stride))
+		a.segs = append(a.segs, make([]byte, a.perSeg*a.stride))
 	}
-	a.segs[si] = append(a.segs[si], s...)
+	copy(a.segs[si][(a.n&a.segMask)*a.stride:], s)
 	id := int32(a.n)
 	a.n++
 	return id, nil
@@ -77,10 +80,11 @@ func (a *stateArena) at(id int32) []byte {
 	return a.segs[int(id)>>a.segBits][lo : lo+a.stride : lo+a.stride]
 }
 
-// forEach streams every state in id order. The callback's state view
-// must not be mutated. Iteration stops early when f returns false.
-func (a *stateArena) forEach(f func(id int32, s []byte) bool) {
-	for id := 0; id < a.n; {
+// forEach streams every state from id from on, in id order. The
+// callback's state view must not be mutated. Iteration stops early when
+// f returns false.
+func (a *stateArena) forEach(from int, f func(id int32, s []byte) bool) {
+	for id := from; id < a.n; {
 		data := a.segs[id>>a.segBits]
 		end := min((id>>a.segBits+1)<<a.segBits, a.n)
 		for ; id < end; id++ {

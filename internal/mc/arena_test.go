@@ -46,7 +46,7 @@ func TestArenaSegmentBoundaries(t *testing.T) {
 		}
 		g := &StateGraph{arena: a}
 		next := 0
-		g.forEachState(func(id int32, s ts.State) bool {
+		g.forEachState(0, func(id int32, s ts.State) bool {
 			if int(id) != next || !slices.Equal(s, state(next)) {
 				t.Fatalf("stride %d: forEachState gave state %d = %v at position %d, want %v", stride, id, s, next, state(next))
 			}
@@ -57,7 +57,7 @@ func TestArenaSegmentBoundaries(t *testing.T) {
 			t.Fatalf("stride %d: forEachState streamed %d states, want %d", stride, next, n)
 		}
 		next = 0
-		g.forEachState(func(id int32, _ ts.State) bool {
+		g.forEachState(0, func(id int32, _ ts.State) bool {
 			next++
 			return int(id) < a.perSeg
 		})

@@ -5,15 +5,22 @@
 // therefore a walk over the cached base graph: a target state is a base
 // state plus values for the appended variables, and its edges are the
 // base state's edges whose rule survived and whose guard admits those
-// values. deriveGraph runs that walk level by level, visiting each
-// state's base row in rule order and interning fresh states in
-// (frontier position, rule) order — the explorer's order — so ids, the
-// parent tree, edge order and every counterexample are byte-identical
-// to buildGraph's, with no guard evaluated and no state hashed. The
-// target has at most base states × appended-variable assignments
-// states, so its per-state arrays are allocated once at that bound and
-// never regrown, and each row reserves its base row's length in the
-// write-once edge segments (graph.go) and keeps what survives.
+// values. A derivation (startDerive) runs that walk level by level,
+// visiting each state's base row in rule order and interning fresh
+// states in (frontier position, rule) order — the explorer's order — so
+// ids, the parent tree, edge order and every counterexample are
+// byte-identical to an exploration's, with no guard evaluated and no
+// state hashed. The target has at most base states × appended-variable
+// assignments states, so its per-state arrays are allocated once at
+// that bound and never regrown, and each row reserves its base row's
+// length in the write-once edge segments (graph.go) and keeps what
+// survives.
+//
+// A derived graph grows lazily, level by level, like an explored one,
+// but only from a complete base: the engine completes a cached graph
+// that passes the structural checks before sizing a derivation from it,
+// so the bound, the base choice and the derived ids are those of the
+// finished base.
 package mc
 
 import (
@@ -22,7 +29,6 @@ import (
 	"slices"
 	"strconv"
 
-	"prochecker/internal/obs"
 	"prochecker/internal/ts"
 )
 
@@ -44,15 +50,14 @@ type derivation struct {
 	initSlot int32
 }
 
-// planDerivation reports whether the target (compiled rules, variables,
-// initial state) derives from base, and how. It does when base is
-// complete, the target's variables are base's followed by appended
-// ones, its initial state extends base's, its rules extend base's
-// (ts.RuleSet.Extends) and base's states times the appended variables'
-// assignments fit the dense bound.
-func planDerivation(base *StateGraph, rules *ts.RuleSet, vars []ts.Var, init ts.State) (*derivation, bool) {
+// extendsBase is the structural check of a derivation, which any view
+// of a graph answers: the target's variables are base's followed by
+// appended ones, its initial state extends base's, and its rules extend
+// base's (ts.RuleSet.Extends), which maps every target rule to the base
+// rule it keeps.
+func extendsBase(base *StateGraph, rules *ts.RuleSet, vars []ts.Var, init ts.State) ([]int32, bool) {
 	old := len(base.vars)
-	if base.Truncated || len(vars) < old || !bytes.Equal(init[:old], base.init) {
+	if len(vars) < old || !bytes.Equal(init[:old], base.init) {
 		return nil, false
 	}
 	for v, bv := range base.vars {
@@ -60,8 +65,15 @@ func planDerivation(base *StateGraph, rules *ts.RuleSet, vars []ts.Var, init ts.
 			return nil, false
 		}
 	}
-	kept, ok := rules.Extends(base.rules)
-	if !ok {
+	return rules.Extends(base.rules)
+}
+
+// planFrom sizes the derivation of a target that extends base, whose
+// rules kept maps to base's, once base is complete: a truncated base,
+// or one past the dense bound, does not derive.
+func planFrom(base *StateGraph, kept []int32, rules *ts.RuleSet, vars []ts.Var, init ts.State) (*derivation, bool) {
+	old := len(base.vars)
+	if !base.complete || base.Truncated {
 		return nil, false
 	}
 	d := &derivation{base: base, extra: 1, width: int32(len(vars) - old)}
@@ -117,21 +129,16 @@ func planDerivation(base *StateGraph, rules *ts.RuleSet, vars []ts.Var, init ts.
 	return d, true
 }
 
-// deriveGraph builds sys's graph from d's base graph, one BFS level at
-// a time under the explorer's level loop: its budget truncation, gauges
-// and progress events. A derived graph writes no snapshots: a resumed
-// run re-derives it from its resumed base. Its "mc.explore" span
-// carries index=derived and the base's state count.
-func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, fp [32]byte, opts Options) (graph *StateGraph, err error) {
-	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name))
+// startDerive sets up the derivation of sys's graph from d's base
+// graph, which then grows one BFS level at a time by advance, under the
+// explorer's budget truncation, gauges and progress events. A derived
+// graph writes no snapshots: a resumed run re-derives it from its
+// resumed base. Its "mc.explore" span carries index=derived and the
+// base's state count.
+func startDerive(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, fp [32]byte, opts Options) (*levelExplorer, error) {
 	opts.SnapshotDir = ""
-	e := newLevelExplorer(ctx, sys, rules, fp, opts)
-	defer func() {
-		e.record(span, graph)
-		span.EndErr(err)
-	}()
-	span.SetAttr("index", "derived")
-	span.SetAttr("base_states", strconv.Itoa(d.base.NumStates()))
+	e := newLevelExplorer(ctx, sys, rules, fp, opts, "derived")
+	e.span.SetAttr("base_states", strconv.Itoa(d.base.NumStates()))
 	e.derive = d
 	bound := int(d.extra) * d.base.NumStates()
 	e.slotOf = make([]int32, bound)
@@ -144,13 +151,11 @@ func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *deri
 	g.parentState = make([]int32, 0, bound)
 	g.parentRule = make([]int32, 0, bound)
 	if _, err := e.internSlot(d.initSlot, -1, -1); err != nil {
+		e.endExplore(nil, err)
 		return nil, err
 	}
 	e.lo, e.hi = 0, 1
-	if err := e.run(ctx); err != nil {
-		return nil, err
-	}
-	return e.g, nil
+	return e, nil
 }
 
 // deriveLevel expands the frontier [lo, hi) from the base rows: in id
@@ -190,7 +195,7 @@ func (e *levelExplorer) deriveLevel() error {
 		g.closeRow(row)
 	}
 	e.lo, e.hi = e.hi, int32(g.NumStates())
-	e.level++
+	g.levels++
 	return nil
 }
 

@@ -24,6 +24,50 @@ func explore(ctx context.Context, sys *ts.System, opts Options) (*StateGraph, er
 	return buildGraph(ctx, sys, rules, systemFingerprint(sys), opts)
 }
 
+// planDerivation reports whether the target (compiled rules, variables,
+// initial state) derives from base, and how: the engine's checks, on a
+// base that is already complete.
+func planDerivation(base *StateGraph, rules *ts.RuleSet, vars []ts.Var, init ts.State) (*derivation, bool) {
+	kept, ok := extendsBase(base, rules, vars, init)
+	if !ok {
+		return nil, false
+	}
+	return planFrom(base, kept, rules, vars, init)
+}
+
+// buildGraph explores the system to completion in one go, as one
+// "mc.explore" span: the graph a lazily grown build of sys equals once
+// complete.
+func buildGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options) (*StateGraph, error) {
+	e, err := startBuild(ctx, sys, rules, fp, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.finish(ctx)
+}
+
+// deriveGraph derives sys's complete graph from d's base graph in one
+// go: the graph a lazily grown derivation equals once complete.
+func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, fp [32]byte, opts Options) (*StateGraph, error) {
+	e, err := startDerive(ctx, sys, rules, d, fp, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.finish(ctx)
+}
+
+// finish runs the build to completion and ends its span.
+func (e *levelExplorer) finish(ctx context.Context) (*StateGraph, error) {
+	for !e.g.complete {
+		if err := e.advance(ctx); err != nil {
+			e.endExplore(nil, err)
+			return nil, err
+		}
+	}
+	e.endExplore(e.g, nil)
+	return e.g, nil
+}
+
 // residualGuards reports whether any of sys's guards leaves the
 // conjunctive Eq/Neq/In fragment the guard bitsets lower, which rules
 // out deriving its graph or deriving from it.

@@ -8,10 +8,22 @@
 // structure and aliases any live entry built for the same structure and
 // budget, so clones that applied the same refinements share one
 // exploration. On a fingerprint miss it compiles the system's rules once
-// and derives the graph from the most recent complete cached graph the
-// system refines (derive.go): a refinement prunes rules or appends
-// observation variables, so its graph is a BFS over the base graph's
-// rows. Only when no cached graph qualifies does it explore.
+// and derives the graph from the most recent cached graph the system
+// refines (derive.go): a refinement prunes rules or appends observation
+// variables, so its graph is a BFS over the base graph's rows. Only
+// when no cached graph qualifies does it explore.
+//
+// A cached graph is built lazily, one BFS level at a time, only as deep
+// as its checks need. Each completed level is published as an immutable
+// view (graph.go), and the suspended explorer waits for the next caller
+// that needs more. Invariant and NeverFires scan the published levels
+// with a cursor and ask for another level only while the prefix holds
+// no violation: ids are assigned in level order, so the first violation
+// in a prefix is the first in the whole graph. A verified verdict, a
+// Response check and a truncation need the whole graph, and so does a
+// derivation: a cached graph that passes the structural checks is
+// completed before a derivation is sized from it. One caller extends a
+// graph at a time; the others read the views already published.
 package mc
 
 import (
@@ -19,7 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prochecker/internal/obs"
@@ -55,19 +69,33 @@ const (
 	GraphShared GraphSource = "shared"
 )
 
-// graphBuild is one exploration, shared by every cache entry whose
-// system has its structure; ready is closed when the build finishes.
+// graphBuild is one graph, shared by every cache entry whose system
+// has its structure, and grown on demand. Its builder, the caller whose
+// miss started it, grows it as far as its own check needs; ready is
+// closed when that check is done, and every other caller then grows it
+// further as its checks need.
 type graphBuild struct {
 	fp        [32]byte // systemFingerprint of the explored structure
 	maxStates int
 	seq       int // the engine's build count when it started
 	ready     chan struct{}
-	graph     *StateGraph
-	err       error
+	err       error // the builder's failure, set before ready closes
+
+	// published is the latest view of the graph: every completed level.
+	published atomic.Pointer[StateGraph]
+	// mu is held by the one caller building the next level; ex is the
+	// suspended build, which stops holding its visited set once complete,
+	// and fail an extension error that left it unusable.
+	mu   sync.Mutex
+	ex   *levelExplorer
+	fail error
 }
 
-// wait blocks until the build finishes or ctx is done, returning the
-// build's error or a cancellation.
+// view returns the latest published view of the graph.
+func (b *graphBuild) view() *StateGraph { return b.published.Load() }
+
+// wait blocks until the builder is done or ctx is done, returning the
+// builder's error or a cancellation.
 func (b *graphBuild) wait(ctx context.Context) error {
 	select {
 	case <-b.ready:
@@ -75,6 +103,83 @@ func (b *graphBuild) wait(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("mc: waiting for shared exploration: %w", resilience.ErrCancelled)
 	}
+}
+
+// graphReader is one check's hold on a cached graph: the published view
+// it reads, and the levels it builds itself when it needs more. The
+// builder's levels belong to the build's "mc.explore" span; any later
+// caller's are one "mc.extend" span under that caller, which records
+// the levels and states it added.
+type graphReader struct {
+	b        *graphBuild
+	ctx      context.Context
+	g        *StateGraph
+	building bool
+
+	span      *obs.Span
+	levels    int
+	states    int
+	edgeBytes int64
+}
+
+// more advances r.g by at least one level: to a view another caller has
+// published since r last looked, else by building the next level.
+func (r *graphReader) more() error {
+	b := r.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if v := b.view(); v != r.g {
+		r.g = v
+		return nil
+	}
+	if b.fail != nil {
+		return b.fail
+	}
+	ex := b.ex
+	if !r.building {
+		if r.span == nil {
+			_, r.span = obs.Start(r.ctx, "mc.extend", obs.A("system", ex.g.System))
+		}
+		ex.bind(r.ctx)
+	}
+	states, edgeBytes := ex.g.NumStates(), ex.g.edgeBytes()
+	if err := ex.advance(r.ctx); err != nil {
+		if !resilience.Cancelled(err) {
+			b.fail = err
+		}
+		return err
+	}
+	r.levels += ex.g.levels - r.g.levels
+	r.states += ex.g.NumStates() - states
+	r.edgeBytes += ex.g.edgeBytes() - edgeBytes
+	r.g = ex.g.view()
+	b.published.Store(r.g)
+	return nil
+}
+
+// complete advances r.g until the graph is complete.
+func (r *graphReader) complete() error {
+	for !r.g.complete {
+		if err := r.more(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// end closes r's "mc.extend" span, if it built anything, and adds the
+// states and edge bytes it built to the run's totals.
+func (r *graphReader) end(err error) {
+	if r.span == nil {
+		return
+	}
+	reg := obs.FromContext(r.ctx).Metrics()
+	reg.Counter("mc.states_explored").Add(int64(r.states))
+	reg.Counter("mc.edge_bytes").Add(r.edgeBytes)
+	r.span.SetAttr("levels", strconv.Itoa(r.levels))
+	r.span.SetAttr("states", strconv.Itoa(r.states))
+	r.span.SetAttr("complete", strconv.FormatBool(r.g.complete))
+	r.span.EndErr(err)
 }
 
 // graphEntry maps one system pointer, at one generation, to a build.
@@ -112,12 +217,13 @@ func (e *Engine) CacheCounters() (hits, misses, evictions int) {
 	return e.hits, e.builds, e.evictions
 }
 
-// graphFor returns the graph for the system's current generation: the
-// system's own cached build, else a live build of a structurally
-// identical system, else a new exploration (run once, even under
-// concurrent callers). The fingerprint is computed only on a pointer
-// miss.
-func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*StateGraph, GraphSource, error) {
+// graphFor returns the build of the graph for the system's current
+// generation: the system's own cached build, else a live build of a
+// structurally identical system, else a new exploration (started once,
+// even under concurrent callers). The fingerprint is computed only on a
+// pointer miss. A GraphBuilt build is in its builder phase: the caller
+// grows it as its check needs, then hands it to endBuild.
+func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*graphBuild, GraphSource, error) {
 	gen := sys.Generation()
 	maxStates := opts.maxStates()
 	reg := obs.FromContext(ctx).Metrics()
@@ -149,7 +255,7 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*S
 				if src == GraphShared {
 					reg.Counter("mc.graph_cache_shared").Inc()
 				}
-				return b.graph, src, nil
+				return b, src, nil
 			case ctx.Err() == nil:
 				// The builder failed, possibly cancelled by its own
 				// caller; the failed build is already out of the cache,
@@ -165,22 +271,41 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*S
 		e.mu.Unlock()
 		reg.Counter("mc.graph_cache_misses").Inc()
 
-		b.graph, b.err = deriveOrBuild(ctx, sys, *fp, opts, bases)
-		if b.err != nil {
-			// Do not poison the cache: a cancelled or failed build must not
-			// answer later calls that arrive with a live context.
-			e.mu.Lock()
-			e.dropLocked(b)
-			e.mu.Unlock()
+		ex, err := deriveOrBuild(ctx, sys, *fp, opts, bases)
+		if err != nil {
+			e.endBuild(b, err)
+			return nil, GraphBuilt, err
 		}
-		close(b.ready)
-		return b.graph, GraphBuilt, b.err
+		b.ex = ex
+		b.published.Store(ex.g.view())
+		return b, GraphBuilt, nil
 	}
 }
 
-// basesLocked lists the graphs a new build may derive from: every
-// finished, successful build still in the cache, most recent first.
-func (e *Engine) basesLocked() []*StateGraph {
+// endBuild ends b's builder phase: its "mc.explore" span records the
+// graph as far as the builder's check grew it, and the callers waiting
+// on b go on to read and grow it. A failed builder's build is dropped
+// instead, so that a cancelled or failed build does not answer later
+// calls that arrive with a live context.
+func (e *Engine) endBuild(b *graphBuild, err error) {
+	if err != nil {
+		b.err = err
+		e.mu.Lock()
+		e.dropLocked(b)
+		e.mu.Unlock()
+		if b.ex != nil {
+			b.ex.endExplore(nil, err)
+		}
+	} else {
+		b.ex.endExplore(b.view(), nil)
+	}
+	close(b.ready)
+}
+
+// basesLocked lists the builds a new build may derive from: every
+// build still in the cache whose builder is done and succeeded, most
+// recent first.
+func (e *Engine) basesLocked() []*graphBuild {
 	var builds []*graphBuild
 	for _, ent := range e.cache {
 		b := ent.build
@@ -193,27 +318,36 @@ func (e *Engine) basesLocked() []*StateGraph {
 		}
 	}
 	slices.SortFunc(builds, func(x, y *graphBuild) int { return y.seq - x.seq })
-	bases := make([]*StateGraph, len(builds))
-	for i, b := range builds {
-		bases[i] = b.graph
-	}
-	return bases
+	return builds
 }
 
-// deriveOrBuild compiles sys's rules once and derives its graph from
-// the first base it extends (derive.go), else explores it.
-func deriveOrBuild(ctx context.Context, sys *ts.System, fp [32]byte, opts Options, bases []*StateGraph) (*StateGraph, error) {
+// deriveOrBuild compiles sys's rules once and starts deriving its graph
+// from the first base it extends (derive.go), else starts exploring it.
+// A base that passes the structural check is completed first, under an
+// "mc.extend" span of this caller, so the derivation is sized from the
+// finished base.
+func deriveOrBuild(ctx context.Context, sys *ts.System, fp [32]byte, opts Options, bases []*graphBuild) (*levelExplorer, error) {
 	rules, err := sys.CompileRules()
 	if err != nil {
 		return nil, err
 	}
 	vars, init := sys.Vars(), sys.InitialState()
 	for _, base := range bases {
-		if d, ok := planDerivation(base, rules, vars, init); ok {
-			return deriveGraph(ctx, sys, rules, d, fp, opts)
+		r := &graphReader{b: base, ctx: ctx, g: base.view()}
+		kept, ok := extendsBase(r.g, rules, vars, init)
+		if !ok {
+			continue
+		}
+		err := r.complete()
+		r.end(err)
+		if err != nil {
+			return nil, err
+		}
+		if d, ok := planFrom(r.g, kept, rules, vars, init); ok {
+			return startDerive(ctx, sys, rules, d, fp, opts)
 		}
 	}
-	return buildGraph(ctx, sys, rules, fp, opts)
+	return startBuild(ctx, sys, rules, fp, opts)
 }
 
 // lookupLocked finds a build for sys at gen under the budget: its own
@@ -288,7 +422,7 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 			reg.Counter("mc.checks").Inc()
 		}()
 	}
-	g, src, err := e.graphFor(ctx, sys, opts)
+	b, src, err := e.graphFor(ctx, sys, opts)
 	if err != nil {
 		if resilience.Cancelled(err) {
 			return res, src, err
@@ -297,98 +431,145 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 		// checker reports, with the cause attached instead of swallowed.
 		return res, src, fmt.Errorf("mc: checking %s: %w", prop.Name(), err)
 	}
+	r := &graphReader{b: b, ctx: ctx, g: b.view(), building: src == GraphBuilt}
+	if r.building {
+		// A panicking check still ends the builder phase, so that no
+		// waiter blocks on it forever.
+		defer func() {
+			if p := recover(); p != nil {
+				e.endBuild(b, fmt.Errorf("mc: checking %s: panic: %v", prop.Name(), p))
+				panic(p)
+			}
+		}()
+	}
+	var gerr error
 	switch p := prop.(type) {
 	case Invariant:
-		res = g.checkInvariant(sys, p)
+		res, gerr = r.checkInvariant(sys, p)
 	case NeverFires:
-		res = g.checkNeverFires(sys, p)
+		res, gerr = r.checkNeverFires(sys, p)
 	case Response:
+		if gerr = r.complete(); gerr != nil {
+			break
+		}
 		start := time.Now()
-		res = g.checkResponse(sys, p, opts)
-		if reg != nil && !g.Truncated {
+		res = r.g.checkResponse(sys, p, opts)
+		if reg != nil && !r.g.Truncated {
 			// A truncated graph gets no product search, so it adds neither.
 			reg.Histogram("mc.response_ms", nil).Observe(obs.DurMS(time.Since(start)))
 			reg.Counter("mc.response_nodes").Add(int64(res.StatesExplored))
 		}
-	default:
-		return res, src, nil
 	}
-	if res.Truncated {
+	r.end(gerr)
+	if r.building {
+		e.endBuild(b, gerr)
+	}
+	switch {
+	case gerr != nil && resilience.Cancelled(gerr):
+		return res, src, gerr
+	case gerr != nil:
+		return res, src, fmt.Errorf("mc: checking %s: %w", prop.Name(), gerr)
+	case res.Truncated:
 		return res, src, fmt.Errorf("mc: checking %s: exploration truncated at %d states (budget %d): %w",
 			prop.Name(), res.StatesExplored, opts.maxStates(), resilience.ErrBudgetExhausted)
 	}
 	return res, src, nil
 }
 
-// checkInvariant discharges AG p in one ordered pass over the graph: the
-// first state (in BFS intern order) violating the predicate is exactly
-// the state the sequential explorer would have flagged, so the parent
-// tree yields a byte-identical shortest counterexample.
-func (g *StateGraph) checkInvariant(sys *ts.System, p Invariant) Result {
+// checkInvariant discharges AG p in ordered passes over the published
+// levels, asking for one more level only while they hold no violation:
+// the first state (in BFS intern order) violating the predicate is
+// exactly the state the sequential explorer would have flagged, so the
+// parent tree yields a byte-identical shortest counterexample.
+func (r *graphReader) checkInvariant(sys *ts.System, p Invariant) (Result, error) {
 	res := Result{Property: p.PropName, Kind: "invariant"}
 	holds, err := sys.CompileCond(p.Holds)
 	if err != nil {
-		return res
+		return res, nil
 	}
 	violation := int32(-1)
-	g.forEachState(func(id int32, s ts.State) bool {
-		if !holds(s) {
-			violation = id
-			return false
+	for from := 0; ; {
+		r.g.forEachState(from, func(id int32, s ts.State) bool {
+			if !holds(s) {
+				violation = id
+				return false
+			}
+			return true
+		})
+		if violation >= 0 || r.g.complete {
+			break
 		}
-		return true
-	})
+		from = r.g.NumStates()
+		if err := r.more(); err != nil {
+			return res, err
+		}
+	}
+	g := r.g
 	switch {
 	case violation == 0:
 		res.Counterexample = buildTrace(sys, nil, -1)
-		return res
+		return res, nil
 	case violation > 0:
 		res.StatesExplored = int(violation) + 1
 		res.Counterexample = buildTrace(sys, g.pathTo(violation), -1)
-		return res
+		return res, nil
 	}
 	res.StatesExplored = g.NumStates()
 	if g.Truncated {
 		res.Truncated = true
-		return res
+		return res, nil
 	}
 	res.Verified = true
-	return res
+	return res, nil
 }
 
 // checkNeverFires scans states in BFS order and their edges in rule
 // order — the sequential dequeue order — so the first matching firing
 // and its counterexample are identical to the per-property exploration.
-func (g *StateGraph) checkNeverFires(sys *ts.System, p NeverFires) Result {
+// It scans the rows published so far and asks for one more level only
+// while none fires a matching rule; with no matching rule at all, the
+// verdict needs the whole graph.
+func (r *graphReader) checkNeverFires(sys *ts.System, p NeverFires) (Result, error) {
 	res := Result{Property: p.PropName, Kind: "never-fires"}
 	// Precompile the match verdict per rule once; the pattern is a pure
 	// function of the rule name, so no name is re-matched per state.
-	matched := make([]bool, len(g.Rules))
+	rules := r.g.Rules
+	matched := make([]bool, len(rules))
 	any := false
-	for i := range g.Rules {
-		matched[i] = p.Match(g.Rules[i].Name)
+	for i := range rules {
+		matched[i] = p.Match(rules[i].Name)
 		any = any || matched[i]
 	}
-	if any {
-		for id := 0; id < g.expanded(); id++ {
+	for id := 0; any; {
+		g := r.g
+		for ; id < g.expanded(); id++ {
 			for _, ed := range g.row(int32(id)) {
 				if !matched[ed.rule] {
 					continue
 				}
 				res.StatesExplored = g.statesWhenProcessing(int32(id), ed.rule)
-				path := append(g.pathTo(int32(id)), g.Rules[ed.rule].Name)
+				path := append(g.pathTo(int32(id)), rules[ed.rule].Name)
 				res.Counterexample = buildTrace(sys, path, -1)
-				return res
+				return res, nil
 			}
 		}
+		if g.complete {
+			break
+		}
+		if err := r.more(); err != nil {
+			return res, err
+		}
 	}
-	res.StatesExplored = g.NumStates()
-	if g.Truncated {
+	if err := r.complete(); err != nil {
+		return res, err
+	}
+	res.StatesExplored = r.g.NumStates()
+	if r.g.Truncated {
 		res.Truncated = true
-		return res
+		return res, nil
 	}
 	res.Verified = true
-	return res
+	return res, nil
 }
 
 // responseProduct is the pending-bit product of a graph with one
@@ -420,8 +601,8 @@ func (rp *responseProduct) succ(slot int32, ed graphEdge) int32 {
 	return next
 }
 
-// checkResponse runs the pending-product lasso search over the interned
-// graph without materialising the product: nodes are slots 2*sid +
+// checkResponse runs the pending-product lasso search over the complete
+// interned graph without materialising the product: nodes are slots 2*sid +
 // pending in four slot-indexed arrays, each allocated once, and both the
 // product BFS and the pending-region DFS compute successors from the CSR
 // row through responseProduct.succ, so no guard is re-evaluated, no
@@ -450,7 +631,7 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) Res
 			return res
 		}
 		rp.goalSat = make([]bool, g.NumStates())
-		g.forEachState(func(id int32, s ts.State) bool {
+		g.forEachState(0, func(id int32, s ts.State) bool {
 			rp.goalSat[id] = f(s)
 			return true
 		})

@@ -222,12 +222,12 @@ func TestSharedGraphTracesCarryCallerTags(t *testing.T) {
 }
 
 // heldGraphs lists the distinct graphs the engine's cache holds.
-func heldGraphs(e *Engine) map[*StateGraph]bool {
+func heldGraphs(e *Engine) map[*graphBuild]bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	held := make(map[*StateGraph]bool)
+	held := make(map[*graphBuild]bool)
 	for _, ent := range e.cache {
-		held[ent.build.graph] = true
+		held[ent.build] = true
 	}
 	return held
 }
@@ -241,7 +241,7 @@ func TestRetentionFollowsLiveGenerations(t *testing.T) {
 	a, b := base.Clone(), base.Clone()
 	engine := NewEngine()
 	prop := NeverFires{PropName: "never", Match: func(string) bool { return false }}
-	check := func(sys *ts.System, want GraphSource) *StateGraph {
+	check := func(sys *ts.System, want GraphSource) *graphBuild {
 		t.Helper()
 		if _, src, err := engine.CheckSourced(context.Background(), sys, prop, Options{}); err != nil || src != want {
 			t.Fatalf("graph source %q (error %v), want %q", src, err, want)
@@ -252,7 +252,7 @@ func TestRetentionFollowsLiveGenerations(t *testing.T) {
 		}
 		return g
 	}
-	assertHeld := func(stage string, want ...*StateGraph) {
+	assertHeld := func(stage string, want ...*graphBuild) {
 		t.Helper()
 		held := heldGraphs(engine)
 		if len(held) != len(want) {

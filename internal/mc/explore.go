@@ -28,6 +28,12 @@
 // base graph (derive.go) runs the same level loop and boundary
 // bookkeeping, with one serial pass over the base rows in place of the
 // two phases.
+//
+// The explorer builds one level per advance call, so the engine can
+// suspend a build between levels for as long as no check needs more of
+// the graph (engine.go). Once the build completes, the explorer drops
+// its visited set and level buffers; only the counters its span
+// records remain.
 package mc
 
 import (
@@ -69,7 +75,7 @@ type chunk struct {
 }
 
 // levelExplorer carries one graph build's state: an exploration
-// (buildGraph) or a derivation from a base graph (deriveGraph in
+// (startBuild) or a derivation from a base graph (startDerive in
 // derive.go), which share the level loop and its boundary bookkeeping.
 type levelExplorer struct {
 	g     *StateGraph
@@ -93,7 +99,6 @@ type levelExplorer struct {
 	// The frontier is the id range [lo, hi): the states the last level
 	// interned, none of them expanded yet.
 	lo, hi int32
-	level  int // completed levels
 
 	// chunks and counts are the current level's expansion: counts[i] is
 	// the number of candidates of frontier position i, which sit in its
@@ -101,57 +106,83 @@ type levelExplorer struct {
 	chunks []chunk
 	counts []int32
 
-	start     time.Time
+	// kind is the visited set, the span's index attribute: dense, hash
+	// or derived.
+	kind  string
+	span  *obs.Span // the build's "mc.explore" span
+	start time.Time
+	// partial is the mc.graphs_partial counter the build's span counted
+	// it on while it is incomplete; completion takes it back off.
+	partial *obs.Counter
+
+	// explorations counts the build on the registry of the caller that
+	// started it; hashed and derived are resolved up front, so a run's
+	// registry carries them even at zero.
+	explorations, hashed, derived *obs.Counter
+
 	reg       *obs.Registry
 	bus       *obs.Bus
 	scope     string // job scope for progress events (see obs.WithScope)
 	width     *obs.Histogram
 	occupancy *obs.Gauge
 	peakBytes *obs.Gauge
-	hashed    *obs.Counter
-	derived   *obs.Counter
 }
 
 // newLevelExplorer sets up the state both builders share: the empty
 // graph, which keeps the compiled rules, variables and initial state it
-// is built from so it can serve as a derivation base in turn, and the
-// registry's mc.* instruments, resolved once up front (all nil-safe
-// no-ops when no observer rides the context).
-func newLevelExplorer(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options) *levelExplorer {
-	reg := obs.FromContext(ctx).Metrics()
+// is built from so it can serve as a derivation base in turn, the
+// build's "mc.explore" span, and the registry's mc.* instruments.
+func newLevelExplorer(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options, kind string) *levelExplorer {
 	init := sys.InitialState()
-	return &levelExplorer{
+	e := &levelExplorer{
 		g: &StateGraph{
 			System: sys.Name, fp: fp, Rules: rules.Rules, MaxStates: opts.maxStates(),
 			rules: rules, vars: slices.Clone(sys.Vars()), init: init,
 			arena: newStateArena(len(init)),
 			off:   []int32{0},
 		},
-		opts:      opts,
-		rules:     rules,
-		start:     time.Now(),
-		reg:       reg,
-		bus:       obs.FromContext(ctx).Bus(),
-		scope:     obs.ScopeFromContext(ctx),
-		width:     reg.Histogram("mc.frontier_width", nil),
-		occupancy: reg.Gauge("mc.visited_states"),
-		peakBytes: reg.Gauge("mc.peak_resident_state_bytes"),
-		hashed:    reg.Counter("mc.explorations_hashed"),
-		derived:   reg.Counter("mc.explorations_derived"),
+		opts:  opts,
+		rules: rules,
+		kind:  kind,
+		start: time.Now(),
 	}
+	// The span outlives this call: endExplore ends it, when the caller
+	// that started the build is done growing it.
+	_, e.span = obs.Start(ctx, "mc.explore", obs.A("system", sys.Name), obs.A("index", kind))
+	e.bind(ctx)
+	e.explorations = e.reg.Counter("mc.explorations")
+	e.hashed = e.reg.Counter("mc.explorations_hashed")
+	e.derived = e.reg.Counter("mc.explorations_derived")
+	return e
 }
 
-// record counts a build that produced a graph on the registry and its
-// "mc.explore" span: derived and explored builds alike are explorations.
-func (e *levelExplorer) record(span *obs.Span, graph *StateGraph) {
+// bind points the level-boundary instruments and progress events at
+// ctx's observer (all nil-safe no-ops when none rides it): the caller
+// building the next levels, who may not be the one that started the
+// build.
+func (e *levelExplorer) bind(ctx context.Context) {
+	o := obs.FromContext(ctx)
+	reg := o.Metrics()
+	e.reg, e.bus, e.scope = reg, o.Bus(), obs.ScopeFromContext(ctx)
+	e.width = reg.Histogram("mc.frontier_width", nil)
+	e.occupancy = reg.Gauge("mc.visited_states")
+	e.peakBytes = reg.Gauge("mc.peak_resident_state_bytes")
+}
+
+// endExplore records the build on its registry and ends its
+// "mc.explore" span, with graph as far as the build got. Derived and
+// explored builds alike are explorations; a graph still incomplete
+// counts on mc.graphs_partial until a later extension completes it. A
+// failed build (nil graph) records nothing.
+func (e *levelExplorer) endExplore(graph *StateGraph, err error) {
 	if graph != nil {
 		n := graph.NumStates()
 		e.reg.Counter("mc.states_explored").Add(int64(n))
-		e.reg.Counter("mc.explorations").Inc()
-		switch {
-		case e.derive != nil:
+		e.explorations.Inc()
+		switch e.kind {
+		case "derived":
 			e.derived.Inc()
-		case e.ranks == nil:
+		case "hash":
 			e.hashed.Inc()
 		}
 		if elapsed := time.Since(e.start); elapsed > 0 {
@@ -159,59 +190,66 @@ func (e *levelExplorer) record(span *obs.Span, graph *StateGraph) {
 		}
 		edgeBytes := graph.edgeBytes()
 		e.reg.Counter("mc.edge_bytes").Add(edgeBytes)
-		span.SetAttr("states", strconv.Itoa(n))
-		span.SetAttr("edge_bytes", strconv.FormatInt(edgeBytes, 10))
-		span.SetAttr("truncated", strconv.FormatBool(graph.Truncated))
+		partial := e.reg.Counter("mc.graphs_partial")
+		if !graph.complete {
+			partial.Inc()
+			e.partial = partial
+		}
+		e.span.SetAttr("states", strconv.Itoa(n))
+		e.span.SetAttr("levels", strconv.Itoa(graph.levels))
+		e.span.SetAttr("complete", strconv.FormatBool(graph.complete))
+		e.span.SetAttr("edge_bytes", strconv.FormatInt(edgeBytes, 10))
+		e.span.SetAttr("truncated", strconv.FormatBool(graph.Truncated))
 	}
+	e.span.EndErr(err)
 }
 
-// buildGraph explores the system with the level-synchronised worker pool
-// and returns the interned reachability graph. rules is the system
-// compiled, and fp its systemFingerprint, which names and validates its
-// snapshots. Each build is one "mc.explore" span.
-func buildGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options) (graph *StateGraph, err error) {
-	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name))
+// startBuild sets up the exploration of sys: the visited set its
+// domains call for, and its initial state, or the newest snapshot of
+// sys to resume from. rules is the system compiled, and fp its
+// systemFingerprint, which names and validates its snapshots. The graph
+// then grows by advance.
+func startBuild(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options) (*levelExplorer, error) {
 	domains := make([]int, len(sys.Vars()))
 	for i, v := range sys.Vars() {
 		domains[i] = len(v.Domain)
 	}
 	ranks := newRankTable(domains)
-	e := newLevelExplorer(ctx, sys, rules, fp, opts)
-	defer func() {
-		e.record(span, graph)
-		span.EndErr(err)
-	}()
+	kind := "dense"
+	if ranks == nil {
+		kind = "hash"
+	}
+	e := newLevelExplorer(ctx, sys, rules, fp, opts, kind)
 	e.ranks, e.domains = ranks, domains
 	if e.ranks == nil {
 		e.index = newStateIndex()
-		span.SetAttr("index", "hash")
-	} else {
-		span.SetAttr("index", "dense")
 	}
 
 	resumed := false
 	if opts.SnapshotDir != "" {
-		lvl, ok, rerr := e.tryResume()
-		if rerr != nil {
-			return nil, rerr
+		lvl, ok, err := e.tryResume()
+		if err != nil {
+			e.endExplore(nil, err)
+			return nil, err
 		}
 		if ok {
 			resumed = true
 			e.reg.Gauge("mc.resume_level").Set(int64(lvl))
-			span.SetAttr("resume_level", strconv.Itoa(lvl))
+			e.span.SetAttr("resume_level", strconv.Itoa(lvl))
 		}
 	}
 	if !resumed {
 		init := e.g.init
 		if _, err := e.intern(init, e.key(init), -1, -1); err != nil {
+			e.endExplore(nil, err)
 			return nil, err
 		}
 		e.lo, e.hi = 0, 1
 	}
-	if err := e.run(ctx); err != nil {
-		return nil, err
+	if e.lo >= e.hi {
+		e.markComplete()
 	}
-	return e.g, nil
+	return e, nil
 }
 
 // key is s's visited-set key: its rank in dense mode, its hash otherwise.
@@ -279,43 +317,61 @@ func (e *levelExplorer) ensureIndex(extra int) {
 	}
 	grown := newStateIndex()
 	grown.reserve(e.index.used + extra)
-	e.g.arena.forEach(func(id int32, s []byte) bool {
+	e.g.arena.forEach(0, func(id int32, s []byte) bool {
 		grown.add(hashState(ts.State(s)), id)
 		return true
 	})
 	e.index = grown
 }
 
-// run drives the level loop, exploring or deriving each level, until
-// the frontier drains, the budget truncates or the context is cancelled.
-func (e *levelExplorer) run(ctx context.Context) error {
+// advance explores or derives the next level of an incomplete build,
+// and marks the graph complete once a level interns no new state. Past
+// the budget it marks the graph truncated and complete instead. The
+// context is checked before the level starts, so a cancelled advance
+// leaves the build at its last completed level, free to go on later;
+// any other error leaves it unusable.
+func (e *levelExplorer) advance(ctx context.Context) error {
 	g := e.g
-	for e.lo < e.hi {
-		if ctx.Err() != nil {
-			return fmt.Errorf("mc: exploration of %s after %d states: %w",
-				g.System, g.NumStates(), resilience.ErrCancelled)
-		}
-		if g.NumStates() > g.MaxStates {
-			g.Truncated = true
-			return nil
-		}
-		e.width.Observe(float64(e.hi - e.lo))
+	if ctx.Err() != nil {
+		return fmt.Errorf("mc: exploration of %s after %d states: %w",
+			g.System, g.NumStates(), resilience.ErrCancelled)
+	}
+	if g.NumStates() > g.MaxStates {
+		g.Truncated = true
+		e.markComplete()
+		return nil
+	}
+	e.width.Observe(float64(e.hi - e.lo))
 
-		var err error
-		if e.derive != nil {
-			err = e.deriveLevel()
-		} else {
-			e.expandFrontier(e.opts.workers())
-			err = e.internLevel()
-		}
-		if err != nil {
-			return err
-		}
-		if err := e.endOfLevel(); err != nil {
-			return err
-		}
+	var err error
+	if e.derive != nil {
+		err = e.deriveLevel()
+	} else {
+		e.expandFrontier(e.opts.workers())
+		err = e.internLevel()
+	}
+	if err != nil {
+		return err
+	}
+	if err := e.endOfLevel(); err != nil {
+		return err
+	}
+	if e.lo >= e.hi {
+		e.markComplete()
 	}
 	return nil
+}
+
+// markComplete ends the build: the graph is final, it leaves
+// mc.graphs_partial if its span counted it there, and the explorer
+// releases its visited set and level buffers.
+func (e *levelExplorer) markComplete() {
+	e.g.complete = true
+	e.partial.Add(-1)
+	e.partial = nil
+	e.ranks, e.index, e.domains = nil, nil, nil
+	e.derive, e.slotOf, e.slots, e.scratch = nil, nil, nil, nil
+	e.chunks, e.counts = nil, nil
 }
 
 // expandFrontier is phase 1: workers expand contiguous frontier chunks
@@ -437,7 +493,7 @@ func (e *levelExplorer) internLevel() error {
 		}
 	}
 	e.lo, e.hi = e.hi, int32(g.NumStates())
-	e.level++
+	g.levels++
 	return nil
 }
 
@@ -464,7 +520,7 @@ func (e *levelExplorer) endOfLevel() error {
 		Type:  "progress",
 		Scope: e.scope,
 		Name:  "mc.level",
-		Value: int64(e.level),
+		Value: int64(g.levels),
 		Attrs: map[string]string{
 			"system":   g.System,
 			"states":   strconv.Itoa(g.NumStates()),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"prochecker/internal/obs"
@@ -20,15 +21,19 @@ import (
 // unused variables past denseRankLimit, so every mode below explores
 // with the hash index instead of the dense rank table.
 // Every exploration mode — one or four workers, resuming from the
-// snapshots of a truncated build, and a clone served the graph another
-// clone built before refining itself — must agree with CheckSequential
+// snapshots of a truncated build, two goroutines checking the
+// properties of the system and of a refined clone in random orders
+// against one engine while lazily built graphs grow under them, and a
+// clone served the graph another clone built before refining itself —
+// must agree with CheckSequential
 // on the verdict, the states explored, truncation and the
 // counterexample trace, for an invariant, a never-fires and three response properties (a goal rule, a goal state
 // on a random variable, and one rule that is both trigger and goal),
 // and every counterexample must pass Certify. The refined clone must be
 // served by derivation from the cached graph exactly when none of its
 // guards is residual, and its derived graph, complete and truncated,
-// must equal buildGraph's. A product-budget mode
+// must equal buildGraph's, as must a graph resumed from the snapshots
+// of a build an invariant check left partial. A product-budget mode
 // checks the response properties with a state budget between the
 // graph's size N and 2N, so the graph completes and only the response
 // product can run out of budget.
@@ -133,18 +138,73 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		check("workers=4", ctx, Options{Workers: 4})
 
 		// Truncate a first build at about half the reachable states, then
-		// resume the full build from the snapshots it left behind.
+		// resume the full build from the snapshots it left behind. The
+		// first build checks a response property, which needs the whole
+		// (truncated) graph.
 		g, err := explore(ctx, sys, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
 		truncated := Options{Workers: 4, MaxStates: max(1, g.NumStates()/2), SnapshotDir: dir}
-		NewEngine().CheckContext(ctx, sys, props[0], truncated) // a budget error is expected
+		NewEngine().CheckContext(ctx, sys, props[2], truncated) // a budget error is expected
 		o := obs.New()
 		check("resume", obs.NewContext(ctx, o), Options{Workers: 4, SnapshotDir: dir})
 		if lvl := o.Metrics().Gauge("mc.resume_level").Value(); lvl < 1 {
 			t.Fatalf("resume: build did not resume from a snapshot (level %d)", lvl)
+		}
+
+		// Partial resume: an invariant check leaves its graph as deep as
+		// its verdict needed, with a snapshot per level built; a build
+		// resuming from them completes the graph with the same ids.
+		partialDir := t.TempDir()
+		if _, err := NewEngine().CheckContext(ctx, sys, props[0], Options{Workers: 2, SnapshotDir: partialDir}); err != nil {
+			t.Fatalf("partial resume: %v", err)
+		}
+		resumed, err := explore(ctx, sys, Options{Workers: 2, SnapshotDir: partialDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGraph(t, "partial resume", resumed, g)
+
+		// Lazy growth under concurrency: two goroutines check every
+		// property of sys and of a refined clone, each in its own random
+		// order, against one engine, so checks grow graphs, and complete
+		// a base to derive from, while others read them.
+		refined := sys.Clone()
+		refine(t, refined)
+		type job struct {
+			sys  *ts.System
+			p    Property
+			want Result
+		}
+		var jobs []job
+		for i, w := range sequential(refined) {
+			jobs = append(jobs, job{sys, props[i], want[i]}, job{refined, props[i], w})
+		}
+		shared := NewEngine()
+		orders := [2][]int{rng.Perm(len(jobs)), rng.Perm(len(jobs))}
+		var got [2][]Result
+		var errs [2][]error
+		var wg sync.WaitGroup
+		for w := range orders {
+			got[w], errs[w] = make([]Result, len(jobs)), make([]error, len(jobs))
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for _, j := range orders[w] {
+					got[w][j], errs[w][j] = shared.CheckContext(ctx, jobs[j].sys, jobs[j].p, Options{Workers: 2})
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w := range orders {
+			for j, jb := range jobs {
+				if errs[w][j] != nil {
+					t.Fatalf("concurrent %s: engine error: %v", jb.p.Name(), errs[w][j])
+				}
+				compare("concurrent", jb.sys, jb.p, got[w][j], jb.want)
+			}
 		}
 
 		// Product budget: with MaxStates in [N, 2N] the graph completes,

@@ -15,6 +15,13 @@
 // and never moved or copied, with no row crossing a segment. A build
 // therefore never copies the edges it already holds, and a cached graph
 // holds no growth slack beyond the open segment's tail.
+//
+// A graph is built lazily, one BFS level at a time (engine.go). At each
+// level boundary the builder publishes a view: a copy of the graph's
+// headers, whose lengths cover the completed levels. Later levels only
+// append past those lengths, into storage that never moves, so a view
+// is an immutable prefix of the finished graph, readable while the
+// build goes on.
 package mc
 
 import (
@@ -39,10 +46,10 @@ type graphEdge struct {
 	to   int32 // successor state id
 }
 
-// StateGraph is the interned reachability graph of one system: states in
-// BFS order inside the compact arena, all enabled transitions per state
-// in rule order, and the first-reach parent tree for shortest-path
-// counterexamples.
+// StateGraph is the interned reachability graph of one system, or a
+// published prefix of it: states in BFS order inside the compact arena,
+// all enabled transitions per state in rule order, and the first-reach
+// parent tree for shortest-path counterexamples.
 type StateGraph struct {
 	// System names the explored system and fp is its systemFingerprint
 	// at build time. The graph keeps no system pointer: it is shared
@@ -80,6 +87,24 @@ type StateGraph struct {
 	Truncated bool
 	// MaxStates is the budget the graph was built under.
 	MaxStates int
+
+	// levels counts the BFS levels expanded so far. complete marks a
+	// build with nothing left to do: its frontier drained, or the budget
+	// truncated it. An incomplete graph is a prefix of the finished one
+	// with the same ids: every state of the levels expanded so far, and
+	// the next frontier, without rows yet.
+	levels   int
+	complete bool
+}
+
+// view returns an immutable copy of the graph's headers as of now.
+// Building on appends only past the lengths it records, so the copy
+// keeps reading exactly the states, rows and parents it covers.
+func (g *StateGraph) view() *StateGraph {
+	v := *g
+	a := *g.arena
+	v.arena = &a
+	return &v
 }
 
 // NumStates reports how many states were interned.
@@ -152,10 +177,10 @@ func (g *StateGraph) edgeBytes() int64 { return int64(len(g.segs)) * edgeSegLen 
 // not mutate it).
 func (g *StateGraph) StateAt(id int32) ts.State { return ts.State(g.arena.at(id)) }
 
-// forEachState streams every state in id order; the state view must
-// not be mutated. Return false to stop early.
-func (g *StateGraph) forEachState(f func(id int32, s ts.State) bool) {
-	g.arena.forEach(func(id int32, b []byte) bool { return f(id, ts.State(b)) })
+// forEachState streams every state from id from on, in id order; the
+// state view must not be mutated. Return false to stop early.
+func (g *StateGraph) forEachState(from int, f func(id int32, s ts.State) bool) {
+	g.arena.forEach(from, func(id int32, b []byte) bool { return f(id, ts.State(b)) })
 }
 
 // pathTo reconstructs the rule-name path from the initial state to id.

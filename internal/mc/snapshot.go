@@ -79,7 +79,7 @@ func (s *snapWriter) u32(v uint32) {
 
 func (s *snapWriter) i32(v int32) { s.u32(uint32(v)) }
 
-// writeSnapshot checkpoints the exploration as of e.level completed
+// writeSnapshot checkpoints the exploration as of e.g.levels completed
 // levels. The temp file is created in the target directory, fsynced and
 // atomically renamed, and older snapshots of the same system are
 // removed only afterwards — a crash at any point leaves the newest
@@ -91,7 +91,7 @@ func (e *levelExplorer) writeSnapshot() (err error) {
 		return fmt.Errorf("mc: creating snapshot dir: %w", err)
 	}
 	fp := g.fp
-	final := filepath.Join(dir, fmt.Sprintf("%s%08d.ckpt", snapshotPrefix(fp), e.level))
+	final := filepath.Join(dir, fmt.Sprintf("%s%08d.ckpt", snapshotPrefix(fp), e.g.levels))
 
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
@@ -110,11 +110,11 @@ func (e *levelExplorer) writeSnapshot() (err error) {
 	sw.u32(snapshotVersion)
 	sw.write(fp[:])
 	n := g.NumStates()
-	sw.u32(uint32(e.level))
+	sw.u32(uint32(e.g.levels))
 	sw.u32(uint32(n))
 	sw.u32(uint32(g.arena.stride))
 	sw.u32(uint32(len(g.Rules)))
-	g.arena.forEach(func(_ int32, s []byte) bool {
+	g.arena.forEach(0, func(_ int32, s []byte) bool {
 		sw.write(s)
 		return sw.err == nil
 	})
@@ -344,6 +344,6 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 	g.parentRule = parentRule
 	g.off, g.segs = adj.off[:lo+1], adj.segs
 	e.lo, e.hi = int32(lo), int32(n)
-	e.level = level
+	e.g.levels = level
 	return level, true
 }

@@ -104,8 +104,9 @@ func WithBus(b *obs.Bus) Option {
 // registry (the service's and the pipeline's shared one) on /metrics in
 // Prometheus text format. Campaigns journalled to a WAL by a previous
 // incarnation are restored with their original IDs and membership; a
-// meta whose ID is not a campaign ID (older logs hold other kinds) is
-// skipped.
+// meta whose ID is not a campaign ID (older logs hold other kinds), or
+// whose payload does not parse, is skipped and dropped from the
+// service, so the next compaction leaves it out of the WAL.
 func New(svc *jobs.Service, reg *obs.Registry, opts ...Option) *Server {
 	s := &Server{svc: svc, campaigns: make(map[string]*campaignRecord)}
 	for _, opt := range opts {
@@ -114,10 +115,12 @@ func New(svc *jobs.Service, reg *obs.Registry, opts ...Option) *Server {
 	for _, m := range svc.Metas() {
 		n, ok := campaignSeq(m.ID)
 		if !ok {
+			svc.DropMeta(m.ID)
 			continue
 		}
 		var meta campaignMeta
 		if json.Unmarshal(m.Meta, &meta) != nil {
+			svc.DropMeta(m.ID)
 			continue
 		}
 		if _, dup := s.campaigns[m.ID]; dup {

@@ -20,7 +20,8 @@ import (
 // by the version that still had the fleet lease protocol and the
 // tenant quota gate (testdata/wal/lease-era, see its README). The log
 // holds a job under a live lease, a released lease, a job that ended
-// with an expired lease, a campaign meta and a tenant balance meta.
+// with an expired lease, a campaign meta and a tenant balance meta,
+// which the server drops from the next checkpoint.
 func TestLeaseEraWALReplays(t *testing.T) {
 	walDir := t.TempDir()
 	src := filepath.Join("..", "..", "testdata", "wal", "lease-era")
@@ -134,6 +135,27 @@ func TestLeaseEraWALReplays(t *testing.T) {
 	}
 	if next.ID != "c-0002" {
 		t.Fatalf("next campaign ID = %s, want c-0002", next.ID)
+	}
+
+	// The server dropped the tenant meta it skipped, so a checkpoint
+	// leaves it out of the WAL and keeps the restored campaign.
+	if err := svc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	live, err = filepath.Glob(filepath.Join(walDir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wal strings.Builder
+	for _, seg := range live {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal.Write(data)
+	}
+	if strings.Contains(wal.String(), `"id":"tenant:alice"`) || !strings.Contains(wal.String(), `"id":"c-0001"`) {
+		t.Fatalf("checkpointed WAL keeps tenant:alice or lost c-0001:\n%s", wal.String())
 	}
 }
 
