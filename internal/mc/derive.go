@@ -135,16 +135,20 @@ func planFrom(base *StateGraph, kept []int32, rules *ts.RuleSet, vars []ts.Var, 
 // graph writes no snapshots: a resumed run re-derives it from its
 // resumed base. Its "mc.explore" span carries index=derived and the
 // base's state count.
-func startDerive(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, fp [32]byte, opts Options) (*levelExplorer, error) {
+//
+// The slot table and the per-state arrays are allocated once, at the
+// derivation's bound, and left as the allocator returns them: slotOf
+// holds id+1 with 0 for a slot not yet met, and the other arrays only
+// grow by append. Memory fresh from the operating system becomes
+// resident only where the build writes it, so a derivation that stops
+// early holds little more than what it has built, not its bound.
+func startDerive(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, opts Options) (*levelExplorer, error) {
 	opts.SnapshotDir = ""
-	e := newLevelExplorer(ctx, sys, rules, fp, opts, "derived")
+	e := newLevelExplorer(ctx, sys, rules, opts, "derived")
 	e.span.SetAttr("base_states", strconv.Itoa(d.base.NumStates()))
 	e.derive = d
 	bound := int(d.extra) * d.base.NumStates()
 	e.slotOf = make([]int32, bound)
-	for i := range e.slotOf {
-		e.slotOf[i] = -1
-	}
 	e.slots = make([]int32, 0, bound)
 	g := e.g
 	g.off = make([]int32, 1, bound+1)
@@ -184,7 +188,7 @@ func (e *levelExplorer) deriveLevel() error {
 				continue
 			}
 			next := ed.to*extra + nx
-			to := e.slotOf[next]
+			to := e.slotOf[next] - 1
 			if to < 0 {
 				if to, err = e.internSlot(next, id, j); err != nil {
 					return err
@@ -211,7 +215,7 @@ func (e *levelExplorer) internSlot(slot, parent, rule int32) (int32, error) {
 	}
 	g.parentState = append(g.parentState, parent)
 	g.parentRule = append(g.parentRule, rule)
-	e.slotOf[slot] = id
+	e.slotOf[slot] = id + 1
 	e.slots = append(e.slots, slot)
 	return id, nil
 }

@@ -21,7 +21,7 @@ func explore(ctx context.Context, sys *ts.System, opts Options) (*StateGraph, er
 	if err != nil {
 		return nil, err
 	}
-	return buildGraph(ctx, sys, rules, systemFingerprint(sys), opts)
+	return buildGraph(ctx, sys, rules, opts)
 }
 
 // planDerivation reports whether the target (compiled rules, variables,
@@ -38,8 +38,8 @@ func planDerivation(base *StateGraph, rules *ts.RuleSet, vars []ts.Var, init ts.
 // buildGraph explores the system to completion in one go, as one
 // "mc.explore" span: the graph a lazily grown build of sys equals once
 // complete.
-func buildGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options) (*StateGraph, error) {
-	e, err := startBuild(ctx, sys, rules, fp, opts)
+func buildGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, opts Options) (*StateGraph, error) {
+	e, err := startBuild(ctx, sys, rules, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -48,8 +48,8 @@ func buildGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]b
 
 // deriveGraph derives sys's complete graph from d's base graph in one
 // go: the graph a lazily grown derivation equals once complete.
-func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, fp [32]byte, opts Options) (*StateGraph, error) {
-	e, err := startDerive(ctx, sys, rules, d, fp, opts)
+func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, opts Options) (*StateGraph, error) {
+	e, err := startDerive(ctx, sys, rules, d, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func deriveMatchesExplore(t *testing.T, base *StateGraph, sys *ts.System) bool {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := deriveGraph(ctx, sys, rules, d, systemFingerprint(sys), opts)
+		got, err := deriveGraph(ctx, sys, rules, d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,10 +399,9 @@ func TestDerivedBuildAllocBudget(t *testing.T) {
 	if !ok {
 		t.Fatal("the guard-replay refinement does not derive from the composed model's graph")
 	}
-	fp := systemFingerprint(sys)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g, err := deriveGraph(ctx, sys, rules, d, fp, Options{Workers: 2})
+	g, err := deriveGraph(ctx, sys, rules, d, Options{Workers: 2})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

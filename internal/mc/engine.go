@@ -1,7 +1,9 @@
 // The shared-frontier engine: property checks discharged on a cached
 // StateGraph. Invariant and NeverFires become single ordered passes over
-// the interned graph; Response reuses the interned states and edges for
-// its pending-product lasso search. The cache holds one entry per system
+// the interned graph; Response counts its pending-bit product with one
+// sweep over the interned rows and runs the lasso search on the product
+// lazily, in working memory the engine reuses from check to check (no
+// array sized by the product). The cache holds one entry per system
 // pointer, valid for the ts.System.Generation() it was built at, so a
 // CEGAR refinement (which mutates the system) drops exactly the graph it
 // invalidates. On a pointer miss the engine fingerprints the system's
@@ -75,7 +77,7 @@ const (
 // closed when that check is done, and every other caller then grows it
 // further as its checks need.
 type graphBuild struct {
-	fp        [32]byte // systemFingerprint of the explored structure
+	fp        [32]byte // ts.System.Fingerprint of the explored structure
 	maxStates int
 	seq       int // the engine's build count when it started
 	ready     chan struct{}
@@ -197,6 +199,8 @@ type Engine struct {
 	builds    int
 	evictions int
 	waiting   int // callers blocked on a build; tests synchronise on it
+	// scratch is the free list of response-check working memory.
+	scratch []*responseScratch
 }
 
 // NewEngine returns an engine with an empty graph cache. Most callers
@@ -235,7 +239,7 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*g
 			// Fingerprint outside the lock, then look again: another
 			// caller may have registered this structure meanwhile.
 			e.mu.Unlock()
-			f := systemFingerprint(sys)
+			f := sys.Fingerprint()
 			fp = &f
 			continue
 		}
@@ -271,7 +275,7 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*g
 		e.mu.Unlock()
 		reg.Counter("mc.graph_cache_misses").Inc()
 
-		ex, err := deriveOrBuild(ctx, sys, *fp, opts, bases)
+		ex, err := deriveOrBuild(ctx, sys, opts, bases)
 		if err != nil {
 			e.endBuild(b, err)
 			return nil, GraphBuilt, err
@@ -326,7 +330,7 @@ func (e *Engine) basesLocked() []*graphBuild {
 // A base that passes the structural check is completed first, under an
 // "mc.extend" span of this caller, so the derivation is sized from the
 // finished base.
-func deriveOrBuild(ctx context.Context, sys *ts.System, fp [32]byte, opts Options, bases []*graphBuild) (*levelExplorer, error) {
+func deriveOrBuild(ctx context.Context, sys *ts.System, opts Options, bases []*graphBuild) (*levelExplorer, error) {
 	rules, err := sys.CompileRules()
 	if err != nil {
 		return nil, err
@@ -344,10 +348,10 @@ func deriveOrBuild(ctx context.Context, sys *ts.System, fp [32]byte, opts Option
 			return nil, err
 		}
 		if d, ok := planFrom(r.g, kept, rules, vars, init); ok {
-			return startDerive(ctx, sys, rules, d, fp, opts)
+			return startDerive(ctx, sys, rules, d, opts)
 		}
 	}
-	return startBuild(ctx, sys, rules, fp, opts)
+	return startBuild(ctx, sys, rules, opts)
 }
 
 // lookupLocked finds a build for sys at gen under the budget: its own
@@ -453,11 +457,15 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 			break
 		}
 		start := time.Now()
-		res = r.g.checkResponse(sys, p, opts)
+		sc := e.takeScratch()
+		var searched int
+		res, searched = r.g.checkResponse(sys, p, opts, sc)
+		e.putScratch(sc)
 		if reg != nil && !r.g.Truncated {
-			// A truncated graph gets no product search, so it adds neither.
+			// A truncated graph gets no product search, so it adds none.
 			reg.Histogram("mc.response_ms", nil).Observe(obs.DurMS(time.Since(start)))
 			reg.Counter("mc.response_nodes").Add(int64(res.StatesExplored))
+			reg.Counter("mc.response_search_nodes").Add(int64(searched))
 		}
 	}
 	r.end(gerr)
@@ -572,161 +580,295 @@ func (r *graphReader) checkNeverFires(sys *ts.System, p NeverFires) (Result, err
 	return res, nil
 }
 
-// responseProduct is the pending-bit product of a graph with one
-// response property. Product node = slot 2*sid + pending; successors are
-// computed from the graph's CSR row on demand instead of being stored.
-type responseProduct struct {
+// responseScratch is one response check's working memory. The engine
+// keeps a free list of them (Engine.takeScratch), so a check reuses what
+// earlier checks grew: nothing in it is allocated or filled per product
+// node. state holds one byte per graph state; the rest grows with what
+// the search discovers.
+type responseScratch struct {
 	trigger, goal []bool // per rule index
-	goalSat       []bool // per state id; nil without a GoalState
+	// state holds the st* bits of each state id.
+	state []uint8
+	// work is the sweep's worklist of state ids.
+	work []int32
+	// order holds the product slots the BFS has discovered, in BFS order;
+	// from[i] is the index in order of order[i]'s BFS parent, -1 for the
+	// start.
+	order, from []int32
+	stack       []responseFrame
+}
+
+// responseFrame is one pending node on the lasso search's DFS stack and
+// the index of the next edge of its row to follow.
+type responseFrame struct {
+	slot int32
+	next int32
+}
+
+// The bits of responseScratch.state. Product slot 2*sid + pending has
+// the bit of its pending value: stReach<<pending and stSeen<<pending.
+// Only pending nodes are ever on the DFS stack, so their colour needs
+// no idle twin.
+const (
+	stReach   = 1 << 0 // (s, idle) is reachable; stReach<<1: (s, pending)
+	stSeen    = 1 << 2 // (s, idle) was discovered by the BFS; stSeen<<1: (s, pending)
+	stGoal    = 1 << 4 // s satisfies the property's GoalState
+	stOnStack = 1 << 5 // (s, pending) is on the DFS stack
+	stDone    = 1 << 6 // (s, pending)'s DFS is finished
+)
+
+// takeScratch takes response-check working memory off the engine's free
+// list, or makes a new one when every one is in use.
+func (e *Engine) takeScratch() *responseScratch {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := len(e.scratch)
+	if n == 0 {
+		return new(responseScratch)
+	}
+	sc := e.scratch[n-1]
+	e.scratch = e.scratch[:n-1]
+	return sc
+}
+
+// putScratch returns sc to the engine's free list.
+func (e *Engine) putScratch(sc *responseScratch) {
+	e.mu.Lock()
+	e.scratch = append(e.scratch, sc)
+	e.mu.Unlock()
+}
+
+// responseSearch is the pending-bit product of a complete graph with one
+// response property, searched lazily. Product node = slot 2*sid +
+// pending; successors are computed from the graph's CSR row on demand
+// instead of being stored.
+type responseSearch struct {
+	g *StateGraph
+	*responseScratch
+	head int // the index in order the BFS expands next
 }
 
 // succ maps product slot and one edge of its state's row to the
 // successor slot: the trigger sets the pending bit, then the goal rule
-// and a goal state clear it, in that order.
-func (rp *responseProduct) succ(slot int32, ed graphEdge) int32 {
-	pending := slot&1 == 1
-	if rp.trigger[ed.rule] {
-		pending = true
-	}
-	if rp.goal[ed.rule] {
+// and a goal state clear it.
+func (s *responseSearch) succ(slot int32, ed graphEdge) int32 {
+	pending := slot&1 == 1 || s.trigger[ed.rule]
+	if s.goal[ed.rule] || s.state[ed.to]&stGoal != 0 {
 		pending = false
 	}
-	if pending && rp.goalSat != nil && rp.goalSat[ed.to] {
-		pending = false
-	}
-	next := 2 * ed.to
 	if pending {
-		next++
+		return 2*ed.to + 1
 	}
-	return next
+	return 2 * ed.to
+}
+
+// sweep sets the reach bits of every state and returns the product's
+// size. A goal rule or an edge into a goal state reaches the idle node,
+// another trigger the pending one, and any other edge carries its
+// source's bits. Every state of a complete graph is reachable, so an
+// edge of the first two kinds seeds its target whatever its source
+// holds. One pass in id order reaches every bit that travels forward,
+// since a state's BFS parent precedes it; a bit that arrives at a state
+// already passed, over a back edge, is carried on from a worklist.
+func (s *responseSearch) sweep() int {
+	st := s.state
+	st[0] |= stReach
+	work := s.work[:0]
+	for id := range int32(len(st)) {
+		bits := st[id] & (stReach | stReach<<1)
+		for _, ed := range s.g.row(id) {
+			add := bits
+			switch {
+			case s.goal[ed.rule] || st[ed.to]&stGoal != 0:
+				add = stReach
+			case s.trigger[ed.rule]:
+				add = stReach << 1
+			}
+			if add&^st[ed.to] != 0 {
+				st[ed.to] |= add
+				if ed.to <= id {
+					work = append(work, ed.to)
+				}
+			}
+		}
+	}
+	for len(work) > 0 {
+		id := work[len(work)-1]
+		work = work[:len(work)-1]
+		bits := st[id] & (stReach | stReach<<1)
+		for _, ed := range s.g.row(id) {
+			if s.goal[ed.rule] || s.trigger[ed.rule] || st[ed.to]&stGoal != 0 {
+				continue // seeded by the pass
+			}
+			if bits&^st[ed.to] != 0 {
+				st[ed.to] |= bits
+				work = append(work, ed.to)
+			}
+		}
+	}
+	s.work = work
+	size := 0
+	for _, b := range st {
+		size += int(b&stReach) + int(b>>1&stReach)
+	}
+	return size
+}
+
+// expand takes the next node off the BFS queue and discovers its
+// successors in edge order; false once the BFS has drained.
+func (s *responseSearch) expand() bool {
+	if s.head == len(s.order) {
+		return false
+	}
+	slot := s.order[s.head]
+	for _, ed := range s.g.row(slot >> 1) {
+		next := s.succ(slot, ed)
+		seen := uint8(stSeen) << (next & 1)
+		if s.state[next>>1]&seen != 0 {
+			continue
+		}
+		s.state[next>>1] |= seen
+		s.order = append(s.order, next)
+		s.from = append(s.from, int32(s.head))
+	}
+	s.head++
+	return true
+}
+
+// index returns slot's position in the BFS order, first running the BFS
+// until it discovers slot: every node the lasso search meets is
+// reachable, so it does.
+func (s *responseSearch) index(slot int32) int32 {
+	for s.state[slot>>1]&(stSeen<<(slot&1)) == 0 && s.expand() {
+	}
+	return int32(slices.Index(s.order, slot))
+}
+
+// depth counts the BFS tree edges from the start to order[i].
+func (s *responseSearch) depth(i int32) int {
+	n := 0
+	for ; s.from[i] >= 0; i = s.from[i] {
+		n++
+	}
+	return n
+}
+
+// pathTo reconstructs the rule path of the BFS tree from the start to
+// slot. The rule into each node is the first edge of its parent's row
+// that leads to it, the edge the BFS discovered it by.
+func (s *responseSearch) pathTo(slot int32) []string {
+	i := s.index(slot)
+	out := make([]string, s.depth(i))
+	for k := len(out) - 1; k >= 0; k-- {
+		parent := s.order[s.from[i]]
+		for _, ed := range s.g.row(parent >> 1) {
+			if s.succ(parent, ed) == s.order[i] {
+				out[k] = s.g.Rules[ed.rule].Name
+				break
+			}
+		}
+		i = s.from[i]
+	}
+	return out
 }
 
 // checkResponse runs the pending-product lasso search over the complete
-// interned graph without materialising the product: nodes are slots 2*sid +
-// pending in four slot-indexed arrays, each allocated once, and both the
-// product BFS and the pending-region DFS compute successors from the CSR
-// row through responseProduct.succ, so no guard is re-evaluated, no
-// state is re-hashed and no edge is stored. Node order, edge order and
+// interned graph without materialising the product. A sweep over the
+// CSR rows counts the product's nodes exactly; the product BFS then
+// advances only as far as the pending-region DFS needs it, for its next
+// root in BFS order or for the BFS path to a counterexample node. Both
+// compute successors from the CSR row through succ, so no guard is
+// re-evaluated, no state is re-hashed and no edge is stored, and the
+// working memory is sc, reused from check to check: one byte per state
+// plus the nodes the search discovers. Node order, edge order and
 // therefore StatesExplored and every trace are those of the sequential
-// implementation.
-func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) Result {
+// implementation. It also returns how many product nodes the BFS
+// discovered.
+func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options, sc *responseScratch) (Result, int) {
 	res := Result{Property: p.PropName, Kind: "response"}
 	if g.Truncated {
 		// Missing adjacency beyond the frontier would masquerade as
 		// deadlocks; a truncated graph cannot support the liveness search.
 		res.Truncated = true
 		res.StatesExplored = g.NumStates()
-		return res
+		return res, 0
 	}
-	rp := responseProduct{trigger: make([]bool, len(g.Rules)), goal: make([]bool, len(g.Rules))}
+	s := &responseSearch{g: g, responseScratch: sc}
+	s.trigger, s.goal = resize(s.trigger, len(g.Rules)), resize(s.goal, len(g.Rules))
 	for i := range g.Rules {
-		rp.trigger[i] = p.Trigger(g.Rules[i].Name)
-		if p.Goal != nil {
-			rp.goal[i] = p.Goal(g.Rules[i].Name)
-		}
+		s.trigger[i] = p.Trigger(g.Rules[i].Name)
+		s.goal[i] = p.Goal != nil && p.Goal(g.Rules[i].Name)
 	}
+	st := resize(s.state, g.NumStates())
+	s.state = st
 	if p.GoalState != nil {
 		f, err := sys.CompileCond(p.GoalState)
 		if err != nil {
-			return res
+			return res, 0
 		}
-		rp.goalSat = make([]bool, g.NumStates())
-		g.forEachState(0, func(id int32, s ts.State) bool {
-			rp.goalSat[id] = f(s)
+		g.forEachState(0, func(id int32, x ts.State) bool {
+			if f(x) {
+				st[id] = stGoal
+			}
 			return true
 		})
 	}
+	size := s.sweep()
+	st[0] |= stSeen
+	s.order, s.from = append(s.order[:0], 0), append(s.from[:0], -1)
 
-	// Product BFS. parent holds each slot's parent slot (-1 for the
-	// start, -2 unseen); order holds slots in intern order and is both
-	// the BFS queue and the DFS root order.
-	slots := 2 * g.NumStates()
-	parent := make([]int32, slots)
-	for i := range parent {
-		parent[i] = -2
-	}
-	parentRule := make([]int32, slots)
-	order := make([]int32, 1, slots)
-	parent[0], parentRule[0] = -1, -1
-	pendingNodes := 0
-	maxStates := opts.maxStates()
-	for head := 0; head < len(order); head++ {
-		if len(order) > maxStates {
-			res.Truncated = true
-			res.StatesExplored = len(order)
-			return res
+	if size > opts.maxStates() {
+		// The sequential BFS stops at the first node it dequeues past
+		// the budget; run this one to the same point.
+		for len(s.order) <= opts.maxStates() && s.expand() {
 		}
-		slot := order[head]
-		for _, ed := range g.row(slot >> 1) {
-			next := rp.succ(slot, ed)
-			if parent[next] != -2 {
-				continue
-			}
-			parent[next], parentRule[next] = slot, ed.rule
-			order = append(order, next)
-			pendingNodes += int(next & 1)
-		}
+		res.Truncated = true
+		res.StatesExplored = len(s.order)
+		return res, len(s.order)
 	}
-	res.StatesExplored = len(order)
+	res.StatesExplored = size
 
-	// depth counts the product tree edges from the start to slot.
-	depth := func(slot int32) int {
-		n := 0
-		for cur := slot; parent[cur] >= 0; cur = parent[cur] {
-			n++
+	// Search the pending subgraph for a cycle or deadlock, from each
+	// pending root in BFS order, visiting each row in edge order. The
+	// stack holds each pending node at most once.
+	for ri := 0; ; ri++ {
+		for ri == len(s.order) && s.expand() {
 		}
-		return n
-	}
-	// nodePath reconstructs the rule path from the product start to slot.
-	nodePath := func(slot int32) []string {
-		out := make([]string, depth(slot))
-		for cur, i := slot, len(out)-1; i >= 0; cur, i = parent[cur], i-1 {
-			out[i] = g.Rules[parentRule[cur]].Name
+		if ri == len(s.order) {
+			break
 		}
-		return out
-	}
-
-	// Search the pending subgraph for a cycle or deadlock, visiting each
-	// row in edge order. The stack holds each pending node at most once.
-	// colour: 0 unvisited, 1 on stack, 2 done.
-	colour := make([]uint8, slots)
-	type frame struct {
-		slot int32
-		next int32
-	}
-	stack := make([]frame, 0, pendingNodes)
-	for _, root := range order {
-		if root&1 == 0 || colour[root] != 0 {
+		root := s.order[ri]
+		if root&1 == 0 || st[root>>1]&(stOnStack|stDone) != 0 {
 			continue
 		}
-		stack = append(stack[:0], frame{slot: root})
-		colour[root] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
+		s.stack = append(s.stack[:0], responseFrame{slot: root})
+		st[root>>1] |= stOnStack
+		for len(s.stack) > 0 {
+			f := &s.stack[len(s.stack)-1]
 			row := g.row(f.slot >> 1)
 			if len(row) == 0 {
-				path := nodePath(f.slot)
+				path := s.pathTo(f.slot)
 				res.Counterexample = buildTrace(sys, path, len(path))
-				return res
+				return res, len(s.order)
 			}
 			advanced := false
 			for int(f.next) < len(row) {
 				ed := row[f.next]
 				f.next++
-				next := rp.succ(f.slot, ed)
+				next := s.succ(f.slot, ed)
 				if next&1 == 0 {
 					continue // leaving the pending region discharges along this edge
 				}
-				switch colour[next] {
-				case 1:
-					path := nodePath(f.slot)
-					loopEntry := min(depth(next), len(path))
+				switch b := st[next>>1]; {
+				case b&stOnStack != 0:
+					path := s.pathTo(f.slot)
+					loopEntry := min(s.depth(s.index(next)), len(path))
 					full := append(path, g.Rules[ed.rule].Name)
 					res.Counterexample = buildTrace(sys, full, loopEntry)
-					return res
-				case 0:
-					colour[next] = 1
-					stack = append(stack, frame{slot: next})
+					return res, len(s.order)
+				case b&stDone == 0:
+					st[next>>1] |= stOnStack
+					s.stack = append(s.stack, responseFrame{slot: next})
 					advanced = true
 				}
 				if advanced {
@@ -734,13 +876,24 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options) Res
 				}
 			}
 			if !advanced {
-				colour[f.slot] = 2
-				stack = stack[:len(stack)-1]
+				st[f.slot>>1] = st[f.slot>>1]&^stOnStack | stDone
+				s.stack = s.stack[:len(s.stack)-1]
 			}
 		}
 	}
 	res.Verified = true
-	return res
+	return res, len(s.order)
+}
+
+// resize returns buf with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // ErrBudgetExhausted re-exports the resilience sentinel that CheckContext

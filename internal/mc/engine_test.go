@@ -379,7 +379,7 @@ func TestExploreGaugesTrackVisitedSet(t *testing.T) {
 		t.Fatal("the refined system does not derive from its base graph")
 	}
 	o := obs.New()
-	g, err := deriveGraph(obs.NewContext(context.Background(), o), sys, rules, d, systemFingerprint(sys), Options{Workers: 2})
+	g, err := deriveGraph(obs.NewContext(context.Background(), o), sys, rules, d, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,12 +89,16 @@ type levelExplorer struct {
 	domains []int
 
 	// derive is set when the graph derives from a base graph instead;
-	// slotOf is then its visited set, and slots maps ids back to slots
-	// (see derive.go).
+	// slotOf is then its visited set, holding id+1 per slot and 0 for a
+	// slot not yet met, and slots maps ids back to slots (see derive.go).
 	derive  *derivation
 	slotOf  []int32
 	slots   []int32
 	scratch []byte
+
+	// snapFP names and validates the build's snapshots; set only when
+	// it writes them (see snapshotFingerprint).
+	snapFP [32]byte
 
 	// The frontier is the id range [lo, hi): the states the last level
 	// interned, none of them expanded yet.
@@ -132,11 +136,11 @@ type levelExplorer struct {
 // graph, which keeps the compiled rules, variables and initial state it
 // is built from so it can serve as a derivation base in turn, the
 // build's "mc.explore" span, and the registry's mc.* instruments.
-func newLevelExplorer(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options, kind string) *levelExplorer {
+func newLevelExplorer(ctx context.Context, sys *ts.System, rules *ts.RuleSet, opts Options, kind string) *levelExplorer {
 	init := sys.InitialState()
 	e := &levelExplorer{
 		g: &StateGraph{
-			System: sys.Name, fp: fp, Rules: rules.Rules, MaxStates: opts.maxStates(),
+			System: sys.Name, Rules: rules.Rules, MaxStates: opts.maxStates(),
 			rules: rules, vars: slices.Clone(sys.Vars()), init: init,
 			arena: newStateArena(len(init)),
 			off:   []int32{0},
@@ -206,10 +210,10 @@ func (e *levelExplorer) endExplore(graph *StateGraph, err error) {
 
 // startBuild sets up the exploration of sys: the visited set its
 // domains call for, and its initial state, or the newest snapshot of
-// sys to resume from. rules is the system compiled, and fp its
-// systemFingerprint, which names and validates its snapshots. The graph
-// then grows by advance.
-func startBuild(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]byte, opts Options) (*levelExplorer, error) {
+// sys to resume from. rules is the system compiled. With a snapshot
+// directory, the hash of sys's SMV rendering names and validates its
+// snapshots. The graph then grows by advance.
+func startBuild(ctx context.Context, sys *ts.System, rules *ts.RuleSet, opts Options) (*levelExplorer, error) {
 	domains := make([]int, len(sys.Vars()))
 	for i, v := range sys.Vars() {
 		domains[i] = len(v.Domain)
@@ -219,7 +223,7 @@ func startBuild(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]b
 	if ranks == nil {
 		kind = "hash"
 	}
-	e := newLevelExplorer(ctx, sys, rules, fp, opts, kind)
+	e := newLevelExplorer(ctx, sys, rules, opts, kind)
 	e.ranks, e.domains = ranks, domains
 	if e.ranks == nil {
 		e.index = newStateIndex()
@@ -227,6 +231,7 @@ func startBuild(ctx context.Context, sys *ts.System, rules *ts.RuleSet, fp [32]b
 
 	resumed := false
 	if opts.SnapshotDir != "" {
+		e.snapFP = snapshotFingerprint(sys)
 		lvl, ok, err := e.tryResume()
 		if err != nil {
 			e.endExplore(nil, err)

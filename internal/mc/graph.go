@@ -51,12 +51,10 @@ type graphEdge struct {
 // all enabled transitions per state in rule order, and the first-reach
 // parent tree for shortest-path counterexamples.
 type StateGraph struct {
-	// System names the explored system and fp is its systemFingerprint
-	// at build time. The graph keeps no system pointer: it is shared
-	// between systems of identical structure, which callers go on
-	// refining in place.
+	// System names the explored system. The graph keeps no system
+	// pointer: it is shared between systems of identical structure,
+	// which callers go on refining in place.
 	System string
-	fp     [32]byte
 	Rules  []ts.CompiledRule
 
 	// rules, vars and init are the compiled system the graph was built

@@ -90,18 +90,17 @@ func TestLazyGrowthMatchesBuildGraph(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp := systemFingerprint(sys)
-			complete, err := buildGraph(ctx, sys, rules, fp, Options{Workers: 2})
+			complete, err := buildGraph(ctx, sys, rules, Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, opts := range []Options{{Workers: 2}, {Workers: 2, MaxStates: complete.NumStates() / 2}} {
 				mode := "explored, budget " + strconv.Itoa(opts.maxStates())
-				full, err := buildGraph(ctx, sys, rules, fp, opts)
+				full, err := buildGraph(ctx, sys, rules, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				e, err := startBuild(ctx, sys, rules, fp, opts)
+				e, err := startBuild(ctx, sys, rules, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +124,6 @@ func TestLazyGrowthMatchesBuildGraph(t *testing.T) {
 				}
 				t.Fatal("the refinement does not derive from its base graph")
 			}
-			rfp := systemFingerprint(refined)
 			whole, err := explore(ctx, refined, Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -136,7 +134,7 @@ func TestLazyGrowthMatchesBuildGraph(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e, err := startDerive(ctx, refined, rrules, d, rfp, opts)
+				e, err := startDerive(ctx, refined, rrules, d, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,12 +10,16 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"prochecker/internal/core/props"
 	"prochecker/internal/mc"
+	"prochecker/internal/obs"
+	"prochecker/internal/report"
 	"prochecker/internal/resilience"
 	"prochecker/internal/ts"
+	"prochecker/internal/ue"
 )
 
 // composedSystem builds the threat-instrumented LTEInspector model the
@@ -196,6 +200,124 @@ func TestResponseCheckAllocsFlat(t *testing.T) {
 	short, long := allocs(4), allocs(200)
 	if short != long {
 		t.Fatalf("response check allocations: %v on a 4-step chain, %v on a 200-step chain", short, long)
+	}
+}
+
+// catalogueResponses lists the catalogue's response properties.
+func catalogueResponses(t *testing.T) []mc.Response {
+	t.Helper()
+	var out []mc.Response
+	for _, p := range catalogueMC(t) {
+		if r, ok := p.(mc.Response); ok {
+			out = append(out, r)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no response properties in the catalogue")
+	}
+	return out
+}
+
+// TestResponseMatchesSequentialOnRefinements runs every catalogue
+// response property on the composed model and on its guard-replay
+// refinement, whose graph the engine derives from the first, against
+// the sequential oracle. StatesExplored is the product size the
+// reachability sweep counts, so a bit the sweep misses or adds fails
+// here, and the traces pin the lazy BFS's parents, on graphs the
+// verdict corpus does not cover.
+func TestResponseMatchesSequentialOnRefinements(t *testing.T) {
+	base := composedSystem(t)
+	refined := mc.GuardReplay(t, base.Clone(), "service_accept")
+	o := obs.New()
+	ctx := obs.NewContext(context.Background(), o)
+	engine := mc.NewEngine()
+	opts := mc.Options{Workers: 2}
+	for _, sys := range []*ts.System{base, refined} {
+		for _, p := range catalogueResponses(t) {
+			got, err := engine.CheckContext(ctx, sys, p, opts)
+			if err != nil {
+				t.Fatalf("%s on %s: engine error: %v", p.Name(), sys.Name, err)
+			}
+			assertSameResult(t, p.Name(), got, mc.CheckSequential(sys, p, opts))
+		}
+	}
+	if derived := o.Metrics().Counter("mc.explorations_derived").Value(); derived != 1 {
+		t.Fatalf("mc.explorations_derived = %d, want the refinement's graph derived", derived)
+	}
+}
+
+// TestResponseTruncatesLikeSequential: under a budget that holds the
+// whole graph but not the whole product, the response check must stop
+// where the sequential product BFS stops, with the same Truncated flag
+// and StatesExplored.
+func TestResponseTruncatesLikeSequential(t *testing.T) {
+	sys := composedSystem(t)
+	ctx := context.Background()
+	g, err := mc.ExploreGraph(ctx, sys, mc.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := catalogueResponses(t)[0]
+	full, err := mc.NewEngine().CheckContext(ctx, sys, p, mc.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.StatesExplored <= g.NumStates()+1 {
+		t.Fatalf("%s: product of %d nodes over %d states leaves no budget between them", p.Name(), full.StatesExplored, g.NumStates())
+	}
+	opts := mc.Options{Workers: 2, MaxStates: (g.NumStates() + full.StatesExplored) / 2}
+	got, err := mc.NewEngine().CheckContext(ctx, sys, p, opts)
+	if !mc.IsBudgetExhausted(err) {
+		t.Fatalf("budget %d between %d states and %d product nodes: error %v, want budget exhausted",
+			opts.MaxStates, g.NumStates(), full.StatesExplored, err)
+	}
+	want := mc.CheckSequential(sys, p, opts)
+	if !want.Truncated {
+		t.Fatalf("the sequential check is not truncated under budget %d", opts.MaxStates)
+	}
+	assertSameResult(t, p.Name(), got, want)
+}
+
+// TestResponseCheckAllocBudget pins that a response check's working
+// memory is reused, not allocated per check: once one check has run on
+// an engine, checking a response property again on the same graph of at
+// least 50,000 states (the srsLTE profile's model) allocates less than
+// one byte per state.
+func TestResponseCheckAllocBudget(t *testing.T) {
+	m, err := report.BuildModel(ue.ProfileSRS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := m.Composed.System
+	ctx := context.Background()
+	g, err := mc.ExploreGraph(ctx, sys, mc.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := g.NumStates()
+	if states < 50000 {
+		t.Fatalf("the srsLTE model has %d states, want at least 50,000", states)
+	}
+	engine := mc.NewEngine()
+	for _, p := range catalogueResponses(t) {
+		if _, err := engine.CheckContext(ctx, sys, p, mc.Options{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := engine.CheckContext(ctx, sys, p, mc.Options{Workers: 2})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		perState := float64(allocated) / float64(states)
+		t.Logf("%s: %d product nodes over %d states, %d bytes allocated (%.3f B/state)",
+			p.Name(), res.StatesExplored, states, allocated, perState)
+		if perState >= 1 {
+			t.Errorf("%s: a repeated response check allocated %d bytes, %.2f per state; want less than 1",
+				p.Name(), allocated, perState)
+		}
 	}
 }
 

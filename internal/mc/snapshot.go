@@ -42,11 +42,12 @@ const (
 	snapshotVersion = 1
 )
 
-// systemFingerprint hashes the system's structure (variables, domains,
-// rules — its SMV rendering), deliberately excluding tuning like
-// MaxStates so a truncated run's snapshots resume under a bigger
-// budget.
-func systemFingerprint(sys *ts.System) [32]byte {
+// snapshotFingerprint hashes the system's SMV rendering, which names
+// and validates its snapshots. It deliberately excludes tuning like
+// MaxStates, so a truncated run's snapshots resume under a bigger
+// budget, and it is the hash snapshots have always carried, so a
+// snapshot an earlier version wrote still resumes.
+func snapshotFingerprint(sys *ts.System) [32]byte {
 	return sha256.Sum256([]byte(sys.SMV()))
 }
 
@@ -90,7 +91,7 @@ func (e *levelExplorer) writeSnapshot() (err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mc: creating snapshot dir: %w", err)
 	}
-	fp := g.fp
+	fp := e.snapFP
 	final := filepath.Join(dir, fmt.Sprintf("%s%08d.ckpt", snapshotPrefix(fp), e.g.levels))
 
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
@@ -219,7 +220,7 @@ func (e *levelExplorer) tryResume() (int, bool, error) {
 		}
 		return 0, false, fmt.Errorf("mc: reading snapshot dir: %w", err)
 	}
-	fp := e.g.fp
+	fp := e.snapFP
 	prefix := snapshotPrefix(fp)
 	var names []string
 	for _, ent := range entries {

@@ -9,6 +9,8 @@
 package ts
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -809,6 +811,91 @@ func (sys *System) SMV() string {
 	b.WriteString(strings.Join(disjuncts, " |\n"))
 	b.WriteString(";\n")
 	return b.String()
+}
+
+// Fingerprint is a SHA-256 over a binary encoding of exactly what SMV
+// renders: the name, the variables and their domains, every variable's
+// initial value (the first domain value by default), and each rule's
+// name, guard tree and assignments as SMV resolves them (the last
+// assignment to a variable wins, in variable order). Two systems whose
+// renderings differ have different fingerprints, and computing one
+// renders no text.
+func (sys *System) Fingerprint() [32]byte {
+	b := appendString(nil, sys.Name)
+	b = binary.AppendUvarint(b, uint64(len(sys.vars)))
+	for _, v := range sys.vars {
+		b = appendString(b, v.Name)
+		b = binary.AppendUvarint(b, uint64(len(v.Domain)))
+		for _, x := range v.Domain {
+			b = appendString(b, x)
+		}
+	}
+	b = append(b, sys.InitialState()...)
+	b = binary.AppendUvarint(b, uint64(len(sys.rules)))
+	type set struct {
+		v   int
+		val string
+	}
+	var sets []set
+	for _, r := range sys.rules {
+		b = appendString(b, r.Name)
+		b = appendCond(b, r.Guard)
+		sets = sets[:0]
+		for i, a := range r.Assigns {
+			v, ok := sys.varIdx[a.Var]
+			later := slices.ContainsFunc(r.Assigns[i+1:], func(o Assign) bool { return o.Var == a.Var })
+			if ok && !later {
+				sets = append(sets, set{v, a.Value})
+			}
+		}
+		slices.SortFunc(sets, func(x, y set) int { return x.v - y.v })
+		b = binary.AppendUvarint(b, uint64(len(sets)))
+		for _, a := range sets {
+			b = binary.AppendUvarint(b, uint64(a.v))
+			b = appendString(b, a.val)
+		}
+	}
+	return sha256.Sum256(b)
+}
+
+// appendString appends s with its length in front.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendCond appends a guard tree: a tag byte per node, then its fields.
+// A condition type of another package is encoded by its SMV text.
+func appendCond(b []byte, c Cond) []byte {
+	switch cc := c.(type) {
+	case nil, True:
+		return append(b, 'T')
+	case Eq:
+		return appendString(appendString(append(b, '='), cc.Var), cc.Value)
+	case Neq:
+		return appendString(appendString(append(b, '#'), cc.Var), cc.Value)
+	case In:
+		b = binary.AppendUvarint(appendString(append(b, 'I'), cc.Var), uint64(len(cc.Values)))
+		for _, v := range cc.Values {
+			b = appendString(b, v)
+		}
+		return b
+	case And:
+		b = binary.AppendUvarint(append(b, '&'), uint64(len(cc)))
+		for _, sub := range cc {
+			b = appendCond(b, sub)
+		}
+		return b
+	case Or:
+		b = binary.AppendUvarint(append(b, '|'), uint64(len(cc)))
+		for _, sub := range cc {
+			b = appendCond(b, sub)
+		}
+		return b
+	case Not:
+		return appendCond(append(b, '!'), cc.C)
+	default:
+		return appendString(append(b, 'S'), c.SMV())
+	}
 }
 
 // Stats summarises the system.

@@ -202,6 +202,62 @@ func TestSMVOutput(t *testing.T) {
 	}
 }
 
+// TestFingerprintFollowsSMV: two variants of the toy system have the
+// same fingerprint exactly when their SMV renderings are equal, over
+// edits to every part SMV renders and rewrites it renders the same.
+func TestFingerprintFollowsSMV(t *testing.T) {
+	edit := func(f func(*System)) *System {
+		sys := buildToy(t).Clone()
+		f(sys)
+		return sys
+	}
+	setRule := func(name string, f func(*Rule)) func(*System) {
+		return func(sys *System) {
+			sys.MapRules(func(r Rule) Rule {
+				if r.Name == name {
+					r.Assigns = append([]Assign(nil), r.Assigns...)
+					f(&r)
+				}
+				return r
+			})
+		}
+	}
+	variants := map[string]*System{
+		"toy":            buildToy(t),
+		"renamed system": edit(func(sys *System) { sys.Name = "toy2" }),
+		"extra var":      edit(func(sys *System) { sys.AddVar("horn", "off", "on") }),
+		"init":           edit(func(sys *System) { sys.SetInit("light", "green") }),
+		"init default":   edit(func(sys *System) { sys.SetInit("cars", "stopped") }),
+		"removed rule":   edit(func(sys *System) { sys.RemoveRule("go") }),
+		"renamed rule":   edit(setRule("go", func(r *Rule) { r.Name = "drive" })),
+		"guard value":    edit(setRule("go", func(r *Rule) { r.Guard = And{Eq{"light", "green"}, Neq{"cars", "stopped"}} })),
+		"guard shape":    edit(setRule("go", func(r *Rule) { r.Guard = Or{Eq{"light", "green"}, Eq{"cars", "stopped"}} })),
+		"guard in":       edit(setRule("go", func(r *Rule) { r.Guard = And{In{"light", []string{"green"}}, Eq{"cars", "stopped"}} })),
+		"guard not":      edit(setRule("go", func(r *Rule) { r.Guard = Not{And{Eq{"light", "green"}, Eq{"cars", "stopped"}}} })),
+		"assign value":   edit(setRule("turn_red", func(r *Rule) { r.Assigns[1].Value = "moving" })),
+		"assign order":   edit(setRule("turn_red", func(r *Rule) { r.Assigns[0], r.Assigns[1] = r.Assigns[1], r.Assigns[0] })),
+		"assign overwritten": edit(setRule("turn_green", func(r *Rule) {
+			r.Assigns = []Assign{{"light", "red"}, {"light", "green"}}
+		})),
+		"assign dropped": edit(setRule("turn_red", func(r *Rule) { r.Assigns = r.Assigns[:1] })),
+	}
+	for a, x := range variants {
+		for b, y := range variants {
+			sameSMV := x.SMV() == y.SMV()
+			if sameFP := x.Fingerprint() == y.Fingerprint(); sameFP != sameSMV {
+				t.Errorf("%s vs %s: same SMV %v, same fingerprint %v", a, b, sameSMV, sameFP)
+			}
+		}
+	}
+	// The rewrites that render the same must be among the variants, or
+	// the loop above proves nothing about them.
+	for _, name := range []string{"init default", "assign order", "assign overwritten"} {
+		if variants[name].SMV() != variants["toy"].SMV() {
+			t.Errorf("%s: SMV differs from the toy's", name)
+		}
+	}
+}
+
 func TestStateKeyAndClone(t *testing.T) {
 	sys := buildToy(t)
 	s := sys.InitialState()
