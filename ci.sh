@@ -97,19 +97,22 @@ echo "== CEGAR exploration counts =="
 # Graphs are built only as deep as their checks need: the states built
 # (mc.states_explored) and the graphs never completed (mc.graphs_partial)
 # pin that early exit, so a check that forces a graph deeper than it
-# needs shows up here.
-for want in "srsLTE 7 45 20 7119025 345285 6 36700160 1140514 3" "conformant 6 25 5 5133337 305504 5 36175872 1118570 2" "OAI 8 34 7 5209753 309189 7 45613056 1426061 3"; do
-    read -r impl explorations iterations refinements response_nodes search_nodes derived edge_bytes states partial <<<"$want"
+# needs shows up here. A response check on a partial derived graph walks
+# its derivation instead of completing the graph
+# (mc.responses_derived), so a check that builds a refined graph only
+# to count its product shows up here too.
+for want in "srsLTE 7 45 20 7119025 345285 6 11010048 321743 6 7" "conformant 6 25 5 5133337 305504 5 9961472 299618 5 3" "OAI 8 34 7 5209753 309189 7 19398656 595757 6 3"; do
+    read -r impl explorations iterations refinements response_nodes search_nodes derived edge_bytes states partial walked <<<"$want"
     "$lint_dir/prochecker" -impl "$impl" -check all -quiet -manifest "$lint_dir/$impl-checkall.json" > /dev/null \
         || { echo "exploration counts: $impl -check all failed"; exit 1; }
     got=""
-    for metric in mc.explorations cegar.iterations cegar.refinements mc.explorations_hashed mc.response_nodes mc.response_search_nodes mc.explorations_derived mc.edge_bytes mc.states_explored mc.graphs_partial; do
+    for metric in mc.explorations cegar.iterations cegar.refinements mc.explorations_hashed mc.response_nodes mc.response_search_nodes mc.explorations_derived mc.edge_bytes mc.states_explored mc.graphs_partial mc.responses_derived; do
         got="$got $(sed -n "s/.*\"$metric\": *\([0-9]*\).*/\1/p" "$lint_dir/$impl-checkall.json" | head -1)"
     done
-    [[ "$got" == " $explorations $iterations $refinements 0 $response_nodes $search_nodes $derived $edge_bytes $states $partial" ]] \
-        || { echo "exploration counts: $impl explorations/iterations/refinements/hashed/response nodes/search nodes/derived/edge bytes/states/partial graphs =$got, want $explorations $iterations $refinements 0 $response_nodes $search_nodes $derived $edge_bytes $states $partial"; exit 1; }
+    [[ "$got" == " $explorations $iterations $refinements 0 $response_nodes $search_nodes $derived $edge_bytes $states $partial $walked" ]] \
+        || { echo "exploration counts: $impl explorations/iterations/refinements/hashed/response nodes/search nodes/derived/edge bytes/states/partial graphs/derivation-walked responses =$got, want $explorations $iterations $refinements 0 $response_nodes $search_nodes $derived $edge_bytes $states $partial $walked"; exit 1; }
 done
-echo "CEGAR exploration counts OK (srsLTE 7/45/20, conformant 6/25/5, OAI 8/34/7, all dense, response and search nodes pinned, 6/5/7 derived, edge bytes and states pinned, 3/2/3 graphs left partial)"
+echo "CEGAR exploration counts OK (srsLTE 7/45/20, conformant 6/25/5, OAI 8/34/7, all dense, response and search nodes pinned, 6/5/7 derived, edge bytes and states pinned, 6/5/6 graphs left partial, 7/3/3 responses over a derivation)"
 
 echo "== observability smoke =="
 # Start a real run with the live metrics endpoint, scrape /metrics

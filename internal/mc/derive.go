@@ -17,15 +17,19 @@
 // survives.
 //
 // A derived graph grows lazily, level by level, like an explored one,
-// but only from a complete base: the engine completes a cached graph
-// that passes the structural checks before sizing a derivation from it,
-// so the bound, the base choice and the derived ids are those of the
-// finished base.
+// and only from a complete base: the engine derives from the most
+// recent complete cached graph the target extends, and completes a
+// partial one only when none qualifies. The derived ids depend on the
+// target alone, so any base it extends yields the same graph. While a
+// derived graph is partial it keeps its derivation, and a response
+// check walks the derivation itself (engine.go) instead of completing
+// the graph.
 package mc
 
 import (
 	"bytes"
 	"context"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -33,21 +37,50 @@ import (
 )
 
 // derivation maps a target system onto a complete base graph. A target
-// state is slot baseID*extra + x, where x ranks the values of the
-// appended variables (mixed radix, last variable fastest).
+// state is slot baseID<<shift | x, where x ranks the values of the
+// appended variables (mixed radix, last variable fastest) and shift is
+// the fewest bits that hold every rank, so a slot splits into its base
+// state and its rank with one shift and one mask.
 type derivation struct {
 	base *StateGraph
 	// extra is the number of assignments of the width appended
 	// variables; values[x*width:][:width] are extra rank x's values.
 	extra, width int32
 	values       []uint8
-	// ruleOf maps each base rule to its target rule, -1 when pruned;
-	// step[j*extra+x] is the extra rank target rule j leads to from
-	// extra rank x, -1 when its guard rejects x.
-	ruleOf []int32
-	step   []int32
+	// shift is below 32; the walks mask it with 31 all the same, which
+	// spares the compiler's oversized-shift handling in their loops.
+	shift uint32
+	mask  int32
+	// trans[i<<shift | x] is where base rule i leads from extra rank x:
+	// the target rule it survives as, and the extra rank it leads to. Its
+	// rule is -1 when i is pruned or the target rule's guard rejects x.
+	// A nil trans is the identity: the base graph as its own derivation.
+	trans []graphEdge
 	// initSlot is the target's initial state, base state 0.
 	initSlot int32
+}
+
+// self is g as its own derivation, for a walk that runs on derivations
+// and complete graphs alike.
+func (g *StateGraph) self() *derivation { return &derivation{base: g, extra: 1} }
+
+// slots is the derivation's bound: one slot per base state and extra
+// rank, padded to a power of two.
+func (d *derivation) slots() int { return d.base.NumStates() << d.shift }
+
+// row returns the base row of slot and slot's extra rank.
+func (d *derivation) row(slot int32) ([]graphEdge, int32) {
+	return d.base.row(slot >> (d.shift & 31)), slot & d.mask
+}
+
+// edge maps base edge ed, leaving a slot of extra rank x, to the target:
+// its rule and the slot it leads to; the rule is -1 when the target has
+// no such edge.
+func (d *derivation) edge(ed graphEdge, x int32) graphEdge {
+	shift := d.shift & 31
+	t := d.trans[ed.rule<<shift|x]
+	t.to |= ed.to << shift
+	return t
 }
 
 // extendsBase is the structural check of a derivation, which any view
@@ -99,20 +132,19 @@ func planFrom(base *StateGraph, kept []int32, rules *ts.RuleSet, vars []ts.Var, 
 		}
 	}
 
-	d.ruleOf = make([]int32, len(base.Rules))
-	for i := range d.ruleOf {
-		d.ruleOf[i] = -1
+	d.shift = uint32(bits.Len32(uint32(d.extra - 1)))
+	d.mask = 1<<d.shift - 1
+	if int64(len(base.Rules))<<d.shift > denseRankLimit { // the rule table's own bound
+		return nil, false
 	}
-	for j, i := range kept {
-		d.ruleOf[i] = int32(j)
+	d.trans = make([]graphEdge, len(base.Rules)<<d.shift)
+	for i := range d.trans {
+		d.trans[i].rule = -1
 	}
-	d.step = make([]int32, int32(len(rules.Rules))*d.extra)
 	cur, next := make(ts.State, len(vars)), make(ts.State, len(vars))
-	for j := range rules.Rules {
+	for j, i := range kept {
 		for x := int32(0); x < d.extra; x++ {
 			vals := d.values[x*d.width:][:d.width]
-			at := int32(j)*d.extra + x
-			d.step[at] = -1
 			admitted := true
 			for k, val := range vals {
 				admitted = admitted && rules.Admits(j, old+k, val)
@@ -122,7 +154,7 @@ func planFrom(base *StateGraph, kept []int32, rules *ts.RuleSet, vars []ts.Var, 
 			}
 			copy(cur[old:], vals)
 			rules.Rules[j].ApplyInto(next, cur)
-			d.step[at] = rank(next[old:])
+			d.trans[i<<d.shift|x] = graphEdge{rule: int32(j), to: rank(next[old:])}
 		}
 	}
 	d.initSlot = rank(init[old:])
@@ -136,21 +168,21 @@ func planFrom(base *StateGraph, kept []int32, rules *ts.RuleSet, vars []ts.Var, 
 // resumed base. Its "mc.explore" span carries index=derived and the
 // base's state count.
 //
-// The slot table and the per-state arrays are allocated once, at the
-// derivation's bound, and left as the allocator returns them: slotOf
-// holds id+1 with 0 for a slot not yet met, and the other arrays only
-// grow by append. Memory fresh from the operating system becomes
+// The slot table (at the padded slot bound) and the per-state arrays
+// (at the derivation's bound) are allocated once and left as the
+// allocator returns them: slotOf holds id+1 with 0 for a slot not yet
+// met, and the other arrays only grow by append. Memory fresh from the operating system becomes
 // resident only where the build writes it, so a derivation that stops
 // early holds little more than what it has built, not its bound.
 func startDerive(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, opts Options) (*levelExplorer, error) {
 	opts.SnapshotDir = ""
 	e := newLevelExplorer(ctx, sys, rules, opts, "derived")
 	e.span.SetAttr("base_states", strconv.Itoa(d.base.NumStates()))
-	e.derive = d
-	bound := int(d.extra) * d.base.NumStates()
-	e.slotOf = make([]int32, bound)
-	e.slots = make([]int32, 0, bound)
 	g := e.g
+	g.derive = d
+	e.slotOf = make([]int32, d.slots())
+	bound := int(d.extra) * d.base.NumStates()
+	e.slots = make([]int32, 0, bound)
 	g.off = make([]int32, 1, bound+1)
 	g.parentState = make([]int32, 0, bound)
 	g.parentRule = make([]int32, 0, bound)
@@ -168,33 +200,25 @@ func startDerive(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *deri
 // as they are met, and each state's kept edges become its row, written
 // into room reserved for its whole base row.
 func (e *levelExplorer) deriveLevel() error {
-	g, d := e.g, e.derive
-	base, extra := d.base, d.extra
+	g, d := e.g, e.g.derive
 	for id := e.lo; id < e.hi; id++ {
-		slot := e.slots[id]
-		x := slot % extra
-		baseRow := base.row(slot / extra)
+		baseRow, x := d.row(e.slots[id])
 		row, err := g.reserveRow(len(baseRow))
 		if err != nil {
 			return err
 		}
-		for _, ed := range baseRow {
-			j := d.ruleOf[ed.rule]
-			if j < 0 {
+		for _, be := range baseRow {
+			ed := d.edge(be, x)
+			if ed.rule < 0 {
 				continue
 			}
-			nx := d.step[j*extra+x]
-			if nx < 0 {
-				continue
-			}
-			next := ed.to*extra + nx
-			to := e.slotOf[next] - 1
+			to := e.slotOf[ed.to] - 1
 			if to < 0 {
-				if to, err = e.internSlot(next, id, j); err != nil {
+				if to, err = e.internSlot(ed.to, id, ed.rule); err != nil {
 					return err
 				}
 			}
-			row = append(row, graphEdge{rule: j, to: to})
+			row = append(row, graphEdge{rule: ed.rule, to: to})
 		}
 		g.closeRow(row)
 	}
@@ -206,8 +230,9 @@ func (e *levelExplorer) deriveLevel() error {
 // internSlot appends the target state at slot: its base state's bytes
 // followed by its appended values.
 func (e *levelExplorer) internSlot(slot, parent, rule int32) (int32, error) {
-	g, d := e.g, e.derive
-	s, x := d.base.StateAt(slot/d.extra), slot%d.extra
+	g := e.g
+	d := g.derive
+	s, x := d.base.StateAt(slot>>d.shift), slot&d.mask
 	e.scratch = append(append(e.scratch[:0], s...), d.values[x*d.width:][:d.width]...)
 	id, err := g.arena.append(e.scratch)
 	if err != nil {

@@ -21,11 +21,16 @@
 // that needs more. Invariant and NeverFires scan the published levels
 // with a cursor and ask for another level only while the prefix holds
 // no violation: ids are assigned in level order, so the first violation
-// in a prefix is the first in the whole graph. A verified verdict, a
-// Response check and a truncation need the whole graph, and so does a
-// derivation: a cached graph that passes the structural checks is
-// completed before a derivation is sized from it. One caller extends a
-// graph at a time; the others read the views already published.
+// in a prefix is the first in the whole graph. A verified verdict and a
+// truncation need the whole graph, and so does a Response check on an
+// explored graph. A Response check on a derived graph that is still
+// partial builds nothing: it walks the derivation, the complete base
+// graph's rows mapped onto the target's states, which is the graph the
+// build would produce, met in the order its ids would be assigned. A
+// derivation starts from the most recent complete graph the system
+// extends; only when none qualifies is a cached graph that passes the
+// structural checks completed first. One caller extends a graph at a
+// time; the others read the views already published.
 package mc
 
 import (
@@ -326,16 +331,29 @@ func (e *Engine) basesLocked() []*graphBuild {
 }
 
 // deriveOrBuild compiles sys's rules once and starts deriving its graph
-// from the first base it extends (derive.go), else starts exploring it.
-// A base that passes the structural check is completed first, under an
-// "mc.extend" span of this caller, so the derivation is sized from the
-// finished base.
+// from the most recent complete base it extends (derive.go). Only when
+// no complete base qualifies does it complete one that passes the
+// structural check, under an "mc.extend" span of this caller, so a
+// derivation is always sized from a finished base; with no base at all
+// it starts exploring. A derived graph's ids depend on the target
+// alone, so the base chosen changes nothing but the work.
 func deriveOrBuild(ctx context.Context, sys *ts.System, opts Options, bases []*graphBuild) (*levelExplorer, error) {
 	rules, err := sys.CompileRules()
 	if err != nil {
 		return nil, err
 	}
 	vars, init := sys.Vars(), sys.InitialState()
+	for _, base := range bases {
+		g := base.view()
+		if !g.complete {
+			continue
+		}
+		if kept, ok := extendsBase(g, rules, vars, init); ok {
+			if d, ok := planFrom(g, kept, rules, vars, init); ok {
+				return startDerive(ctx, sys, rules, d, opts)
+			}
+		}
+	}
 	for _, base := range bases {
 		r := &graphReader{b: base, ctx: ctx, g: base.view()}
 		kept, ok := extendsBase(r.g, rules, vars, init)
@@ -453,20 +471,7 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 	case NeverFires:
 		res, gerr = r.checkNeverFires(sys, p)
 	case Response:
-		if gerr = r.complete(); gerr != nil {
-			break
-		}
-		start := time.Now()
-		sc := e.takeScratch()
-		var searched int
-		res, searched = r.g.checkResponse(sys, p, opts, sc)
-		e.putScratch(sc)
-		if reg != nil && !r.g.Truncated {
-			// A truncated graph gets no product search, so it adds none.
-			reg.Histogram("mc.response_ms", nil).Observe(obs.DurMS(time.Since(start)))
-			reg.Counter("mc.response_nodes").Add(int64(res.StatesExplored))
-			reg.Counter("mc.response_search_nodes").Add(int64(searched))
-		}
+		res, gerr = r.checkResponse(e, sys, p, opts)
 	}
 	r.end(gerr)
 	if r.building {
@@ -583,29 +588,44 @@ func (r *graphReader) checkNeverFires(sys *ts.System, p NeverFires) (Result, err
 // responseScratch is one response check's working memory. The engine
 // keeps a free list of them (Engine.takeScratch), so a check reuses what
 // earlier checks grew: nothing in it is allocated or filled per product
-// node. state holds one byte per graph state; the rest grows with what
-// the search discovers.
+// node. state holds one byte per slot of the derivation searched; the
+// rest grows with what the search discovers.
 type responseScratch struct {
-	trigger, goal []bool // per rule index
-	// state holds the st* bits of each state id.
+	trigger, goal []bool // per target rule index
+	// moves is the derivation's rule table, resolved for the property.
+	moves []int32
+	// state holds the st* bits of each slot.
 	state []uint8
-	// work is the sweep's worklist of state ids.
+	// target is a target state assembled for the GoalState condition.
+	target ts.State
+	// work is the sweep's worklist of slots.
 	work []int32
-	// order holds the product slots the BFS has discovered, in BFS order;
+	// order holds the product nodes the BFS has discovered, in BFS order;
 	// from[i] is the index in order of order[i]'s BFS parent, -1 for the
 	// start.
 	order, from []int32
 	stack       []responseFrame
 }
 
+// A move packs where one base rule leads from one extra rank, for the
+// property under check, into the one word the search reads per edge: -1
+// when the target has no such edge, else the extra rank it leads to,
+// shifted past the flags saying whether the target rule is the
+// property's trigger or goal.
+const (
+	moveTrigger = 1 << 0
+	moveGoal    = 1 << 1
+	moveBits    = 2
+)
+
 // responseFrame is one pending node on the lasso search's DFS stack and
-// the index of the next edge of its row to follow.
+// the index of the next edge of its base row to follow.
 type responseFrame struct {
-	slot int32
+	node int32
 	next int32
 }
 
-// The bits of responseScratch.state. Product slot 2*sid + pending has
+// The bits of responseScratch.state. Product node 2*slot + pending has
 // the bit of its pending value: stReach<<pending and stSeen<<pending.
 // Only pending nodes are ever on the DFS stack, so their colour needs
 // no idle twin.
@@ -638,80 +658,134 @@ func (e *Engine) putScratch(sc *responseScratch) {
 	e.mu.Unlock()
 }
 
-// responseSearch is the pending-bit product of a complete graph with one
-// response property, searched lazily. Product node = slot 2*sid +
-// pending; successors are computed from the graph's CSR row on demand
-// instead of being stored.
+// checkResponse answers p on r's graph. A derived graph that is still
+// partial is searched over its derivation, the complete base graph's
+// rows mapped onto slots: the graph it would build, met in the order
+// its ids would be assigned, so it is not built. Any other graph is
+// completed first and searched as its own derivation.
+func (r *graphReader) checkResponse(e *Engine, sys *ts.System, p Response, opts Options) (Result, error) {
+	reg := obs.FromContext(r.ctx).Metrics()
+	d := r.g.derive
+	if d != nil {
+		reg.Counter("mc.responses_derived").Inc()
+	} else {
+		if err := r.complete(); err != nil {
+			return Result{Property: p.PropName, Kind: "response"}, err
+		}
+		d = r.g.self()
+	}
+	start := time.Now()
+	sc := e.takeScratch()
+	s := &responseSearch{d: d, rules: r.g.Rules, responseScratch: sc}
+	res, searched := s.check(sys, p, opts)
+	e.putScratch(sc)
+	reg.Histogram("mc.response_ms", nil).Observe(obs.DurMS(time.Since(start)))
+	reg.Counter("mc.response_nodes").Add(int64(res.StatesExplored))
+	reg.Counter("mc.response_search_nodes").Add(int64(searched))
+	return res, nil
+}
+
+// responseSearch is the pending-bit product of a derivation with one
+// response property, searched lazily. Product node = 2*slot + pending;
+// successors are computed from the base graph's CSR rows on demand,
+// through the derivation's rule table resolved for the property
+// (moves), instead of being stored. A complete graph is searched as its
+// own derivation: slot = state id.
 type responseSearch struct {
-	g *StateGraph
+	d     *derivation
+	rules []ts.CompiledRule // the target's rules, for trace names
 	*responseScratch
 	head int // the index in order the BFS expands next
 }
 
-// succ maps product slot and one edge of its state's row to the
-// successor slot: the trigger sets the pending bit, then the goal rule
-// and a goal state clear it.
-func (s *responseSearch) succ(slot int32, ed graphEdge) int32 {
-	pending := slot&1 == 1 || s.trigger[ed.rule]
-	if s.goal[ed.rule] || s.state[ed.to]&stGoal != 0 {
+// succ maps one base edge, leaving product node n of extra rank x, to
+// the successor node, or -1 when the target has no such edge: the
+// trigger sets the pending bit, then the goal rule and a goal state
+// clear it.
+func (s *responseSearch) succ(n int32, ed graphEdge, x int32) int32 {
+	shift := s.d.shift & 31
+	m := s.moves[ed.rule<<shift|x]
+	if m < 0 {
+		return -1
+	}
+	to := ed.to<<shift | m>>moveBits
+	pending := n&1 == 1 || m&moveTrigger != 0
+	if m&moveGoal != 0 || s.state[to]&stGoal != 0 {
 		pending = false
 	}
 	if pending {
-		return 2*ed.to + 1
+		return 2*to + 1
 	}
-	return 2 * ed.to
+	return 2 * to
 }
 
-// sweep sets the reach bits of every state and returns the product's
+// ruleOf is the target rule of base edge ed leaving extra rank x.
+func (s *responseSearch) ruleOf(ed graphEdge, x int32) int32 {
+	if s.d.trans == nil {
+		return ed.rule
+	}
+	return s.d.trans[ed.rule<<s.d.shift|x].rule
+}
+
+// sweep sets the reach bits of every slot and returns the product's
 // size. A goal rule or an edge into a goal state reaches the idle node,
-// another trigger the pending one, and any other edge carries its
-// source's bits. Every state of a complete graph is reachable, so an
-// edge of the first two kinds seeds its target whatever its source
-// holds. One pass in id order reaches every bit that travels forward,
-// since a state's BFS parent precedes it; a bit that arrives at a state
-// already passed, over a back edge, is carried on from a worklist.
-func (s *responseSearch) sweep() int {
-	st := s.state
-	st[0] |= stReach
+// a trigger the pending one, and any other edge carries its source's
+// bits. One pass in slot order carries every bit that travels to a
+// later slot (on a complete graph every state, since a state's BFS
+// parent precedes it); a bit that arrives at a slot already passed,
+// over a back edge, is carried on from a worklist, drained before the
+// pass goes on.
+func (s *responseSearch) sweep() (size int) {
+	st, moves, base, shift, mask := s.state, s.moves, s.d.base, s.d.shift&31, s.d.mask
+	st[s.d.initSlot] |= stReach
 	work := s.work[:0]
-	for id := range int32(len(st)) {
-		bits := st[id] & (stReach | stReach<<1)
-		for _, ed := range s.g.row(id) {
+	for next := int32(0); ; {
+		var slot int32
+		switch k := len(work); {
+		case k > 0:
+			slot, work = work[k-1], work[:k-1]
+		case int(next) < len(st):
+			slot = next
+			next++
+		default:
+			s.work = work
+			for _, b := range st {
+				size += int(b&stReach) + int(b>>1&stReach)
+			}
+			return size
+		}
+		bits := st[slot] & (stReach | stReach<<1)
+		if bits == 0 {
+			continue
+		}
+		x := slot & mask
+		for _, ed := range base.row(slot >> shift) {
+			m := moves[ed.rule<<shift|x]
+			if m < 0 {
+				continue
+			}
+			to := ed.to << shift
+			if shift != 0 {
+				// Only a derivation has extra ranks; the identity's
+				// target does not wait on the move.
+				to |= m >> moveBits
+			}
+			b := st[to]
 			add := bits
-			switch {
-			case s.goal[ed.rule] || st[ed.to]&stGoal != 0:
+			if m&moveGoal != 0 || b&stGoal != 0 {
 				add = stReach
-			case s.trigger[ed.rule]:
+			} else if m&moveTrigger != 0 {
 				add = stReach << 1
 			}
-			if add&^st[ed.to] != 0 {
-				st[ed.to] |= add
-				if ed.to <= id {
-					work = append(work, ed.to)
-				}
+			if add&^b == 0 {
+				continue
+			}
+			st[to] = b | add
+			if to < next {
+				work = append(work, to)
 			}
 		}
 	}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		bits := st[id] & (stReach | stReach<<1)
-		for _, ed := range s.g.row(id) {
-			if s.goal[ed.rule] || s.trigger[ed.rule] || st[ed.to]&stGoal != 0 {
-				continue // seeded by the pass
-			}
-			if bits&^st[ed.to] != 0 {
-				st[ed.to] |= bits
-				work = append(work, ed.to)
-			}
-		}
-	}
-	s.work = work
-	size := 0
-	for _, b := range st {
-		size += int(b&stReach) + int(b>>1&stReach)
-	}
-	return size
 }
 
 // expand takes the next node off the BFS queue and discovers its
@@ -720,9 +794,13 @@ func (s *responseSearch) expand() bool {
 	if s.head == len(s.order) {
 		return false
 	}
-	slot := s.order[s.head]
-	for _, ed := range s.g.row(slot >> 1) {
-		next := s.succ(slot, ed)
+	n := s.order[s.head]
+	row, x := s.d.row(n >> 1)
+	for _, ed := range row {
+		next := s.succ(n, ed, x)
+		if next < 0 {
+			continue
+		}
 		seen := uint8(stSeen) << (next & 1)
 		if s.state[next>>1]&seen != 0 {
 			continue
@@ -735,35 +813,36 @@ func (s *responseSearch) expand() bool {
 	return true
 }
 
-// index returns slot's position in the BFS order, first running the BFS
-// until it discovers slot: every node the lasso search meets is
-// reachable, so it does.
-func (s *responseSearch) index(slot int32) int32 {
-	for s.state[slot>>1]&(stSeen<<(slot&1)) == 0 && s.expand() {
+// index returns n's position in the BFS order, first running the BFS
+// until it discovers n: every node the lasso search meets is reachable,
+// so it does.
+func (s *responseSearch) index(n int32) int32 {
+	for s.state[n>>1]&(stSeen<<(n&1)) == 0 && s.expand() {
 	}
-	return int32(slices.Index(s.order, slot))
+	return int32(slices.Index(s.order, n))
 }
 
 // depth counts the BFS tree edges from the start to order[i].
 func (s *responseSearch) depth(i int32) int {
-	n := 0
+	k := 0
 	for ; s.from[i] >= 0; i = s.from[i] {
-		n++
+		k++
 	}
-	return n
+	return k
 }
 
 // pathTo reconstructs the rule path of the BFS tree from the start to
-// slot. The rule into each node is the first edge of its parent's row
-// that leads to it, the edge the BFS discovered it by.
-func (s *responseSearch) pathTo(slot int32) []string {
-	i := s.index(slot)
+// n. The rule into each node is the first edge of its parent's row that
+// leads to it, the edge the BFS discovered it by.
+func (s *responseSearch) pathTo(n int32) []string {
+	i := s.index(n)
 	out := make([]string, s.depth(i))
 	for k := len(out) - 1; k >= 0; k-- {
 		parent := s.order[s.from[i]]
-		for _, ed := range s.g.row(parent >> 1) {
-			if s.succ(parent, ed) == s.order[i] {
-				out[k] = s.g.Rules[ed.rule].Name
+		row, x := s.d.row(parent >> 1)
+		for _, ed := range row {
+			if s.succ(parent, ed, x) == s.order[i] {
+				out[k] = s.rules[s.ruleOf(ed, x)].Name
 				break
 			}
 		}
@@ -772,52 +851,97 @@ func (s *responseSearch) pathTo(slot int32) []string {
 	return out
 }
 
-// checkResponse runs the pending-product lasso search over the complete
-// interned graph without materialising the product. A sweep over the
-// CSR rows counts the product's nodes exactly; the product BFS then
-// advances only as far as the pending-region DFS needs it, for its next
-// root in BFS order or for the BFS path to a counterexample node. Both
-// compute successors from the CSR row through succ, so no guard is
-// re-evaluated, no state is re-hashed and no edge is stored, and the
-// working memory is sc, reused from check to check: one byte per state
-// plus the nodes the search discovers. Node order, edge order and
-// therefore StatesExplored and every trace are those of the sequential
-// implementation. It also returns how many product nodes the BFS
-// discovered.
-func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options, sc *responseScratch) (Result, int) {
+// deadlocked reports whether the target has no edge out of the slot
+// with base row row and extra rank x.
+func (s *responseSearch) deadlocked(row []graphEdge, x int32) bool {
+	for _, ed := range row {
+		if s.moves[ed.rule<<s.d.shift|x] >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// setUp resolves the derivation's rule table for p into moves, sizes
+// the slot bits and marks the goal states. False when p's GoalState
+// does not compile.
+func (s *responseSearch) setUp(sys *ts.System, p Response) bool {
+	d := s.d
+	s.trigger, s.goal = resize(s.trigger, len(s.rules)), resize(s.goal, len(s.rules))
+	for j := range s.rules {
+		s.trigger[j] = p.Trigger(s.rules[j].Name)
+		s.goal[j] = p.Goal != nil && p.Goal(s.rules[j].Name)
+	}
+	s.moves = resize(s.moves, len(d.base.Rules)<<d.shift)
+	for i := range s.moves {
+		t := graphEdge{rule: int32(i)} // the identity's
+		if d.trans != nil {
+			t = d.trans[i]
+		}
+		m := int32(-1)
+		if t.rule >= 0 {
+			m = t.to << moveBits
+			if s.trigger[t.rule] {
+				m |= moveTrigger
+			}
+			if s.goal[t.rule] {
+				m |= moveGoal
+			}
+		}
+		s.moves[i] = m
+	}
+	st := resize(s.state, d.slots())
+	s.state = st
+	if p.GoalState == nil {
+		return true
+	}
+	f, err := sys.CompileCond(p.GoalState)
+	if err != nil {
+		return false
+	}
+	d.base.forEachState(0, func(id int32, b ts.State) bool {
+		for x := range d.extra {
+			s.target = append(append(s.target[:0], b...), d.values[x*d.width:][:d.width]...)
+			if f(s.target) {
+				st[id<<d.shift|x] = stGoal
+			}
+		}
+		return true
+	})
+	return true
+}
+
+// check runs the pending-product lasso search over the derivation
+// without materialising the product. A sweep over the base rows counts
+// the product's nodes exactly; the product BFS then advances only as
+// far as the pending-region DFS needs it, for its next root in BFS order
+// or for the BFS path to a counterexample node. Both compute successors
+// through succ, so no guard is re-evaluated, no state is re-hashed and
+// no edge is stored, and the working memory is the scratch, reused from
+// check to check: one byte per slot plus the nodes the search
+// discovers. Slots are met in the order the target's ids would be
+// assigned, and node order, edge order and therefore StatesExplored and
+// every trace are those of the sequential implementation. It also
+// returns how many product nodes the BFS discovered.
+func (s *responseSearch) check(sys *ts.System, p Response, opts Options) (Result, int) {
 	res := Result{Property: p.PropName, Kind: "response"}
-	if g.Truncated {
-		// Missing adjacency beyond the frontier would masquerade as
-		// deadlocks; a truncated graph cannot support the liveness search.
-		res.Truncated = true
-		res.StatesExplored = g.NumStates()
+	if !s.setUp(sys, p) {
 		return res, 0
 	}
-	s := &responseSearch{g: g, responseScratch: sc}
-	s.trigger, s.goal = resize(s.trigger, len(g.Rules)), resize(s.goal, len(g.Rules))
-	for i := range g.Rules {
-		s.trigger[i] = p.Trigger(g.Rules[i].Name)
-		s.goal[i] = p.Goal != nil && p.Goal(g.Rules[i].Name)
+	// A truncated graph has no rows past its frontier, so its product
+	// cannot be counted; its product BFS stops within the rows it has
+	// all the same (a product node is at least as deep as its state).
+	truncated := s.d.base.Truncated
+	size := 0
+	if !truncated {
+		size = s.sweep()
 	}
-	st := resize(s.state, g.NumStates())
-	s.state = st
-	if p.GoalState != nil {
-		f, err := sys.CompileCond(p.GoalState)
-		if err != nil {
-			return res, 0
-		}
-		g.forEachState(0, func(id int32, x ts.State) bool {
-			if f(x) {
-				st[id] = stGoal
-			}
-			return true
-		})
-	}
-	size := s.sweep()
-	st[0] |= stSeen
-	s.order, s.from = append(s.order[:0], 0), append(s.from[:0], -1)
+	st := s.state
+	init := 2 * s.d.initSlot
+	st[init>>1] |= stSeen
+	s.order, s.from = append(s.order[:0], init), append(s.from[:0], -1)
 
-	if size > opts.maxStates() {
+	if truncated || size > opts.maxStates() {
 		// The sequential BFS stops at the first node it dequeues past
 		// the budget; run this one to the same point.
 		for len(s.order) <= opts.maxStates() && s.expand() {
@@ -841,13 +965,13 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options, sc 
 		if root&1 == 0 || st[root>>1]&(stOnStack|stDone) != 0 {
 			continue
 		}
-		s.stack = append(s.stack[:0], responseFrame{slot: root})
+		s.stack = append(s.stack[:0], responseFrame{node: root})
 		st[root>>1] |= stOnStack
 		for len(s.stack) > 0 {
 			f := &s.stack[len(s.stack)-1]
-			row := g.row(f.slot >> 1)
-			if len(row) == 0 {
-				path := s.pathTo(f.slot)
+			row, x := s.d.row(f.node >> 1)
+			if f.next == 0 && s.deadlocked(row, x) {
+				path := s.pathTo(f.node)
 				res.Counterexample = buildTrace(sys, path, len(path))
 				return res, len(s.order)
 			}
@@ -855,20 +979,20 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options, sc 
 			for int(f.next) < len(row) {
 				ed := row[f.next]
 				f.next++
-				next := s.succ(f.slot, ed)
-				if next&1 == 0 {
-					continue // leaving the pending region discharges along this edge
+				next := s.succ(f.node, ed, x)
+				if next < 0 || next&1 == 0 {
+					continue // no edge, or leaving the pending region discharges along it
 				}
 				switch b := st[next>>1]; {
 				case b&stOnStack != 0:
-					path := s.pathTo(f.slot)
+					path := s.pathTo(f.node)
 					loopEntry := min(s.depth(s.index(next)), len(path))
-					full := append(path, g.Rules[ed.rule].Name)
+					full := append(path, s.rules[s.ruleOf(ed, x)].Name)
 					res.Counterexample = buildTrace(sys, full, loopEntry)
 					return res, len(s.order)
 				case b&stDone == 0:
 					st[next>>1] |= stOnStack
-					s.stack = append(s.stack, responseFrame{slot: next})
+					s.stack = append(s.stack, responseFrame{node: next})
 					advanced = true
 				}
 				if advanced {
@@ -876,7 +1000,7 @@ func (g *StateGraph) checkResponse(sys *ts.System, p Response, opts Options, sc 
 				}
 			}
 			if !advanced {
-				st[f.slot>>1] = st[f.slot>>1]&^stOnStack | stDone
+				st[f.node>>1] = st[f.node>>1]&^stOnStack | stDone
 				s.stack = s.stack[:len(s.stack)-1]
 			}
 		}

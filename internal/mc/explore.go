@@ -88,10 +88,9 @@ type levelExplorer struct {
 	// domains holds each variable's domain size.
 	domains []int
 
-	// derive is set when the graph derives from a base graph instead;
-	// slotOf is then its visited set, holding id+1 per slot and 0 for a
-	// slot not yet met, and slots maps ids back to slots (see derive.go).
-	derive  *derivation
+	// When the graph derives from a base graph instead (g.derive is set),
+	// slotOf is its visited set, holding id+1 per slot and 0 for a slot
+	// not yet met, and slots maps ids back to slots (see derive.go).
 	slotOf  []int32
 	slots   []int32
 	scratch []byte
@@ -303,7 +302,7 @@ func (e *levelExplorer) intern(s ts.State, k uint64, parent, rule int32) (int32,
 // visitedBytes is the visited set's resident footprint.
 func (e *levelExplorer) visitedBytes() int64 {
 	switch {
-	case e.derive != nil:
+	case e.g.derive != nil:
 		return int64(len(e.slotOf)) * 4
 	case e.ranks != nil:
 		return e.ranks.memBytes()
@@ -349,7 +348,7 @@ func (e *levelExplorer) advance(ctx context.Context) error {
 	e.width.Observe(float64(e.hi - e.lo))
 
 	var err error
-	if e.derive != nil {
+	if g.derive != nil {
 		err = e.deriveLevel()
 	} else {
 		e.expandFrontier(e.opts.workers())
@@ -368,14 +367,15 @@ func (e *levelExplorer) advance(ctx context.Context) error {
 }
 
 // markComplete ends the build: the graph is final, it leaves
-// mc.graphs_partial if its span counted it there, and the explorer
-// releases its visited set and level buffers.
+// mc.graphs_partial if its span counted it there, the explorer releases
+// its visited set and level buffers, and a derived graph its
+// derivation.
 func (e *levelExplorer) markComplete() {
 	e.g.complete = true
 	e.partial.Add(-1)
 	e.partial = nil
 	e.ranks, e.index, e.domains = nil, nil, nil
-	e.derive, e.slotOf, e.slots, e.scratch = nil, nil, nil, nil
+	e.g.derive, e.slotOf, e.slots, e.scratch = nil, nil, nil, nil
 	e.chunks, e.counts = nil, nil
 }
 

@@ -23,7 +23,8 @@ import (
 // Every exploration mode — one or four workers, resuming from the
 // snapshots of a truncated build, two goroutines checking the
 // properties of the system and of a refined clone in random orders
-// against one engine while lazily built graphs grow under them, and a
+// against one engine while lazily built graphs grow under them (the
+// clone's response properties first, over its derivation), and a
 // clone served the graph another clone built before refining itself —
 // must agree with CheckSequential
 // on the verdict, the states explored, truncation and the
@@ -170,7 +171,10 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		// Lazy growth under concurrency: two goroutines check every
 		// property of sys and of a refined clone, each in its own random
 		// order, against one engine, so checks grow graphs, and complete
-		// a base to derive from, while others read them.
+		// a base to derive from, while others read them. An invariant
+		// check leaves sys's graph partial first; then both goroutines
+		// check the clone's response properties, before anything can
+		// complete its graph, and only then the rest.
 		refined := sys.Clone()
 		refine(t, refined)
 		type job struct {
@@ -178,33 +182,55 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 			p    Property
 			want Result
 		}
-		var jobs []job
+		var first, rest []job
 		for i, w := range sequential(refined) {
-			jobs = append(jobs, job{sys, props[i], want[i]}, job{refined, props[i], w})
+			rest = append(rest, job{sys, props[i], want[i]})
+			if _, ok := props[i].(Response); ok {
+				first = append(first, job{refined, props[i], w})
+			} else {
+				rest = append(rest, job{refined, props[i], w})
+			}
 		}
 		shared := NewEngine()
-		orders := [2][]int{rng.Perm(len(jobs)), rng.Perm(len(jobs))}
-		var got [2][]Result
-		var errs [2][]error
-		var wg sync.WaitGroup
-		for w := range orders {
-			got[w], errs[w] = make([]Result, len(jobs)), make([]error, len(jobs))
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for _, j := range orders[w] {
-					got[w][j], errs[w][j] = shared.CheckContext(ctx, jobs[j].sys, jobs[j].p, Options{Workers: 2})
-				}
-			}(w)
+		co := obs.New()
+		cctx := obs.NewContext(ctx, co)
+		if _, err := shared.CheckContext(cctx, sys, props[0], Options{Workers: 2}); err != nil {
+			t.Fatalf("concurrent: %v", err)
 		}
-		wg.Wait()
-		for w := range orders {
-			for j, jb := range jobs {
-				if errs[w][j] != nil {
-					t.Fatalf("concurrent %s: engine error: %v", jb.p.Name(), errs[w][j])
-				}
-				compare("concurrent", jb.sys, jb.p, got[w][j], jb.want)
+		for _, jobs := range [][]job{first, rest} {
+			orders := [2][]int{rng.Perm(len(jobs)), rng.Perm(len(jobs))}
+			var got [2][]Result
+			var errs [2][]error
+			var wg sync.WaitGroup
+			for w := range orders {
+				got[w], errs[w] = make([]Result, len(jobs)), make([]error, len(jobs))
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for _, j := range orders[w] {
+						got[w][j], errs[w][j] = shared.CheckContext(cctx, jobs[j].sys, jobs[j].p, Options{Workers: 2})
+					}
+				}(w)
 			}
+			wg.Wait()
+			for w := range orders {
+				for j, jb := range jobs {
+					if errs[w][j] != nil {
+						t.Fatalf("concurrent %s: engine error: %v", jb.p.Name(), errs[w][j])
+					}
+					compare("concurrent", jb.sys, jb.p, got[w][j], jb.want)
+				}
+			}
+		}
+		// Unless a residual guard rules derivation out, the clone's graph
+		// is derived, and every response check on it walked the
+		// derivation.
+		wantWalked := int64(2 * len(first))
+		if residualGuards(refined) {
+			wantWalked = 0
+		}
+		if walked := co.Metrics().Counter("mc.responses_derived").Value(); walked != wantWalked {
+			t.Fatalf("concurrent: %d response checks walked a derivation, want %d", walked, wantWalked)
 		}
 
 		// Product budget: with MaxStates in [N, 2N] the graph completes,

@@ -93,6 +93,11 @@ type StateGraph struct {
 	// the next frontier, without rows yet.
 	levels   int
 	complete bool
+	// derive is the derivation a derived graph is built from, kept while
+	// the graph is partial: a response check walks it instead of
+	// completing the graph (engine.go). Nil on an explored graph and on
+	// a complete one.
+	derive *derivation
 }
 
 // view returns an immutable copy of the graph's headers as of now.

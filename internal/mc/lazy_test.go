@@ -140,6 +140,53 @@ func TestLazyGrowthMatchesBuildGraph(t *testing.T) {
 				}
 				growByLevels(t, mode, e, full)
 			}
+
+			// A refinement of the refinement derives from the nearest
+			// complete ancestor while the refinement's own graph is still
+			// partial, and equals the graph derived from that graph once it
+			// is completed.
+			chained := refined.Clone()
+			last := chained.Rules()[len(chained.Rules())-1].Name
+			if !chained.RemoveRule(last) {
+				t.Fatalf("no rule %s", last)
+			}
+			crules, err := chained.CompileRules()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refinedFull, err := deriveGraph(ctx, refined, rrules, d, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cd, ok := planDerivation(refinedFull, crules, chained.Vars(), chained.InitialState())
+			if !ok {
+				t.Fatal("the chained refinement does not derive from the refinement's graph")
+			}
+			want, err := deriveGraph(ctx, chained, crules, cd, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine := NewEngine()
+			none := NeverFires{PropName: "none", Match: func(string) bool { return false }}
+			resp := Response{PropName: "resp", Trigger: func(string) bool { return true }}
+			o := obs.New()
+			octx := obs.NewContext(ctx, o)
+			for _, step := range []struct {
+				sys *ts.System
+				p   Property
+			}{{sys, none}, {refined, resp}, {chained, none}} {
+				if _, err := engine.CheckContext(octx, step.sys, step.p, Options{Workers: 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if engine.cache[refined].build.view().complete {
+				t.Fatal("the response check completed the refinement's graph")
+			}
+			derived := spansNamed(o, "mc.explore")[2]
+			if got, want := derived.Attrs["base_states"], strconv.Itoa(complete.NumStates()); got != want {
+				t.Fatalf("the chained refinement derived from a base of %s states, want the complete ancestor's %s", got, want)
+			}
+			sameGraph(t, "derived from the nearest complete ancestor", engine.cache[chained].build.view(), want)
 		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"prochecker/internal/core/props"
@@ -218,22 +219,46 @@ func catalogueResponses(t *testing.T) []mc.Response {
 	return out
 }
 
+// pruneRule removes the named rule from sys, as the CEGAR loop's
+// rule-prune refinement does.
+func pruneRule(t *testing.T, sys *ts.System, name string) *ts.System {
+	t.Helper()
+	if !sys.RemoveRule(name) {
+		t.Fatalf("no rule %s in %s", name, sys.Name)
+	}
+	return sys
+}
+
+// prunedRule is the adversary rule the rule-prune refinements remove:
+// dropping the UE's genuine security_mode_complete, the step of S18's
+// attack.
+const prunedRule = "adv:drop:chan_ul:security_mode_complete@genuine"
+
 // TestResponseMatchesSequentialOnRefinements runs every catalogue
-// response property on the composed model and on its guard-replay
-// refinement, whose graph the engine derives from the first, against
-// the sequential oracle. StatesExplored is the product size the
+// response property on the composed model and on three refinements,
+// whose graphs the engine derives from the composed model's: a guard
+// replay, a pruned adversary rule, and the two in a chain, which
+// derives from the composed model's complete graph while the guard
+// replay's is still partial. Each check on a refinement walks its
+// derivation and leaves the refined graph unbuilt, and must still
+// match the sequential oracle. StatesExplored is the product size the
 // reachability sweep counts, so a bit the sweep misses or adds fails
 // here, and the traces pin the lazy BFS's parents, on graphs the
 // verdict corpus does not cover.
 func TestResponseMatchesSequentialOnRefinements(t *testing.T) {
 	base := composedSystem(t)
-	refined := mc.GuardReplay(t, base.Clone(), "service_accept")
+	refinements := []*ts.System{
+		mc.GuardReplay(t, base.Clone(), "service_accept"),
+		pruneRule(t, base.Clone(), prunedRule),
+		pruneRule(t, mc.GuardReplay(t, base.Clone(), "service_accept"), prunedRule),
+	}
 	o := obs.New()
 	ctx := obs.NewContext(context.Background(), o)
 	engine := mc.NewEngine()
 	opts := mc.Options{Workers: 2}
-	for _, sys := range []*ts.System{base, refined} {
-		for _, p := range catalogueResponses(t) {
+	resps := catalogueResponses(t)
+	for _, sys := range append([]*ts.System{base}, refinements...) {
+		for _, p := range resps {
 			got, err := engine.CheckContext(ctx, sys, p, opts)
 			if err != nil {
 				t.Fatalf("%s on %s: engine error: %v", p.Name(), sys.Name, err)
@@ -241,15 +266,45 @@ func TestResponseMatchesSequentialOnRefinements(t *testing.T) {
 			assertSameResult(t, p.Name(), got, mc.CheckSequential(sys, p, opts))
 		}
 	}
-	if derived := o.Metrics().Counter("mc.explorations_derived").Value(); derived != 1 {
-		t.Fatalf("mc.explorations_derived = %d, want the refinement's graph derived", derived)
+	reg := o.Metrics()
+	n := int64(len(refinements))
+	for name, want := range map[string]int64{
+		"mc.explorations":         n + 1,
+		"mc.explorations_derived": n,
+		// Every check on a refinement walked its derivation, and none
+		// built a refined graph past its initial state.
+		"mc.responses_derived": n * int64(len(resps)),
+		"mc.graphs_partial":    n,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	g, err := mc.ExploreGraph(context.Background(), base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := 0
+	o.Manifest().Spans.Walk(func(sp *obs.SpanNode) {
+		if sp.Name != "mc.explore" || sp.Attrs["index"] != "derived" {
+			return
+		}
+		derived++
+		if got, want := sp.Attrs["base_states"], strconv.Itoa(g.NumStates()); got != want {
+			t.Errorf("a refinement derived from a base of %s states, want the composed model's %s", got, want)
+		}
+	})
+	if derived != len(refinements) {
+		t.Fatalf("%d derived mc.explore spans, want %d", derived, len(refinements))
 	}
 }
 
 // TestResponseTruncatesLikeSequential: under a budget that holds the
-// whole graph but not the whole product, the response check must stop
-// where the sequential product BFS stops, with the same Truncated flag
-// and StatesExplored.
+// whole graph but not the whole product, under one that holds a base
+// graph but not the refinement derived from it, and under one that
+// truncates the graph itself, the response check must stop where the
+// sequential product BFS stops, with the same Truncated flag and
+// StatesExplored.
 func TestResponseTruncatesLikeSequential(t *testing.T) {
 	sys := composedSystem(t)
 	ctx := context.Background()
@@ -276,19 +331,68 @@ func TestResponseTruncatesLikeSequential(t *testing.T) {
 		t.Fatalf("the sequential check is not truncated under budget %d", opts.MaxStates)
 	}
 	assertSameResult(t, p.Name(), got, want)
+
+	// Derived: under a budget that holds the base graph but not the
+	// refined one, the check on the refinement runs its product BFS over
+	// the derivation to the sequential stopping point, without building
+	// the refined graph.
+	refined := mc.GuardReplay(t, sys.Clone(), "service_accept")
+	rg, err := mc.ExploreGraph(ctx, refined, mc.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rg.NumStates() <= g.NumStates() {
+		t.Fatalf("the refinement has %d states, the base %d: no budget between them", rg.NumStates(), g.NumStates())
+	}
+	opts = mc.Options{Workers: 2, MaxStates: (g.NumStates() + rg.NumStates()) / 2}
+	engine := mc.NewEngine()
+	if _, err := engine.CheckContext(ctx, sys, mc.Invariant{PropName: "all", Holds: ts.True{}}, opts); err != nil {
+		t.Fatalf("the base graph under budget %d: %v", opts.MaxStates, err)
+	}
+	o := obs.New()
+	got, err = engine.CheckContext(obs.NewContext(ctx, o), refined, p, opts)
+	if !mc.IsBudgetExhausted(err) {
+		t.Fatalf("budget %d between %d base and %d refined states: error %v, want budget exhausted",
+			opts.MaxStates, g.NumStates(), rg.NumStates(), err)
+	}
+	want = mc.CheckSequential(refined, p, opts)
+	if !want.Truncated {
+		t.Fatalf("the sequential check of the refinement is not truncated under budget %d", opts.MaxStates)
+	}
+	assertSameResult(t, p.Name()+" on the refinement", got, want)
+	reg := o.Metrics()
+	for name, want := range map[string]int64{"mc.explorations_derived": 1, "mc.responses_derived": 1, "mc.graphs_partial": 1} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("refinement: %s = %d, want %d", name, got, want)
+		}
+	}
+
+	// Explored: under a budget below the base graph's size, the graph
+	// truncates, and the check runs its product BFS within the rows the
+	// truncated graph has, to the sequential stopping point.
+	opts = mc.Options{Workers: 2, MaxStates: g.NumStates() / 2}
+	got, err = mc.NewEngine().CheckContext(ctx, sys, p, opts)
+	if !mc.IsBudgetExhausted(err) {
+		t.Fatalf("budget %d below %d states: error %v, want budget exhausted", opts.MaxStates, g.NumStates(), err)
+	}
+	assertSameResult(t, p.Name()+" on a truncated graph", got, mc.CheckSequential(sys, p, opts))
 }
 
 // TestResponseCheckAllocBudget pins that a response check's working
 // memory is reused, not allocated per check: once one check has run on
 // an engine, checking a response property again on the same graph of at
 // least 50,000 states (the srsLTE profile's model) allocates less than
-// one byte per state.
+// one byte per state, and checking it again over the derivation of a
+// guard-replay refinement of that model, whose graph stays unbuilt,
+// less than one byte per slot: the per-slot state bits come from the
+// engine's free list too.
 func TestResponseCheckAllocBudget(t *testing.T) {
 	m, err := report.BuildModel(ue.ProfileSRS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := m.Composed.System
+	refined := mc.GuardReplay(t, sys.Clone(), "service_accept")
 	ctx := context.Background()
 	g, err := mc.ExploreGraph(ctx, sys, mc.Options{Workers: 2})
 	if err != nil {
@@ -298,25 +402,42 @@ func TestResponseCheckAllocBudget(t *testing.T) {
 	if states < 50000 {
 		t.Fatalf("the srsLTE model has %d states, want at least 50,000", states)
 	}
+	// One appended bit: two slots per base state.
+	slots := 2 * states
 	engine := mc.NewEngine()
 	for _, p := range catalogueResponses(t) {
-		if _, err := engine.CheckContext(ctx, sys, p, mc.Options{Workers: 2}); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := engine.CheckContext(ctx, sys, p, mc.Options{Workers: 2})
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocated := after.TotalAlloc - before.TotalAlloc
-		perState := float64(allocated) / float64(states)
-		t.Logf("%s: %d product nodes over %d states, %d bytes allocated (%.3f B/state)",
-			p.Name(), res.StatesExplored, states, allocated, perState)
-		if perState >= 1 {
-			t.Errorf("%s: a repeated response check allocated %d bytes, %.2f per state; want less than 1",
-				p.Name(), allocated, perState)
+		for _, tc := range []struct {
+			sys     *ts.System
+			what    string
+			per     int
+			derived int64
+		}{{sys, "state", states, 0}, {refined, "slot", slots, 1}} {
+			if _, err := engine.CheckContext(ctx, tc.sys, p, mc.Options{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := engine.CheckContext(ctx, tc.sys, p, mc.Options{Workers: 2})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocated := after.TotalAlloc - before.TotalAlloc
+			per := float64(allocated) / float64(tc.per)
+			t.Logf("%s on %s: %d product nodes over %d %ss, %d bytes allocated (%.3f B/%s)",
+				p.Name(), tc.sys.Name, res.StatesExplored, tc.per, tc.what, allocated, per, tc.what)
+			if per >= 1 {
+				t.Errorf("%s on %s: a repeated response check allocated %d bytes, %.2f per %s; want less than 1",
+					p.Name(), tc.sys.Name, allocated, per, tc.what)
+			}
+			// The check walked the derivation exactly when it is one.
+			o := obs.New()
+			if _, err := engine.CheckContext(obs.NewContext(ctx, o), tc.sys, p, mc.Options{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if got := o.Metrics().Counter("mc.responses_derived").Value(); got != tc.derived {
+				t.Fatalf("%s on %s: mc.responses_derived = %d, want %d", p.Name(), tc.sys.Name, got, tc.derived)
+			}
 		}
 	}
 }
