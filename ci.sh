@@ -85,11 +85,14 @@ echo "== CEGAR exploration counts =="
 # lost reuse shows up here as extra explorations instead of only as a
 # slower run. Every exploration must also use the dense rank table: a
 # refinement that pushes a graph's domain product past the dense bound
-# shows up as a non-zero mc.explorations_hashed. The response product
-# nodes summed over every check (mc.response_nodes) pin the node set the
-# pending-product walks count, and the nodes their lazy searches
-# discovered (mc.response_search_nodes) pin how little of it they
-# touch. Every refined graph must derive from a cached base graph
+# shows up as a non-zero mc.explorations_hashed. The product nodes the
+# response checks' lazy searches discovered (mc.response_search_nodes)
+# pin how little of each pending-bit product they touch. A response
+# check's StatesExplored is exactly the nodes its search discovered, so
+# their sum (mc.response_nodes) must equal mc.response_search_nodes: a
+# check that walks the whole product only to count it shows up as a gap
+# between the two. Every
+# refined graph must derive from a cached base graph
 # (mc.explorations_derived), so a refinement that silently falls back
 # to full exploration fails here. The edge-segment
 # bytes allocated over all builds (mc.edge_bytes) pin the write-once
@@ -99,9 +102,9 @@ echo "== CEGAR exploration counts =="
 # pin that early exit, so a check that forces a graph deeper than it
 # needs shows up here. A response check on a partial derived graph walks
 # its derivation instead of completing the graph
-# (mc.responses_derived), so a check that builds a refined graph only
-# to count its product shows up here too.
-for want in "srsLTE 7 45 20 7119025 345285 6 11010048 321743 6 7" "conformant 6 25 5 5133337 305504 5 9961472 299618 5 3" "OAI 8 34 7 5209753 309189 7 19398656 595757 6 3"; do
+# (mc.responses_derived), so a check that completes a refined graph it
+# only needs to search shows up here too.
+for want in "srsLTE 7 45 20 345285 345285 6 11010048 321743 6 7" "conformant 6 25 5 305504 305504 5 9961472 299618 5 3" "OAI 8 34 7 309189 309189 7 19398656 595757 6 3"; do
     read -r impl explorations iterations refinements response_nodes search_nodes derived edge_bytes states partial walked <<<"$want"
     "$lint_dir/prochecker" -impl "$impl" -check all -quiet -manifest "$lint_dir/$impl-checkall.json" > /dev/null \
         || { echo "exploration counts: $impl -check all failed"; exit 1; }
@@ -111,8 +114,11 @@ for want in "srsLTE 7 45 20 7119025 345285 6 11010048 321743 6 7" "conformant 6 
     done
     [[ "$got" == " $explorations $iterations $refinements 0 $response_nodes $search_nodes $derived $edge_bytes $states $partial $walked" ]] \
         || { echo "exploration counts: $impl explorations/iterations/refinements/hashed/response nodes/search nodes/derived/edge bytes/states/partial graphs/derivation-walked responses =$got, want $explorations $iterations $refinements 0 $response_nodes $search_nodes $derived $edge_bytes $states $partial $walked"; exit 1; }
+    read -r _ _ _ _ got_nodes got_search _ <<<"$got"
+    [[ "$got_nodes" == "$got_search" ]] \
+        || { echo "exploration counts: $impl mc.response_nodes $got_nodes != mc.response_search_nodes $got_search"; exit 1; }
 done
-echo "CEGAR exploration counts OK (srsLTE 7/45/20, conformant 6/25/5, OAI 8/34/7, all dense, response and search nodes pinned, 6/5/7 derived, edge bytes and states pinned, 6/5/6 graphs left partial, 7/3/3 responses over a derivation)"
+echo "CEGAR exploration counts OK (srsLTE 7/45/20, conformant 6/25/5, OAI 8/34/7, all dense, response nodes pinned and equal to search nodes, 6/5/7 derived, edge bytes and states pinned, 6/5/6 graphs left partial, 7/3/3 responses over a derivation)"
 
 echo "== observability smoke =="
 # Start a real run with the live metrics endpoint, scrape /metrics

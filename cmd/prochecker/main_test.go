@@ -203,6 +203,63 @@ func TestManifestWritten(t *testing.T) {
 	}
 }
 
+// TestResponseSpansFollowTheirBuild: in a srsLTE -check all manifest,
+// every response search has its own "mc.response" span, and it starts
+// only after the "mc.explore" span of the build it reads has ended, so
+// no build's exploration time contains a search. The build attribute
+// ties the two. The run is a fresh process, so every build it reads is
+// in its own manifest.
+func TestResponseSpansFollowTheirBuild(t *testing.T) {
+	bin, err := buildBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.json")
+	if out, err := exec.Command(bin, "-impl", "srsLTE", "-check", "all", "-quiet", "-manifest", path).CombinedOutput(); err != nil {
+		t.Fatalf("prochecker: %v\n%s", err, out)
+	}
+	m, err := obs.ReadManifestFile(path)
+	if err != nil {
+		t.Fatalf("reading manifest: %v", err)
+	}
+	explores := map[string]*obs.SpanNode{}
+	var responses []*obs.SpanNode
+	m.Spans.Walk(func(sp *obs.SpanNode) {
+		switch sp.Name {
+		case "mc.explore":
+			explores[sp.Attrs["build"]] = sp
+		case "mc.response":
+			responses = append(responses, sp)
+		}
+	})
+	if len(responses) == 0 {
+		t.Fatal("no mc.response spans in the manifest")
+	}
+	derived := 0
+	for _, r := range responses {
+		build := r.Attrs["build"]
+		ex := explores[build]
+		if ex == nil {
+			t.Fatalf("%s: mc.response reads build %q, which has no mc.explore span", r.Attrs["property"], build)
+		}
+		if ex.Attrs["index"] == "derived" {
+			derived++
+		}
+		// Both offsets are taken from one monotonic clock; allow a
+		// nanosecond for their float sum.
+		if end := ex.StartMS + ex.DurMS; r.StartMS < end-1e-6 {
+			t.Errorf("%s: mc.response starts at %.3f ms, before the mc.explore span of build %s ends at %.3f ms",
+				r.Attrs["property"], r.StartMS, build, end)
+		}
+		if r.Attrs["nodes"] == "" || r.Attrs["truncated"] != "false" {
+			t.Errorf("%s: mc.response attrs %v, want nodes and truncated=false", r.Attrs["property"], r.Attrs)
+		}
+	}
+	if derived == 0 {
+		t.Error("no response search read a derived build")
+	}
+}
+
 // TestManifestOnFailure: a deadline-cut run still writes a well-formed
 // manifest carrying the failure taxonomy classification and exit code.
 func TestManifestOnFailure(t *testing.T) {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,6 +20,8 @@ import (
 	"prochecker/internal/channel"
 	"prochecker/internal/conformance"
 	"prochecker/internal/core/extract"
+	"prochecker/internal/core/threat"
+	"prochecker/internal/mc"
 	"prochecker/internal/nas"
 	"prochecker/internal/report"
 	"prochecker/internal/spec"
@@ -118,6 +121,11 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println(report.RenderFigure8(rows))
+		sizes, err := modelSizes(ue.ProfileConformant)
+		if err != nil {
+			return err
+		}
+		fmt.Println(sizes)
 	}
 	if *verdicts {
 		any = true
@@ -137,6 +145,32 @@ func run(args []string) error {
 
 // printFlows reproduces Figure 1: the NAS-layer procedure overview, as
 // actual message flows driven through the live implementations.
+// modelSizes renders the reachable state count of each Figure 8 model,
+// which is what compares the models: the per-property counts are search
+// effort. Each count is one full build, made by a never-fires check
+// that no rule matches. It is kept out of report.Figure8, whose
+// per-property times BenchmarkFigure8 measures.
+func modelSizes(profile ue.Profile) (string, error) {
+	pro, err := report.BuildModel(profile)
+	if err != nil {
+		return "", err
+	}
+	lte, err := report.LTEInspectorModel()
+	if err != nil {
+		return "", err
+	}
+	never := mc.NeverFires{PropName: "reachable", Match: func(string) bool { return false }}
+	var n [2]int
+	for i, c := range []*threat.Composed{pro.Composed, lte} {
+		res, err := mc.CheckContext(context.Background(), c.System, never, mc.Options{})
+		if err != nil {
+			return "", err
+		}
+		n[i] = res.StatesExplored
+	}
+	return fmt.Sprintf("model size: Pro %d reachable states, LTE %d reachable states", n[0], n[1]), nil
+}
+
 func printFlows() error {
 	env, err := conformance.NewEnv(ue.ProfileConformant, nil)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -71,5 +72,25 @@ func TestReproduceNoFlagsShowsUsage(t *testing.T) {
 	// cleanly, mirroring the CLI contract.
 	if _, err := capture(t, func() error { return run(nil) }); err != nil {
 		t.Fatalf("run with no flags: %v", err)
+	}
+}
+
+// TestReproduceFig8ModelSizes: -fig8 prints, once, the reachable state
+// count of each model it compares, next to the per-property effort.
+func TestReproduceFig8ModelSizes(t *testing.T) {
+	out, err := capture(t, func() error { return run([]string{"-fig8"}) })
+	if err != nil {
+		t.Fatalf("run -fig8: %v", err)
+	}
+	if !strings.Contains(out, "FIGURE 8") {
+		t.Fatalf("-fig8 report does not name FIGURE 8:\n%.400s", out)
+	}
+	if n := strings.Count(out, "model size:"); n != 1 {
+		t.Fatalf("-fig8 printed %d model-size lines, want 1:\n%s", n, out)
+	}
+	var pro, lte int
+	line := out[strings.Index(out, "model size:"):]
+	if _, err := fmt.Sscanf(line, "model size: Pro %d reachable states, LTE %d reachable states", &pro, &lte); err != nil || pro <= 0 || lte <= 0 {
+		t.Fatalf("-fig8 model sizes: Pro %d, LTE %d (%v) in:\n%s", pro, lte, err, out)
 	}
 }

@@ -1,9 +1,9 @@
 // The shared-frontier engine: property checks discharged on a cached
 // StateGraph. Invariant and NeverFires become single ordered passes over
-// the interned graph; Response counts its pending-bit product with one
-// sweep over the interned rows and runs the lasso search on the product
-// lazily, in working memory the engine reuses from check to check (no
-// array sized by the product). The cache holds one entry per system
+// the interned graph; Response runs its lasso search on the pending-bit
+// product lazily, expanding only the product nodes the search reads, in
+// working memory the engine reuses from check to check (no array sized
+// by the product). The cache holds one entry per system
 // pointer, valid for the ts.System.Generation() it was built at, so a
 // CEGAR refinement (which mutates the system) drops exactly the graph it
 // invalidates. On a pointer miss the engine fingerprints the system's
@@ -24,9 +24,10 @@
 // in a prefix is the first in the whole graph. A verified verdict and a
 // truncation need the whole graph, and so does a Response check on an
 // explored graph. A Response check on a derived graph that is still
-// partial builds nothing: it walks the derivation, the complete base
-// graph's rows mapped onto the target's states, which is the graph the
-// build would produce, met in the order its ids would be assigned. A
+// partial builds nothing (unless the derivation's bound exceeds the
+// state budget): it walks the derivation, the complete base graph's
+// rows mapped onto the target's states, which is the graph the build
+// would produce, met in the order its ids would be assigned. A
 // derivation starts from the most recent complete graph the system
 // extends; only when none qualifies is a cached graph that passes the
 // structural checks completed first. One caller extends a graph at a
@@ -79,8 +80,8 @@ const (
 // graphBuild is one graph, shared by every cache entry whose system
 // has its structure, and grown on demand. Its builder, the caller whose
 // miss started it, grows it as far as its own check needs; ready is
-// closed when that check is done, and every other caller then grows it
-// further as its checks need.
+// closed when that check is done growing it, and every other caller
+// then grows it further as its checks need.
 type graphBuild struct {
 	fp        [32]byte // ts.System.Fingerprint of the explored structure
 	maxStates int
@@ -189,6 +190,21 @@ func (r *graphReader) end(err error) {
 	r.span.EndErr(err)
 }
 
+// release ends r's part in growing the graph, for a check that reads
+// what it has and builds no more: its "mc.extend" span ends, and so
+// does the builder phase of a build r started, which releases the
+// callers waiting on it. A check that goes on reading after release
+// reads only what is immutable: the published view it holds, and a
+// derivation's complete base.
+func (r *graphReader) release(e *Engine) {
+	r.end(nil)
+	r.span = nil
+	if r.building {
+		e.endBuild(r.b, nil)
+		r.building = false
+	}
+}
+
 // graphEntry maps one system pointer, at one generation, to a build.
 type graphEntry struct {
 	gen   uint64
@@ -286,6 +302,7 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*g
 			return nil, GraphBuilt, err
 		}
 		b.ex = ex
+		ex.span.SetAttr("build", strconv.Itoa(b.seq))
 		b.published.Store(ex.g.view())
 		return b, GraphBuilt, nil
 	}
@@ -459,7 +476,9 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 		// waiter blocks on it forever.
 		defer func() {
 			if p := recover(); p != nil {
-				e.endBuild(b, fmt.Errorf("mc: checking %s: panic: %v", prop.Name(), p))
+				if r.building {
+					e.endBuild(b, fmt.Errorf("mc: checking %s: panic: %v", prop.Name(), p))
+				}
 				panic(p)
 			}
 		}()
@@ -471,7 +490,7 @@ func (e *Engine) CheckSourced(ctx context.Context, sys *ts.System, prop Property
 	case NeverFires:
 		res, gerr = r.checkNeverFires(sys, p)
 	case Response:
-		res, gerr = r.checkResponse(e, sys, p, opts)
+		res, gerr = r.checkResponse(e, sys, p)
 	}
 	r.end(gerr)
 	if r.building {
@@ -598,8 +617,6 @@ type responseScratch struct {
 	state []uint8
 	// target is a target state assembled for the GoalState condition.
 	target ts.State
-	// work is the sweep's worklist of slots.
-	work []int32
 	// order holds the product nodes the BFS has discovered, in BFS order;
 	// from[i] is the index in order of order[i]'s BFS parent, -1 for the
 	// start.
@@ -626,15 +643,13 @@ type responseFrame struct {
 }
 
 // The bits of responseScratch.state. Product node 2*slot + pending has
-// the bit of its pending value: stReach<<pending and stSeen<<pending.
-// Only pending nodes are ever on the DFS stack, so their colour needs
-// no idle twin.
+// the seen bit of its pending value, stSeen<<pending. Only pending nodes
+// are ever on the DFS stack, so their colour needs no idle twin.
 const (
-	stReach   = 1 << 0 // (s, idle) is reachable; stReach<<1: (s, pending)
-	stSeen    = 1 << 2 // (s, idle) was discovered by the BFS; stSeen<<1: (s, pending)
-	stGoal    = 1 << 4 // s satisfies the property's GoalState
-	stOnStack = 1 << 5 // (s, pending) is on the DFS stack
-	stDone    = 1 << 6 // (s, pending)'s DFS is finished
+	stSeen    = 1 << 0 // (s, idle) was discovered by the BFS; stSeen<<1: (s, pending)
+	stGoal    = 1 << 2 // s satisfies the property's GoalState
+	stOnStack = 1 << 3 // (s, pending) is on the DFS stack
+	stDone    = 1 << 4 // (s, pending)'s DFS is finished
 )
 
 // takeScratch takes response-check working memory off the engine's free
@@ -661,11 +676,18 @@ func (e *Engine) putScratch(sc *responseScratch) {
 // checkResponse answers p on r's graph. A derived graph that is still
 // partial is searched over its derivation, the complete base graph's
 // rows mapped onto slots: the graph it would build, met in the order
-// its ids would be assigned, so it is not built. Any other graph is
-// completed first and searched as its own derivation.
-func (r *graphReader) checkResponse(e *Engine, sys *ts.System, p Response, opts Options) (Result, error) {
+// its ids would be assigned, so it is not built. A derivation whose
+// bound exceeds the budget could hold more states than the budget,
+// which only the build tells, so that graph is completed like any
+// other, and a complete graph is searched as its own derivation. Once
+// the graph grows no further, r lets go of it, so the build's span ends
+// before the search's own "mc.response" span starts.
+func (r *graphReader) checkResponse(e *Engine, sys *ts.System, p Response) (Result, error) {
 	reg := obs.FromContext(r.ctx).Metrics()
 	d := r.g.derive
+	if d != nil && int64(d.extra)*int64(d.base.NumStates()) > int64(r.g.MaxStates) {
+		d = nil
+	}
 	if d != nil {
 		reg.Counter("mc.responses_derived").Inc()
 	} else {
@@ -674,14 +696,25 @@ func (r *graphReader) checkResponse(e *Engine, sys *ts.System, p Response, opts 
 		}
 		d = r.g.self()
 	}
+	r.release(e)
+	_, span := obs.Start(r.ctx, "mc.response", obs.A("property", p.PropName))
 	start := time.Now()
 	sc := e.takeScratch()
-	s := &responseSearch{d: d, rules: r.g.Rules, responseScratch: sc}
-	res, searched := s.check(sys, p, opts)
-	e.putScratch(sc)
+	s := &responseSearch{d: d, rules: r.g.Rules, max: r.g.MaxStates, responseScratch: sc}
+	res := s.check(sys, p)
+	e.putScratch(sc) // s is another check's from here on
 	reg.Histogram("mc.response_ms", nil).Observe(obs.DurMS(time.Since(start)))
-	reg.Counter("mc.response_nodes").Add(int64(res.StatesExplored))
-	reg.Counter("mc.response_search_nodes").Add(int64(searched))
+	// StatesExplored is the nodes the search discovered, which both
+	// counters sum.
+	nodes := res.StatesExplored
+	reg.Counter("mc.response_nodes").Add(int64(nodes))
+	reg.Counter("mc.response_search_nodes").Add(int64(nodes))
+	if span != nil { // a run without an observer formats no attributes
+		span.SetAttr("build", strconv.Itoa(r.b.seq))
+		span.SetAttr("nodes", strconv.Itoa(nodes))
+		span.SetAttr("truncated", strconv.FormatBool(res.Truncated))
+	}
+	span.End()
 	return res, nil
 }
 
@@ -694,6 +727,7 @@ func (r *graphReader) checkResponse(e *Engine, sys *ts.System, p Response, opts 
 type responseSearch struct {
 	d     *derivation
 	rules []ts.CompiledRule // the target's rules, for trace names
+	max   int               // the state budget, in product nodes
 	*responseScratch
 	head int // the index in order the BFS expands next
 }
@@ -727,71 +761,12 @@ func (s *responseSearch) ruleOf(ed graphEdge, x int32) int32 {
 	return s.d.trans[ed.rule<<s.d.shift|x].rule
 }
 
-// sweep sets the reach bits of every slot and returns the product's
-// size. A goal rule or an edge into a goal state reaches the idle node,
-// a trigger the pending one, and any other edge carries its source's
-// bits. One pass in slot order carries every bit that travels to a
-// later slot (on a complete graph every state, since a state's BFS
-// parent precedes it); a bit that arrives at a slot already passed,
-// over a back edge, is carried on from a worklist, drained before the
-// pass goes on.
-func (s *responseSearch) sweep() (size int) {
-	st, moves, base, shift, mask := s.state, s.moves, s.d.base, s.d.shift&31, s.d.mask
-	st[s.d.initSlot] |= stReach
-	work := s.work[:0]
-	for next := int32(0); ; {
-		var slot int32
-		switch k := len(work); {
-		case k > 0:
-			slot, work = work[k-1], work[:k-1]
-		case int(next) < len(st):
-			slot = next
-			next++
-		default:
-			s.work = work
-			for _, b := range st {
-				size += int(b&stReach) + int(b>>1&stReach)
-			}
-			return size
-		}
-		bits := st[slot] & (stReach | stReach<<1)
-		if bits == 0 {
-			continue
-		}
-		x := slot & mask
-		for _, ed := range base.row(slot >> shift) {
-			m := moves[ed.rule<<shift|x]
-			if m < 0 {
-				continue
-			}
-			to := ed.to << shift
-			if shift != 0 {
-				// Only a derivation has extra ranks; the identity's
-				// target does not wait on the move.
-				to |= m >> moveBits
-			}
-			b := st[to]
-			add := bits
-			if m&moveGoal != 0 || b&stGoal != 0 {
-				add = stReach
-			} else if m&moveTrigger != 0 {
-				add = stReach << 1
-			}
-			if add&^b == 0 {
-				continue
-			}
-			st[to] = b | add
-			if to < next {
-				work = append(work, to)
-			}
-		}
-	}
-}
-
 // expand takes the next node off the BFS queue and discovers its
-// successors in edge order; false once the BFS has drained.
+// successors in edge order; false once the BFS has drained, or once it
+// has discovered more nodes than the budget, where the sequential BFS
+// stops too.
 func (s *responseSearch) expand() bool {
-	if s.head == len(s.order) {
+	if s.head == len(s.order) || len(s.order) > s.max {
 		return false
 	}
 	n := s.order[s.head]
@@ -815,9 +790,13 @@ func (s *responseSearch) expand() bool {
 
 // index returns n's position in the BFS order, first running the BFS
 // until it discovers n: every node the lasso search meets is reachable,
-// so it does.
+// so it does unless the budget stops the BFS first, and then index
+// returns -1.
 func (s *responseSearch) index(n int32) int32 {
-	for s.state[n>>1]&(stSeen<<(n&1)) == 0 && s.expand() {
+	for s.state[n>>1]&(stSeen<<(n&1)) == 0 {
+		if !s.expand() {
+			return -1
+		}
 	}
 	return int32(slices.Index(s.order, n))
 }
@@ -833,9 +812,13 @@ func (s *responseSearch) depth(i int32) int {
 
 // pathTo reconstructs the rule path of the BFS tree from the start to
 // n. The rule into each node is the first edge of its parent's row that
-// leads to it, the edge the BFS discovered it by.
-func (s *responseSearch) pathTo(n int32) []string {
+// leads to it, the edge the BFS discovered it by. False when the budget
+// stops the BFS before it discovers n.
+func (s *responseSearch) pathTo(n int32) ([]string, bool) {
 	i := s.index(n)
+	if i < 0 {
+		return nil, false
+	}
 	out := make([]string, s.depth(i))
 	for k := len(out) - 1; k >= 0; k-- {
 		parent := s.order[s.from[i]]
@@ -848,7 +831,7 @@ func (s *responseSearch) pathTo(n int32) []string {
 		}
 		i = s.from[i]
 	}
-	return out
+	return out, true
 }
 
 // deadlocked reports whether the target has no edge out of the slot
@@ -912,54 +895,60 @@ func (s *responseSearch) setUp(sys *ts.System, p Response) bool {
 }
 
 // check runs the pending-product lasso search over the derivation
-// without materialising the product. A sweep over the base rows counts
-// the product's nodes exactly; the product BFS then advances only as
+// without materialising the product: the product BFS advances only as
 // far as the pending-region DFS needs it, for its next root in BFS order
 // or for the BFS path to a counterexample node. Both compute successors
 // through succ, so no guard is re-evaluated, no state is re-hashed and
 // no edge is stored, and the working memory is the scratch, reused from
 // check to check: one byte per slot plus the nodes the search
 // discovers. Slots are met in the order the target's ids would be
-// assigned, and node order, edge order and therefore StatesExplored and
-// every trace are those of the sequential implementation. It also
-// returns how many product nodes the BFS discovered.
-func (s *responseSearch) check(sys *ts.System, p Response, opts Options) (Result, int) {
+// assigned, and node order, edge order and therefore StatesExplored
+// (the nodes the BFS discovered, the whole product for a verified
+// property) and every trace are those of the sequential implementation.
+// The check is truncated when the search has discovered more nodes than
+// the budget by the time it concludes, or when its graph is.
+func (s *responseSearch) check(sys *ts.System, p Response) Result {
 	res := Result{Property: p.PropName, Kind: "response"}
 	if !s.setUp(sys, p) {
-		return res, 0
+		return res
 	}
-	// A truncated graph has no rows past its frontier, so its product
-	// cannot be counted; its product BFS stops within the rows it has
-	// all the same (a product node is at least as deep as its state).
-	truncated := s.d.base.Truncated
-	size := 0
-	if !truncated {
-		size = s.sweep()
-	}
-	st := s.state
 	init := 2 * s.d.initSlot
-	st[init>>1] |= stSeen
+	s.state[init>>1] |= stSeen
 	s.order, s.from = append(s.order[:0], init), append(s.from[:0], -1)
 
-	if truncated || size > opts.maxStates() {
-		// The sequential BFS stops at the first node it dequeues past
-		// the budget; run this one to the same point.
-		for len(s.order) <= opts.maxStates() && s.expand() {
+	var trace *Trace
+	concluded := false
+	if s.d.base.Truncated {
+		// A truncated graph has no rows past its frontier. Its product
+		// BFS stops at the budget within the rows it has all the same (a
+		// product node is at least as deep as its state).
+		for s.expand() {
 		}
-		res.Truncated = true
-		res.StatesExplored = len(s.order)
-		return res, len(s.order)
+	} else {
+		trace, concluded = s.search(sys)
 	}
-	res.StatesExplored = size
+	res.StatesExplored = len(s.order)
+	if !concluded || len(s.order) > s.max {
+		res.Truncated = true
+		return res
+	}
+	res.Counterexample = trace
+	res.Verified = trace == nil
+	return res
+}
 
-	// Search the pending subgraph for a cycle or deadlock, from each
-	// pending root in BFS order, visiting each row in edge order. The
-	// stack holds each pending node at most once.
+// search looks for a pending cycle or deadlock, from each pending root
+// in BFS order, visiting each row in edge order; the stack holds each
+// pending node at most once. It returns the counterexample (nil when
+// the property holds), and false when the budget stopped the BFS before
+// the search concluded.
+func (s *responseSearch) search(sys *ts.System) (*Trace, bool) {
+	st := s.state
 	for ri := 0; ; ri++ {
 		for ri == len(s.order) && s.expand() {
 		}
 		if ri == len(s.order) {
-			break
+			return nil, s.head == len(s.order)
 		}
 		root := s.order[ri]
 		if root&1 == 0 || st[root>>1]&(stOnStack|stDone) != 0 {
@@ -971,9 +960,11 @@ func (s *responseSearch) check(sys *ts.System, p Response, opts Options) (Result
 			f := &s.stack[len(s.stack)-1]
 			row, x := s.d.row(f.node >> 1)
 			if f.next == 0 && s.deadlocked(row, x) {
-				path := s.pathTo(f.node)
-				res.Counterexample = buildTrace(sys, path, len(path))
-				return res, len(s.order)
+				path, ok := s.pathTo(f.node)
+				if !ok {
+					return nil, false
+				}
+				return buildTrace(sys, path, len(path)), true
 			}
 			advanced := false
 			for int(f.next) < len(row) {
@@ -985,11 +976,17 @@ func (s *responseSearch) check(sys *ts.System, p Response, opts Options) (Result
 				}
 				switch b := st[next>>1]; {
 				case b&stOnStack != 0:
-					path := s.pathTo(f.node)
-					loopEntry := min(s.depth(s.index(next)), len(path))
+					path, ok := s.pathTo(f.node)
+					if !ok {
+						return nil, false
+					}
+					entry := s.index(next)
+					if entry < 0 {
+						return nil, false
+					}
+					loopEntry := min(s.depth(entry), len(path))
 					full := append(path, s.rules[s.ruleOf(ed, x)].Name)
-					res.Counterexample = buildTrace(sys, full, loopEntry)
-					return res, len(s.order)
+					return buildTrace(sys, full, loopEntry), true
 				case b&stDone == 0:
 					st[next>>1] |= stOnStack
 					s.stack = append(s.stack, responseFrame{node: next})
@@ -1005,8 +1002,6 @@ func (s *responseSearch) check(sys *ts.System, p Response, opts Options) (Result
 			}
 		}
 	}
-	res.Verified = true
-	return res, len(s.order)
 }
 
 // resize returns buf with length n and every element zero, reusing its

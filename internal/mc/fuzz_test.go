@@ -36,8 +36,10 @@ import (
 // must equal buildGraph's, as must a graph resumed from the snapshots
 // of a build an invariant check left partial. A product-budget mode
 // checks the response properties with a state budget between the
-// graph's size N and 2N, so the graph completes and only the response
-// product can run out of budget.
+// graph's size N and 2N, so the graph completes and only a response
+// search that discovers more product nodes than the budget can run out
+// of it. Whenever a response property verifies, its StatesExplored
+// must be the whole reachable product, as productSize counts it.
 // Every property the static vacuity pre-pass (Vacuous) flags must be
 // one CheckSequential verifies.
 func FuzzExploreMatchesSequential(f *testing.F) {
@@ -115,6 +117,11 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 					t.Fatalf("%s %s: engine error: %v", mode, p.Name(), err)
 				}
 				compare(mode, sys, p, got, want[i])
+				if r, ok := p.(Response); ok && got.Verified {
+					if n := productSize(t, sys, r); got.StatesExplored != n {
+						t.Fatalf("%s %s: verified over %d product nodes, want the whole product of %d", mode, p.Name(), got.StatesExplored, n)
+					}
+				}
 			}
 		}
 		// check runs one mode on a fresh engine and confirms the build
@@ -234,8 +241,9 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		}
 
 		// Product budget: with MaxStates in [N, 2N] the graph completes,
-		// so a budget error can only come from a response product, and
-		// only when the sequential product truncates too.
+		// so a budget error can only come from a response search that
+		// discovers more nodes than the budget before it concludes, and
+		// only when the sequential search does too.
 		budget := Options{Workers: 4, MaxStates: g.NumStates() + rng.Intn(g.NumStates()+1)}
 		budgetEngine := NewEngine()
 		for _, p := range props {
@@ -290,6 +298,47 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// productSize counts the reachable nodes of the product of sys with
+// p's pending bit by a plain BFS over states keyed by their bytes,
+// apart from both checkers: the trigger sets the bit, and the goal rule
+// or a goal state clears it.
+func productSize(t *testing.T, sys *ts.System, p Response) int {
+	t.Helper()
+	rs, err := sys.CompileRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goalState := func(ts.State) bool { return false }
+	if p.GoalState != nil {
+		if goalState, err = sys.CompileCond(p.GoalState); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type node struct {
+		state   string
+		pending bool
+	}
+	init := sys.InitialState()
+	seen := map[node]bool{{string(init), false}: true}
+	queue := []node{{string(init), false}}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, r := range rs.Rules {
+			if !r.Enabled(ts.State(cur.state)) {
+				continue
+			}
+			next := r.Apply(ts.State(cur.state))
+			pending := (cur.pending || p.Trigger(r.Name)) && !(p.Goal != nil && p.Goal(r.Name)) && !goalState(next)
+			if n := (node{string(next), pending}); !seen[n] {
+				seen[n] = true
+				queue = append(queue, n)
+			}
+		}
+	}
+	return len(seen)
 }
 
 // refine edits sys in place as the CEGAR refinements do: it adds a

@@ -122,6 +122,10 @@ type Result struct {
 	Kind           string
 	Verified       bool
 	Counterexample *Trace
+	// StatesExplored is what the check explored: for an invariant or
+	// never-fires property the states interned, for a response property
+	// the product nodes its lasso search discovered, which is the whole
+	// reachable product when the property holds.
 	StatesExplored int
 	// Truncated marks exploration that hit Options.MaxStates; Verified
 	// is false then even without a counterexample (unknown).
@@ -358,10 +362,17 @@ func checkNeverFires(sys *ts.System, p NeverFires, opts Options) Result {
 	return res
 }
 
-// checkResponse explores the product of the state space with a pending
+// checkResponse searches the product of the state space with a pending
 // bit (obligation outstanding). A violation is a reachable pending node
 // that can reach a pending cycle or a pending deadlock — a run where the
-// goal never happens.
+// goal never happens. The product BFS runs lazily, only as far as the
+// search needs it: for the next pending root in BFS order, or for the
+// BFS path to a counterexample node. StatesExplored is the number of
+// nodes the BFS discovered, the whole product when the property holds.
+// The check is truncated when the search has discovered more nodes than
+// the budget by the time it concludes, and when the system has more
+// reachable states than the budget (its graph would be truncated), in
+// which case the BFS runs to the budget and no search is made.
 func checkResponse(sys *ts.System, p Response, opts Options) Result {
 	res := Result{Property: p.PropName, Kind: "response"}
 
@@ -386,57 +397,26 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 		}
 		goalStateFn = f
 	}
+	goalState := func(s ts.State) bool {
+		return goalStateFn != nil && goalStateFn(s)
+	}
+	max := opts.maxStates()
 
 	type node struct {
 		sid     int
 		pending bool
 	}
-	e := newExplorer(sys)
-	init := sys.InitialState()
-	initSID, _ := e.intern(init, -1, "")
-
-	// Product exploration.
 	type edge struct {
-		to   int
+		to   node
 		rule string
 	}
-	nodeIDs := map[node]int{}
-	var nodes []node
-	var adj [][]edge
-	parent := []int{-1}
-	parentRule := []string{""}
+	e := newExplorer(sys)
+	initSID, _ := e.intern(sys.InitialState(), -1, "")
 
-	internNode := func(n node, from int, rule string) (int, bool) {
-		if id, ok := nodeIDs[n]; ok {
-			return id, false
-		}
-		id := len(nodes)
-		nodeIDs[n] = id
-		nodes = append(nodes, n)
-		adj = append(adj, nil)
-		if id > 0 {
-			parent = append(parent, from)
-			parentRule = append(parentRule, rule)
-		}
-		return id, true
-	}
-
-	goalState := func(s ts.State) bool {
-		return goalStateFn != nil && goalStateFn(s)
-	}
-
-	start := node{sid: initSID, pending: false}
-	startID, _ := internNode(start, -1, "")
-	queue := []int{startID}
-	for len(queue) > 0 {
-		if len(nodes) > opts.maxStates() {
-			res.Truncated = true
-			res.StatesExplored = len(nodes)
-			return res
-		}
-		id := queue[0]
-		queue = queue[1:]
-		n := nodes[id]
+	// succ lists n's product successors in rule order, interning the
+	// states they reach.
+	succ := func(n node) []edge {
+		var out []edge
 		st := e.states[n.sid]
 		for ri := range rules {
 			r := &rules[ri]
@@ -455,54 +435,121 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 				pending = false
 			}
 			sid, _ := e.intern(next, n.sid, r.Name)
-			nid, fresh := internNode(node{sid: sid, pending: pending}, id, r.Name)
-			adj[id] = append(adj[id], edge{to: nid, rule: r.Name})
-			if fresh {
-				queue = append(queue, nid)
+			out = append(out, edge{to: node{sid: sid, pending: pending}, rule: r.Name})
+		}
+		return out
+	}
+
+	// The product BFS: order lists the nodes discovered, ids their
+	// positions, and parent and parentRule the BFS tree.
+	start := node{sid: initSID}
+	ids := map[node]int{start: 0}
+	order := []node{start}
+	parent := []int{-1}
+	parentRule := []string{""}
+	head := 0
+	expand := func() bool {
+		if head == len(order) || len(order) > max {
+			return false
+		}
+		for _, ed := range succ(order[head]) {
+			if _, ok := ids[ed.to]; ok {
+				continue
+			}
+			ids[ed.to] = len(order)
+			order = append(order, ed.to)
+			parent = append(parent, head)
+			parentRule = append(parentRule, ed.rule)
+		}
+		head++
+		return true
+	}
+	// index runs the BFS until it discovers n; -1 when the budget stops
+	// it first.
+	index := func(n node) int {
+		for {
+			if id, ok := ids[n]; ok {
+				return id
+			}
+			if !expand() {
+				return -1
 			}
 		}
 	}
-	res.StatesExplored = len(nodes)
+	truncated := func() Result {
+		res.Truncated = true
+		res.StatesExplored = len(order)
+		return res
+	}
+	if checkInvariant(sys, Invariant{PropName: p.PropName, Holds: ts.True{}}, opts).Truncated {
+		for expand() {
+		}
+		return truncated()
+	}
 
-	// Search the pending subgraph for a cycle or deadlock.
-	// colour: 0 unvisited, 1 on stack, 2 done.
-	colour := make([]uint8, len(nodes))
+	// Search the pending subgraph for a cycle or deadlock, from each
+	// pending root in BFS order. colour: 0 unvisited, 1 on stack, 2 done.
+	colour := map[node]uint8{}
 	type frame struct {
-		id   int
+		n    node
+		adj  []edge
 		next int
 	}
-	for rootID, root := range nodes {
-		if !root.pending || colour[rootID] != 0 {
+	for ri := 0; ; ri++ {
+		for ri == len(order) && expand() {
+		}
+		if ri == len(order) {
+			if head < len(order) || len(order) > max {
+				return truncated()
+			}
+			break
+		}
+		root := order[ri]
+		if !root.pending || colour[root] != 0 {
 			continue
 		}
-		stack := []frame{{id: rootID}}
-		colour[rootID] = 1
+		stack := []frame{{n: root, adj: succ(root)}}
+		colour[root] = 1
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			// Deadlock: pending node with no successors at all.
-			if len(adj[f.id]) == 0 {
-				path := nodePath(parent, parentRule, f.id)
+			if len(f.adj) == 0 {
+				id := index(f.n)
+				if id < 0 || len(order) > max {
+					return truncated()
+				}
+				path := nodePath(parent, parentRule, id)
+				res.StatesExplored = len(order)
 				res.Counterexample = buildTrace(sys, path, len(path))
 				return res
 			}
 			advanced := false
-			for f.next < len(adj[f.id]) {
-				ed := adj[f.id][f.next]
+			for f.next < len(f.adj) {
+				ed := f.adj[f.next]
 				f.next++
-				if !nodes[ed.to].pending {
+				if !ed.to.pending {
 					continue // leaving the pending region discharges along this edge
 				}
 				switch colour[ed.to] {
 				case 1:
 					// Pending cycle found: build lasso.
-					path := nodePath(parent, parentRule, f.id)
-					loopEntry := indexOfNode(parent, parentRule, ed.to, path)
+					id := index(f.n)
+					if id < 0 {
+						return truncated()
+					}
+					path := nodePath(parent, parentRule, id)
+					to := index(ed.to)
+					if to < 0 || len(order) > max {
+						return truncated()
+					}
+					loopEntry := indexOfNode(parent, parentRule, to, path)
 					full := append(path, ed.rule)
+					res.StatesExplored = len(order)
 					res.Counterexample = buildTrace(sys, full, loopEntry)
 					return res
 				case 0:
 					colour[ed.to] = 1
-					stack = append(stack, frame{id: ed.to})
+					stack = append(stack, frame{n: ed.to, adj: succ(ed.to)})
 					advanced = true
 				}
 				if advanced {
@@ -510,11 +557,12 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 				}
 			}
 			if !advanced {
-				colour[f.id] = 2
+				colour[f.n] = 2
 				stack = stack[:len(stack)-1]
 			}
 		}
 	}
+	res.StatesExplored = len(order)
 	res.Verified = true
 	return res
 }

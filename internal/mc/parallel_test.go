@@ -241,10 +241,10 @@ const prunedRule = "adv:drop:chan_ul:security_mode_complete@genuine"
 // derives from the composed model's complete graph while the guard
 // replay's is still partial. Each check on a refinement walks its
 // derivation and leaves the refined graph unbuilt, and must still
-// match the sequential oracle. StatesExplored is the product size the
-// reachability sweep counts, so a bit the sweep misses or adds fails
-// here, and the traces pin the lazy BFS's parents, on graphs the
-// verdict corpus does not cover.
+// match the sequential oracle. StatesExplored is the number of product
+// nodes the lazy BFS discovered, so a search that expands more or less
+// of it than the oracle fails here, and the traces pin the lazy BFS's
+// parents, on graphs the verdict corpus does not cover.
 func TestResponseMatchesSequentialOnRefinements(t *testing.T) {
 	base := composedSystem(t)
 	refinements := []*ts.System{
@@ -299,83 +299,118 @@ func TestResponseMatchesSequentialOnRefinements(t *testing.T) {
 	}
 }
 
-// TestResponseTruncatesLikeSequential: under a budget that holds the
-// whole graph but not the whole product, under one that holds a base
-// graph but not the refinement derived from it, and under one that
-// truncates the graph itself, the response check must stop where the
-// sequential product BFS stops, with the same Truncated flag and
-// StatesExplored.
+// TestResponseTruncatesLikeSequential pins where a response check's
+// budget runs out. A check is truncated when its lasso search has
+// discovered more product nodes than the budget by the time it
+// concludes, or when the system has more reachable states than the
+// budget, so that its graph truncates. Each case finds a budget under
+// which the engine and the sequential checker both truncate and one
+// under which both conclude; at both they must agree on the result,
+// StatesExplored and the trace, and the engine must report a budget
+// error exactly when it truncates.
 func TestResponseTruncatesLikeSequential(t *testing.T) {
-	sys := composedSystem(t)
 	ctx := context.Background()
+	// check checks p on sys with engine under budget max, which must
+	// truncate both checkers or neither, as truncated says.
+	check := func(name string, engine *mc.Engine, ctx context.Context, sys *ts.System, p mc.Property, max int, truncated bool) {
+		t.Helper()
+		opts := mc.Options{Workers: 2, MaxStates: max}
+		got, err := engine.CheckContext(ctx, sys, p, opts)
+		want := mc.CheckSequential(sys, p, opts)
+		if want.Truncated != truncated {
+			t.Fatalf("%s under budget %d: sequential truncated=%v, want %v", name, max, want.Truncated, truncated)
+		}
+		if mc.IsBudgetExhausted(err) != truncated || (err != nil && !mc.IsBudgetExhausted(err)) {
+			t.Fatalf("%s under budget %d: engine error %v, want truncated=%v", name, max, err, truncated)
+		}
+		assertSameResult(t, fmt.Sprintf("%s under budget %d", name, max), got, want)
+	}
+
+	// The search: on a graph the budget holds, a check is truncated
+	// only by the product nodes its search discovers. Over states a, b
+	// and c, go and trig both lead from a to b, then fin and back return
+	// to a; the product reaches b and c both pending and idle. With the
+	// goal fin the property holds over 4 product nodes; with the goal go
+	// the pending region closes a lasso, found once the BFS has
+	// discovered 6. A budget of 3 or more holds the graph.
+	sys := ts.NewSystem("loop")
+	if err := sys.AddVar("x", "a", "b", "c"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][3]string{{"go", "a", "b"}, {"trig", "a", "b"}, {"fin", "b", "c"}, {"back", "c", "a"}} {
+		if err := sys.AddRule(ts.Rule{Name: r[0], Guard: ts.Eq{Var: "x", Value: r[1]}, Assigns: []ts.Assign{{Var: "x", Value: r[2]}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		goal     string
+		verified bool
+		nodes    int
+	}{{"fin", true, 4}, {"go", false, 6}} {
+		p := mc.Response{
+			PropName: "goal-" + tc.goal,
+			Trigger:  func(n string) bool { return n == "trig" },
+			Goal:     func(n string) bool { return n == tc.goal },
+		}
+		got, err := mc.NewEngine().CheckContext(ctx, sys, p, mc.Options{})
+		if err != nil || got.Verified != tc.verified || got.StatesExplored != tc.nodes {
+			t.Fatalf("%s: verified=%v over %d nodes, error %v; want verified=%v over %d", p.Name(), got.Verified, got.StatesExplored, err, tc.verified, tc.nodes)
+		}
+		check(p.Name(), mc.NewEngine(), ctx, sys, p, tc.nodes-1, true)
+		check(p.Name(), mc.NewEngine(), ctx, sys, p, tc.nodes, false)
+	}
+
+	// The graph: on the composed model, a counterexample the search
+	// finds within far fewer nodes than the model's states is reported
+	// once the budget holds the whole graph, and not below.
+	sys = composedSystem(t)
 	g, err := mc.ExploreGraph(ctx, sys, mc.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := catalogueResponses(t)[0]
 	full, err := mc.NewEngine().CheckContext(ctx, sys, p, mc.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || full.Counterexample == nil || full.StatesExplored >= g.NumStates() {
+		t.Fatalf("%s: %d nodes for a counterexample over %d states, error %v; want a counterexample within fewer nodes than states",
+			p.Name(), full.StatesExplored, g.NumStates(), err)
 	}
-	if full.StatesExplored <= g.NumStates()+1 {
-		t.Fatalf("%s: product of %d nodes over %d states leaves no budget between them", p.Name(), full.StatesExplored, g.NumStates())
-	}
-	opts := mc.Options{Workers: 2, MaxStates: (g.NumStates() + full.StatesExplored) / 2}
-	got, err := mc.NewEngine().CheckContext(ctx, sys, p, opts)
-	if !mc.IsBudgetExhausted(err) {
-		t.Fatalf("budget %d between %d states and %d product nodes: error %v, want budget exhausted",
-			opts.MaxStates, g.NumStates(), full.StatesExplored, err)
-	}
-	want := mc.CheckSequential(sys, p, opts)
-	if !want.Truncated {
-		t.Fatalf("the sequential check is not truncated under budget %d", opts.MaxStates)
-	}
-	assertSameResult(t, p.Name(), got, want)
+	check(p.Name(), mc.NewEngine(), ctx, sys, p, g.NumStates()-1, true)
+	check(p.Name(), mc.NewEngine(), ctx, sys, p, g.NumStates(), false)
 
-	// Derived: under a budget that holds the base graph but not the
-	// refined one, the check on the refinement runs its product BFS over
-	// the derivation to the sequential stopping point, without building
-	// the refined graph.
+	// Derived: a guard-replay refinement of the composed model, derived
+	// from the base graph each engine holds complete. Under a budget
+	// that holds the derivation's bound, the check walks the derivation;
+	// under a smaller one it completes the refined graph instead, which
+	// concludes when the budget holds the refined graph and truncates
+	// when it does not.
 	refined := mc.GuardReplay(t, sys.Clone(), "service_accept")
 	rg, err := mc.ExploreGraph(ctx, refined, mc.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rg.NumStates() <= g.NumStates() {
-		t.Fatalf("the refinement has %d states, the base %d: no budget between them", rg.NumStates(), g.NumStates())
+	bound := 2 * g.NumStates() // one appended bit
+	if rg.NumStates() <= g.NumStates() || rg.NumStates() >= bound {
+		t.Fatalf("the refinement has %d states over a base of %d: want more than the base and fewer than %d", rg.NumStates(), g.NumStates(), bound)
 	}
-	opts = mc.Options{Workers: 2, MaxStates: (g.NumStates() + rg.NumStates()) / 2}
-	engine := mc.NewEngine()
-	if _, err := engine.CheckContext(ctx, sys, mc.Invariant{PropName: "all", Holds: ts.True{}}, opts); err != nil {
-		t.Fatalf("the base graph under budget %d: %v", opts.MaxStates, err)
-	}
-	o := obs.New()
-	got, err = engine.CheckContext(obs.NewContext(ctx, o), refined, p, opts)
-	if !mc.IsBudgetExhausted(err) {
-		t.Fatalf("budget %d between %d base and %d refined states: error %v, want budget exhausted",
-			opts.MaxStates, g.NumStates(), rg.NumStates(), err)
-	}
-	want = mc.CheckSequential(refined, p, opts)
-	if !want.Truncated {
-		t.Fatalf("the sequential check of the refinement is not truncated under budget %d", opts.MaxStates)
-	}
-	assertSameResult(t, p.Name()+" on the refinement", got, want)
-	reg := o.Metrics()
-	for name, want := range map[string]int64{"mc.explorations_derived": 1, "mc.responses_derived": 1, "mc.graphs_partial": 1} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("refinement: %s = %d, want %d", name, got, want)
+	for _, tc := range []struct {
+		max       int
+		truncated bool
+		walked    int64
+	}{{rg.NumStates() - 1, true, 0}, {rg.NumStates(), false, 0}, {bound, false, 1}} {
+		engine := mc.NewEngine()
+		base := mc.Invariant{PropName: "all", Holds: ts.True{}}
+		if _, err := engine.CheckContext(ctx, sys, base, mc.Options{Workers: 2, MaxStates: tc.max}); err != nil {
+			t.Fatalf("the base graph under budget %d: %v", tc.max, err)
+		}
+		o := obs.New()
+		check(p.Name()+" on the refinement", engine, obs.NewContext(ctx, o), refined, p, tc.max, tc.truncated)
+		reg := o.Metrics()
+		for name, want := range map[string]int64{"mc.explorations_derived": 1, "mc.responses_derived": tc.walked, "mc.graphs_partial": tc.walked} {
+			if got := reg.Counter(name).Value(); got != want {
+				t.Errorf("refinement under budget %d: %s = %d, want %d", tc.max, name, got, want)
+			}
 		}
 	}
-
-	// Explored: under a budget below the base graph's size, the graph
-	// truncates, and the check runs its product BFS within the rows the
-	// truncated graph has, to the sequential stopping point.
-	opts = mc.Options{Workers: 2, MaxStates: g.NumStates() / 2}
-	got, err = mc.NewEngine().CheckContext(ctx, sys, p, opts)
-	if !mc.IsBudgetExhausted(err) {
-		t.Fatalf("budget %d below %d states: error %v, want budget exhausted", opts.MaxStates, g.NumStates(), err)
-	}
-	assertSameResult(t, p.Name()+" on a truncated graph", got, mc.CheckSequential(sys, p, opts))
 }
 
 // TestResponseCheckAllocBudget pins that a response check's working

@@ -14,8 +14,12 @@ import (
 	"prochecker/internal/mc"
 )
 
+// corpusVersion names the verdict corpus the runner compares against,
+// testdata/verdicts/<corpusVersion>/ (testdata/verdicts/README.md §6).
+const corpusVersion = "v2"
+
 // TestVerdictCorpus pins every property's verdict on every shipped
-// profile against testdata/verdicts/v1/<profile>.txt: for model-checked
+// profile against testdata/verdicts/v2/<profile>.txt: for model-checked
 // properties the CEGAR iteration count, each refinement, the states of
 // the last exploration, the counterexample (rules, post-states and lasso
 // entry) and the CPV feasibility lines; for the other kinds the verdict
@@ -30,7 +34,7 @@ func TestVerdictCorpus(t *testing.T) {
 	for _, impl := range Implementations() {
 		t.Run(string(impl), func(t *testing.T) {
 			got := renderVerdictCorpus(t, impl)
-			path := filepath.Join("testdata", "verdicts", "v1", string(impl)+".txt")
+			path := filepath.Join("testdata", "verdicts", corpusVersion, string(impl)+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -65,7 +69,7 @@ func renderVerdictCorpus(t *testing.T, impl Implementation) string {
 	sys := a.model.Composed.System
 	reach := mc.StaticReach(sys)
 	var b strings.Builder
-	fmt.Fprintf(&b, "# verdict corpus v1: %s\n", impl)
+	fmt.Fprintf(&b, "# verdict corpus %s: %s\n", corpusVersion, impl)
 	for _, p := range props.Catalogue() {
 		fmt.Fprintf(&b, "\n== %s (%s)\n", p.ID, p.Kind)
 		if p.Kind != props.KindMC {
@@ -214,7 +218,7 @@ func TestVacuityPruneSoundOnProfiles(t *testing.T) {
 // corpus of impl records as "verdict: vacuous".
 func corpusVacuous(t *testing.T, impl Implementation) []string {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", "verdicts", "v1", string(impl)+".txt"))
+	b, err := os.ReadFile(filepath.Join("testdata", "verdicts", corpusVersion, string(impl)+".txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
