@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -208,7 +209,13 @@ func TestManifestWritten(t *testing.T) {
 // only after the "mc.explore" span of the build it reads has ended, so
 // no build's exploration time contains a search. The build attribute
 // ties the two. The run is a fresh process, so every build it reads is
-// in its own manifest.
+// in its own manifest. No check completes the unrefined graph (build
+// 0), and the levels response searches grow it by are charged to them:
+// every "mc.extend" span of that graph that ends past level 12 is
+// nested under an "mc.response" span. Level 12 is as deep as the other
+// checks read it: the deepest graph they derive, V10's refinement, has
+// 12 levels, and a derived state projects onto a base state no deeper
+// than itself.
 func TestResponseSpansFollowTheirBuild(t *testing.T) {
 	bin, err := buildBinary()
 	if err != nil {
@@ -232,6 +239,34 @@ func TestResponseSpansFollowTheirBuild(t *testing.T) {
 			responses = append(responses, sp)
 		}
 	})
+	if ex := explores["0"]; ex == nil || ex.Attrs["index"] == "derived" || ex.Attrs["complete"] != "false" {
+		t.Fatalf("build 0 is not the unrefined graph, explored and left partial: %v", ex)
+	}
+	deepest := 0
+	var extends func(sp *obs.SpanNode, inResponse bool)
+	extends = func(sp *obs.SpanNode, inResponse bool) {
+		inResponse = inResponse || sp.Name == "mc.response"
+		if sp.Name == "mc.extend" && sp.Attrs["build"] == "0" {
+			depth, err := strconv.Atoi(sp.Attrs["depth"])
+			if err != nil {
+				t.Fatalf("mc.extend of the unrefined graph without a depth: %v", sp.Attrs)
+			}
+			deepest = max(deepest, depth)
+			if sp.Attrs["complete"] != "false" {
+				t.Errorf("an mc.extend span completed the unrefined graph: %v", sp.Attrs)
+			}
+			if depth > 12 && !inResponse {
+				t.Errorf("the unrefined graph grew to level %d outside any mc.response span: %v", depth, sp.Attrs)
+			}
+		}
+		for _, c := range sp.Children {
+			extends(c, inResponse)
+		}
+	}
+	extends(m.Spans, false)
+	if deepest <= 12 {
+		t.Errorf("the unrefined graph grew only to level %d; the response searches read it deeper", deepest)
+	}
 	if len(responses) == 0 {
 		t.Fatal("no mc.response spans in the manifest")
 	}

@@ -108,7 +108,7 @@ func TestArenaSegmentBoundaries(t *testing.T) {
 // edges, the latter leaving the next row to fill the old tail; and five
 // segments in all.
 func TestEdgeSegmentBoundaries(t *testing.T) {
-	g := &StateGraph{System: "edges", off: []int32{0}}
+	g := &StateGraph{System: "edges", off: pagesOf(0)}
 	var want [][]graphEdge
 	write := func(reserve, n int) {
 		t.Helper()
@@ -156,16 +156,21 @@ func TestEdgeSegmentBoundaries(t *testing.T) {
 			t.Fatalf("row %d: %d edges (cap %d), want %d: %v", id, len(got), cap(got), len(w), w)
 		}
 	}
-	if got := g.row(int32(len(want))); got != nil {
-		t.Errorf("unexpanded state has row %v", got)
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the row of an unexpanded state was read")
+			}
+		}()
+		g.row(int32(len(want)))
+	}()
 	if want := int64(5 * edgeSegLen * 8); g.edgeBytes() != want {
 		t.Errorf("edgeBytes %d, want %d", g.edgeBytes(), want)
 	}
 	if _, err := g.reserveRow(edgeSegLen + 1); err == nil {
 		t.Error("a row longer than a segment was reserved")
 	}
-	full := &StateGraph{System: "full", off: []int32{math.MaxInt32 - 2}}
+	full := &StateGraph{System: "full", off: pagesOf(math.MaxInt32 - 2)}
 	if _, err := full.reserveRow(5); err == nil {
 		t.Error("a row past MaxInt32 edges, padding included, was reserved")
 	}

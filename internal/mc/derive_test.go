@@ -49,7 +49,7 @@ func buildGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, opts Opt
 // deriveGraph derives sys's complete graph from d's base graph in one
 // go: the graph a lazily grown derivation equals once complete.
 func deriveGraph(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, opts Options) (*StateGraph, error) {
-	e, err := startDerive(ctx, sys, rules, d, opts)
+	e, err := startDerive(ctx, sys, rules, d, nil, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -66,6 +66,15 @@ func (e *levelExplorer) finish(ctx context.Context) (*StateGraph, error) {
 	}
 	e.endExplore(e.g, nil)
 	return e.g, nil
+}
+
+// values copies the array out.
+func (p *int32Pages) values() []int32 {
+	out := make([]int32, p.len())
+	for i := range out {
+		out[i] = p.at(int32(i))
+	}
+	return out
 }
 
 // residualGuards reports whether any of sys's guards leaves the
@@ -97,7 +106,7 @@ func sameGraph(t *testing.T, mode string, got, want *StateGraph) {
 			mode, got.NumStates(), got.Truncated, want.NumStates(), want.Truncated)
 	case got.expanded() != want.expanded():
 		t.Fatalf("%s: %d states expanded, want %d", mode, got.expanded(), want.expanded())
-	case !slices.Equal(got.parentState, want.parentState) || !slices.Equal(got.parentRule, want.parentRule):
+	case !slices.Equal(got.parentState.values(), want.parentState.values()) || !slices.Equal(got.parentRule.values(), want.parentRule.values()):
 		t.Fatalf("%s: parent tree differs", mode)
 	}
 	for id := int32(0); int(id) < want.expanded(); id++ {
@@ -378,11 +387,11 @@ func guardReplay(t *testing.T, sys *ts.System, msg string) *ts.System {
 
 // TestDerivedBuildAllocBudget pins what a derived build allocates
 // against what the graph it builds keeps: edge segments are written
-// once and the per-state arrays are allocated once at the derivation's
-// bound, so deriving a guard-replay refinement of the composed model
-// from its cached base allocates at most 1.3× the resident bytes of the
-// result (edge segments, off, parent tree, the build's slot tables and
-// the arena).
+// once, and the slot table and the per-state arrays grow in fixed pages
+// as states are met, so deriving a guard-replay refinement of the
+// composed model from its cached base allocates at most 1.3× the
+// resident bytes of the result (edge segments, the arena, and the
+// pages of off, the parent tree and the build's slot tables).
 func TestDerivedBuildAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	base := composedModel(t)
@@ -401,21 +410,78 @@ func TestDerivedBuildAllocBudget(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g, err := deriveGraph(ctx, sys, rules, d, Options{Workers: 2})
-	runtime.ReadMemStats(&after)
+	e, err := startDerive(ctx, sys, rules, d, nil, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The slot tables are dropped once the graph is complete; the level
+	// that completes it interns nothing, so they are at their largest
+	// just before it.
+	var tables int64
+	for !e.g.complete {
+		tables = e.slotOf.memBytes() + e.slots.memBytes()
+		if err := e.advance(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	g := e.g
 	if len(g.segs) < 3 {
 		t.Fatalf("derived graph fills %d edge segments, want at least 3 to cross segment boundaries", len(g.segs))
 	}
-	slotTables := 2 * 4 * int64(d.extra) * int64(bg.NumStates()) // slotOf and slots
-	resident := g.edgeBytes() + 4*int64(cap(g.off)+cap(g.parentState)+cap(g.parentRule)) +
-		slotTables + g.arena.memBytes()
+	resident := g.edgeBytes() + g.off.memBytes() + g.parentState.memBytes() + g.parentRule.memBytes() +
+		tables + g.arena.memBytes()
 	allocated := int64(after.TotalAlloc - before.TotalAlloc)
 	ratio := float64(allocated) / float64(resident)
 	t.Logf("derived %d states: allocated %d bytes for %d resident (%.2f×)", g.NumStates(), allocated, resident, ratio)
 	if ratio > 1.3 {
 		t.Fatalf("derived build allocated %d bytes, %.2f× its %d resident bytes; want at most 1.3×", allocated, ratio, resident)
 	}
+}
+
+// deriveOneLevel builds levels levels of base's graph (all of them when
+// levels is negative), derives one level of refined's graph from it,
+// and returns the bytes the derivation allocated, the fixed bound they
+// must stay under whatever the base's size (the arena's and the
+// adjacency's first segments, and eight pages for off, the parent tree
+// and the slot tables), and the base's state count.
+func deriveOneLevel(t *testing.T, base, refined *ts.System, levels int) (allocated, bound int64, baseStates int) {
+	t.Helper()
+	ctx := context.Background()
+	brules, err := base.CompileRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := startBuild(ctx, base, brules, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i != levels && !eb.g.complete; i++ {
+		if err := eb.advance(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rules, err := refined.CompileRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := planDerivation(eb.g.view(), rules, refined.Vars(), refined.InitialState())
+	if !ok {
+		t.Fatal("the refinement does not derive from the base")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := startDerive(ctx, refined, rules, d, lazyBuild(eb), Options{Workers: 2})
+	if err == nil {
+		err = e.advance(ctx)
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.g.levels != 1 || e.g.complete {
+		t.Fatalf("derived %d levels (complete %v), want one level of a larger graph", e.g.levels, e.g.complete)
+	}
+	bound = e.g.arena.memBytes() + e.g.edgeBytes() + 8*pageLen*4
+	return int64(after.TotalAlloc - before.TotalAlloc), bound, eb.g.NumStates()
 }

@@ -10,28 +10,28 @@
 // structure and aliases any live entry built for the same structure and
 // budget, so clones that applied the same refinements share one
 // exploration. On a fingerprint miss it compiles the system's rules once
-// and derives the graph from the most recent cached graph the system
-// refines (derive.go): a refinement prunes rules or appends observation
+// and derives the graph from a cached graph the system refines
+// (derive.go): a refinement prunes rules or appends observation
 // variables, so its graph is a BFS over the base graph's rows. Only
 // when no cached graph qualifies does it explore.
 //
-// A cached graph is built lazily, one BFS level at a time, only as deep
-// as its checks need. Each completed level is published as an immutable
-// view (graph.go), and the suspended explorer waits for the next caller
-// that needs more. Invariant and NeverFires scan the published levels
-// with a cursor and ask for another level only while the prefix holds
-// no violation: ids are assigned in level order, so the first violation
-// in a prefix is the first in the whole graph. A verified verdict and a
-// truncation need the whole graph, and so does a Response check on an
-// explored graph. A Response check on a derived graph that is still
-// partial builds nothing (unless the derivation's bound exceeds the
-// state budget): it walks the derivation, the complete base graph's
-// rows mapped onto the target's states, which is the graph the build
-// would produce, met in the order its ids would be assigned. A
-// derivation starts from the most recent complete graph the system
-// extends; only when none qualifies is a cached graph that passes the
-// structural checks completed first. One caller extends a graph at a
-// time; the others read the views already published.
+// No graph is built further than a check reads it. A cached graph grows
+// lazily, one BFS level at a time. Each completed level is published as
+// an immutable view (graph.go), and the suspended explorer waits for the
+// next caller that needs more. Invariant and NeverFires scan the
+// published levels with a cursor and ask for another level only while
+// the prefix holds no violation: ids are assigned in level order, so
+// the first violation in a prefix is the first in the whole graph. A
+// Response search asks for levels as it reads rows the graph does not
+// have yet, the product BFS and the pending-region DFS alike. A derived
+// graph grows its base the same way, as far as the level it derives
+// reads (derive.go). Only a verified verdict reads a whole graph, and a
+// truncation needs the budget reached. A derivation starts from the
+// most recent complete graph the system extends, else from the oldest
+// partial one. One caller extends a graph at a time, and a derived
+// graph's extender takes its base's lock after its own, so locks are
+// taken in one order along a derivation chain; the others read the
+// views already published.
 package mc
 
 import (
@@ -117,7 +117,9 @@ func (b *graphBuild) wait(ctx context.Context) error {
 // it reads, and the levels it builds itself when it needs more. The
 // builder's levels belong to the build's "mc.explore" span; any later
 // caller's are one "mc.extend" span under that caller, which records
-// the levels and states it added.
+// the levels and states it added. Whatever a level needs built first,
+// such as a derivation's base levels, nests under the span the level
+// belongs to.
 type graphReader struct {
 	b        *graphBuild
 	ctx      context.Context
@@ -125,6 +127,7 @@ type graphReader struct {
 	building bool
 
 	span      *obs.Span
+	spanCtx   context.Context // carries span
 	levels    int
 	states    int
 	edgeBytes int64
@@ -144,14 +147,16 @@ func (r *graphReader) more() error {
 		return b.fail
 	}
 	ex := b.ex
+	ctx := ex.spanCtx
 	if !r.building {
 		if r.span == nil {
-			_, r.span = obs.Start(r.ctx, "mc.extend", obs.A("system", ex.g.System))
+			r.spanCtx, r.span = obs.Start(r.ctx, "mc.extend", obs.A("system", ex.g.System), obs.A("build", strconv.Itoa(b.seq)))
 		}
-		ex.bind(r.ctx)
+		ctx = r.spanCtx
+		ex.bind(ctx)
 	}
 	states, edgeBytes := ex.g.NumStates(), ex.g.edgeBytes()
-	if err := ex.advance(r.ctx); err != nil {
+	if err := ex.advance(ctx); err != nil {
 		if !resilience.Cancelled(err) {
 			b.fail = err
 		}
@@ -185,20 +190,20 @@ func (r *graphReader) end(err error) {
 	reg.Counter("mc.states_explored").Add(int64(r.states))
 	reg.Counter("mc.edge_bytes").Add(r.edgeBytes)
 	r.span.SetAttr("levels", strconv.Itoa(r.levels))
+	r.span.SetAttr("depth", strconv.Itoa(r.g.levels))
 	r.span.SetAttr("states", strconv.Itoa(r.states))
 	r.span.SetAttr("complete", strconv.FormatBool(r.g.complete))
 	r.span.EndErr(err)
+	r.span, r.spanCtx = nil, nil
 }
 
-// release ends r's part in growing the graph, for a check that reads
-// what it has and builds no more: its "mc.extend" span ends, and so
-// does the builder phase of a build r started, which releases the
-// callers waiting on it. A check that goes on reading after release
-// reads only what is immutable: the published view it holds, and a
-// derivation's complete base.
+// release ends r's part in growing the graph as its builder or as an
+// extender: its "mc.extend" span ends, and so does the builder phase of
+// a build r started, which releases the callers waiting on it. A check
+// that grows the graph after release, as a response search does, does
+// so as one more extender.
 func (r *graphReader) release(e *Engine) {
 	r.end(nil)
-	r.span = nil
 	if r.building {
 		e.endBuild(r.b, nil)
 		r.building = false
@@ -348,42 +353,38 @@ func (e *Engine) basesLocked() []*graphBuild {
 }
 
 // deriveOrBuild compiles sys's rules once and starts deriving its graph
-// from the most recent complete base it extends (derive.go). Only when
-// no complete base qualifies does it complete one that passes the
-// structural check, under an "mc.extend" span of this caller, so a
-// derivation is always sized from a finished base; with no base at all
-// it starts exploring. A derived graph's ids depend on the target
-// alone, so the base chosen changes nothing but the work.
+// from the most recent complete base it extends (derive.go), else from
+// the oldest partial one, the root of its refinement chain, whose rows
+// the other graphs of the chain read too; the derivation grows that
+// base as it needs. With no base it starts exploring. A derived graph's
+// ids depend on the target alone, so the base chosen changes nothing
+// but the work.
 func deriveOrBuild(ctx context.Context, sys *ts.System, opts Options, bases []*graphBuild) (*levelExplorer, error) {
 	rules, err := sys.CompileRules()
 	if err != nil {
 		return nil, err
 	}
 	vars, init := sys.Vars(), sys.InitialState()
-	for _, base := range bases {
+	plan := func(base *graphBuild, complete bool) *derivation {
 		g := base.view()
-		if !g.complete {
-			continue
+		if g.complete != complete {
+			return nil
 		}
-		if kept, ok := extendsBase(g, rules, vars, init); ok {
-			if d, ok := planFrom(g, kept, rules, vars, init); ok {
-				return startDerive(ctx, sys, rules, d, opts)
-			}
+		kept, ok := extendsBase(g, rules, vars, init)
+		if !ok {
+			return nil
 		}
+		d, _ := planFrom(g, kept, rules, vars, init)
+		return d
 	}
 	for _, base := range bases {
-		r := &graphReader{b: base, ctx: ctx, g: base.view()}
-		kept, ok := extendsBase(r.g, rules, vars, init)
-		if !ok {
-			continue
+		if d := plan(base, true); d != nil {
+			return startDerive(ctx, sys, rules, d, base, opts)
 		}
-		err := r.complete()
-		r.end(err)
-		if err != nil {
-			return nil, err
-		}
-		if d, ok := planFrom(r.g, kept, rules, vars, init); ok {
-			return startDerive(ctx, sys, rules, d, opts)
+	}
+	for i := len(bases) - 1; i >= 0; i-- {
+		if d := plan(bases[i], false); d != nil {
+			return startDerive(ctx, sys, rules, d, bases[i], opts)
 		}
 	}
 	return startBuild(ctx, sys, rules, opts)
@@ -607,16 +608,13 @@ func (r *graphReader) checkNeverFires(sys *ts.System, p NeverFires) (Result, err
 // responseScratch is one response check's working memory. The engine
 // keeps a free list of them (Engine.takeScratch), so a check reuses what
 // earlier checks grew: nothing in it is allocated or filled per product
-// node. state holds one byte per slot of the derivation searched; the
-// rest grows with what the search discovers.
+// node. state holds one byte per state of the graph searched; the rest
+// grows with what the search discovers.
 type responseScratch struct {
-	trigger, goal []bool // per target rule index
-	// moves is the derivation's rule table, resolved for the property.
-	moves []int32
-	// state holds the st* bits of each slot.
+	// rule holds the property's trigger and goal bits per rule.
+	rule []uint8
+	// state holds the st* bits of each state.
 	state []uint8
-	// target is a target state assembled for the GoalState condition.
-	target ts.State
 	// order holds the product nodes the BFS has discovered, in BFS order;
 	// from[i] is the index in order of order[i]'s BFS parent, -1 for the
 	// start.
@@ -624,25 +622,21 @@ type responseScratch struct {
 	stack       []responseFrame
 }
 
-// A move packs where one base rule leads from one extra rank, for the
-// property under check, into the one word the search reads per edge: -1
-// when the target has no such edge, else the extra rank it leads to,
-// shifted past the flags saying whether the target rule is the
-// property's trigger or goal.
+// The bits of responseScratch.rule: whether the rule is the property's
+// trigger or goal.
 const (
-	moveTrigger = 1 << 0
-	moveGoal    = 1 << 1
-	moveBits    = 2
+	ruleTrigger = 1 << 0
+	ruleGoal    = 1 << 1
 )
 
 // responseFrame is one pending node on the lasso search's DFS stack and
-// the index of the next edge of its base row to follow.
+// the index of the next edge of its row to follow.
 type responseFrame struct {
 	node int32
 	next int32
 }
 
-// The bits of responseScratch.state. Product node 2*slot + pending has
+// The bits of responseScratch.state. Product node 2*id + pending has
 // the seen bit of its pending value, stSeen<<pending. Only pending nodes
 // are ever on the DFS stack, so their colour needs no idle twin.
 const (
@@ -673,109 +667,124 @@ func (e *Engine) putScratch(sc *responseScratch) {
 	e.mu.Unlock()
 }
 
-// checkResponse answers p on r's graph. A derived graph that is still
-// partial is searched over its derivation, the complete base graph's
-// rows mapped onto slots: the graph it would build, met in the order
-// its ids would be assigned, so it is not built. A derivation whose
-// bound exceeds the budget could hold more states than the budget,
-// which only the build tells, so that graph is completed like any
-// other, and a complete graph is searched as its own derivation. Once
-// the graph grows no further, r lets go of it, so the build's span ends
-// before the search's own "mc.response" span starts.
+// checkResponse answers p on r's graph, explored or derived, grown as
+// the search needs rows, under the search's "mc.response" span. Before
+// the search starts, r lets go of its part in building the graph, so
+// the build's span ends first.
 func (r *graphReader) checkResponse(e *Engine, sys *ts.System, p Response) (Result, error) {
 	reg := obs.FromContext(r.ctx).Metrics()
-	d := r.g.derive
-	if d != nil && int64(d.extra)*int64(d.base.NumStates()) > int64(r.g.MaxStates) {
-		d = nil
-	}
-	if d != nil {
-		reg.Counter("mc.responses_derived").Inc()
-	} else {
-		if err := r.complete(); err != nil {
-			return Result{Property: p.PropName, Kind: "response"}, err
-		}
-		d = r.g.self()
-	}
 	r.release(e)
-	_, span := obs.Start(r.ctx, "mc.response", obs.A("property", p.PropName))
+	ctx, span := obs.Start(r.ctx, "mc.response", obs.A("property", p.PropName))
+	r.ctx = ctx
 	start := time.Now()
 	sc := e.takeScratch()
-	s := &responseSearch{d: d, rules: r.g.Rules, max: r.g.MaxStates, responseScratch: sc}
-	res := s.check(sys, p)
+	s := &responseSearch{src: r, g: r.g, max: r.g.MaxStates, responseScratch: sc}
+	res, err := s.check(sys, p)
+	r.end(err)
 	e.putScratch(sc) // s is another check's from here on
 	reg.Histogram("mc.response_ms", nil).Observe(obs.DurMS(time.Since(start)))
-	// StatesExplored is the nodes the search discovered, which both
-	// counters sum.
+	// StatesExplored is the nodes the search discovered.
 	nodes := res.StatesExplored
 	reg.Counter("mc.response_nodes").Add(int64(nodes))
-	reg.Counter("mc.response_search_nodes").Add(int64(nodes))
 	if span != nil { // a run without an observer formats no attributes
 		span.SetAttr("build", strconv.Itoa(r.b.seq))
 		span.SetAttr("nodes", strconv.Itoa(nodes))
 		span.SetAttr("truncated", strconv.FormatBool(res.Truncated))
 	}
-	span.End()
-	return res, nil
+	span.EndErr(err)
+	return res, err
 }
 
-// responseSearch is the pending-bit product of a derivation with one
-// response property, searched lazily. Product node = 2*slot + pending;
-// successors are computed from the base graph's CSR rows on demand,
-// through the derivation's rule table resolved for the property
-// (moves), instead of being stored. A complete graph is searched as its
-// own derivation: slot = state id.
+// responseSearch is the pending-bit product of a graph with one
+// response property, searched lazily. Product node = 2*id + pending;
+// successors are computed from the graph's CSR rows on demand, through
+// the property's rule bits, instead of being stored. The graph may be
+// partial: the search grows it through src when it needs a row the
+// graph does not have yet, and the state bits and goal marks grow with
+// it.
 type responseSearch struct {
-	d     *derivation
-	rules []ts.CompiledRule // the target's rules, for trace names
-	max   int               // the state budget, in product nodes
+	src *graphReader
+	g   *StateGraph // src's view, as far as the search has grown it
+	max int         // the state budget, in product nodes
+	// goalState is the property's GoalState, compiled; nil without one.
+	goalState func(ts.State) bool
 	*responseScratch
 	head int // the index in order the BFS expands next
+	// rows is the number of rows g has, and marked the number of its
+	// states the state bits cover, goal bits set.
+	rows, marked int32
+	// err is why growing the graph failed.
+	err error
 }
 
-// succ maps one base edge, leaving product node n of extra rank x, to
-// the successor node, or -1 when the target has no such edge: the
+// row returns state id's row, first growing the graph when the row is
+// not there yet. False when the budget truncated the graph without that
+// row, or growing it failed (s.err).
+func (s *responseSearch) row(id int32) ([]graphEdge, bool) {
+	for id >= s.rows {
+		if s.g.complete {
+			return nil, false
+		}
+		if s.err = s.src.more(); s.err != nil {
+			return nil, false
+		}
+		s.g = s.src.g
+		s.sync()
+	}
+	return s.g.row(id), true
+}
+
+// sync sizes the state bits for the states g holds, and marks the goal
+// states among those it did not hold before.
+func (s *responseSearch) sync() {
+	g := s.g
+	s.rows = int32(g.expanded())
+	n := g.NumStates()
+	if old := len(s.state); n > old {
+		s.state = slices.Grow(s.state, n-old)[:n]
+		clear(s.state[old:])
+	}
+	if s.goalState != nil {
+		g.forEachState(int(s.marked), func(id int32, st ts.State) bool {
+			if s.goalState(st) {
+				s.state[id] |= stGoal
+			}
+			return true
+		})
+	}
+	s.marked = int32(n)
+}
+
+// succ maps edge ed, leaving product node n, to the successor node: the
 // trigger sets the pending bit, then the goal rule and a goal state
 // clear it.
-func (s *responseSearch) succ(n int32, ed graphEdge, x int32) int32 {
-	shift := s.d.shift & 31
-	m := s.moves[ed.rule<<shift|x]
-	if m < 0 {
-		return -1
-	}
-	to := ed.to<<shift | m>>moveBits
-	pending := n&1 == 1 || m&moveTrigger != 0
-	if m&moveGoal != 0 || s.state[to]&stGoal != 0 {
+func (s *responseSearch) succ(n int32, ed graphEdge) int32 {
+	r := s.rule[ed.rule]
+	pending := n&1 == 1 || r&ruleTrigger != 0
+	if r&ruleGoal != 0 || s.state[ed.to]&stGoal != 0 {
 		pending = false
 	}
 	if pending {
-		return 2*to + 1
+		return 2*ed.to + 1
 	}
-	return 2 * to
-}
-
-// ruleOf is the target rule of base edge ed leaving extra rank x.
-func (s *responseSearch) ruleOf(ed graphEdge, x int32) int32 {
-	if s.d.trans == nil {
-		return ed.rule
-	}
-	return s.d.trans[ed.rule<<s.d.shift|x].rule
+	return 2 * ed.to
 }
 
 // expand takes the next node off the BFS queue and discovers its
-// successors in edge order; false once the BFS has drained, or once it
+// successors in edge order; false once the BFS has drained, once it
 // has discovered more nodes than the budget, where the sequential BFS
-// stops too.
+// stops too, or when the node's row is not to be had.
 func (s *responseSearch) expand() bool {
 	if s.head == len(s.order) || len(s.order) > s.max {
 		return false
 	}
 	n := s.order[s.head]
-	row, x := s.d.row(n >> 1)
+	row, ok := s.row(n >> 1)
+	if !ok {
+		return false
+	}
 	for _, ed := range row {
-		next := s.succ(n, ed, x)
-		if next < 0 {
-			continue
-		}
+		next := s.succ(n, ed)
 		seen := uint8(stSeen) << (next & 1)
 		if s.state[next>>1]&seen != 0 {
 			continue
@@ -790,8 +799,7 @@ func (s *responseSearch) expand() bool {
 
 // index returns n's position in the BFS order, first running the BFS
 // until it discovers n: every node the lasso search meets is reachable,
-// so it does unless the budget stops the BFS first, and then index
-// returns -1.
+// so it does unless the BFS stops first, and then index returns -1.
 func (s *responseSearch) index(n int32) int32 {
 	for s.state[n>>1]&(stSeen<<(n&1)) == 0 {
 		if !s.expand() {
@@ -812,8 +820,8 @@ func (s *responseSearch) depth(i int32) int {
 
 // pathTo reconstructs the rule path of the BFS tree from the start to
 // n. The rule into each node is the first edge of its parent's row that
-// leads to it, the edge the BFS discovered it by. False when the budget
-// stops the BFS before it discovers n.
+// leads to it, the edge the BFS discovered it by. False when the BFS
+// stops before it discovers n.
 func (s *responseSearch) pathTo(n int32) ([]string, bool) {
 	i := s.index(n)
 	if i < 0 {
@@ -822,10 +830,10 @@ func (s *responseSearch) pathTo(n int32) ([]string, bool) {
 	out := make([]string, s.depth(i))
 	for k := len(out) - 1; k >= 0; k-- {
 		parent := s.order[s.from[i]]
-		row, x := s.d.row(parent >> 1)
+		row, _ := s.row(parent >> 1) // the BFS expanded it
 		for _, ed := range row {
-			if s.succ(parent, ed, x) == s.order[i] {
-				out[k] = s.rules[s.ruleOf(ed, x)].Name
+			if s.succ(parent, ed) == s.order[i] {
+				out[k] = s.g.Rules[ed.rule].Name
 				break
 			}
 		}
@@ -834,116 +842,74 @@ func (s *responseSearch) pathTo(n int32) ([]string, bool) {
 	return out, true
 }
 
-// deadlocked reports whether the target has no edge out of the slot
-// with base row row and extra rank x.
-func (s *responseSearch) deadlocked(row []graphEdge, x int32) bool {
-	for _, ed := range row {
-		if s.moves[ed.rule<<s.d.shift|x] >= 0 {
+// setUp sets the rule bits for p, compiles its GoalState, and sizes the
+// state bits and marks the goal states for the graph as it stands.
+// False when the GoalState does not compile.
+func (s *responseSearch) setUp(sys *ts.System, p Response) bool {
+	rules := s.g.Rules
+	s.rule = resize(s.rule, len(rules))
+	for j := range rules {
+		if p.Trigger(rules[j].Name) {
+			s.rule[j] |= ruleTrigger
+		}
+		if p.Goal != nil && p.Goal(rules[j].Name) {
+			s.rule[j] |= ruleGoal
+		}
+	}
+	if p.GoalState != nil {
+		f, err := sys.CompileCond(p.GoalState)
+		if err != nil {
 			return false
 		}
+		s.goalState = f
 	}
+	s.state = s.state[:0]
+	s.sync()
 	return true
 }
 
-// setUp resolves the derivation's rule table for p into moves, sizes
-// the slot bits and marks the goal states. False when p's GoalState
-// does not compile.
-func (s *responseSearch) setUp(sys *ts.System, p Response) bool {
-	d := s.d
-	s.trigger, s.goal = resize(s.trigger, len(s.rules)), resize(s.goal, len(s.rules))
-	for j := range s.rules {
-		s.trigger[j] = p.Trigger(s.rules[j].Name)
-		s.goal[j] = p.Goal != nil && p.Goal(s.rules[j].Name)
-	}
-	s.moves = resize(s.moves, len(d.base.Rules)<<d.shift)
-	for i := range s.moves {
-		t := graphEdge{rule: int32(i)} // the identity's
-		if d.trans != nil {
-			t = d.trans[i]
-		}
-		m := int32(-1)
-		if t.rule >= 0 {
-			m = t.to << moveBits
-			if s.trigger[t.rule] {
-				m |= moveTrigger
-			}
-			if s.goal[t.rule] {
-				m |= moveGoal
-			}
-		}
-		s.moves[i] = m
-	}
-	st := resize(s.state, d.slots())
-	s.state = st
-	if p.GoalState == nil {
-		return true
-	}
-	f, err := sys.CompileCond(p.GoalState)
-	if err != nil {
-		return false
-	}
-	d.base.forEachState(0, func(id int32, b ts.State) bool {
-		for x := range d.extra {
-			s.target = append(append(s.target[:0], b...), d.values[x*d.width:][:d.width]...)
-			if f(s.target) {
-				st[id<<d.shift|x] = stGoal
-			}
-		}
-		return true
-	})
-	return true
-}
-
-// check runs the pending-product lasso search over the derivation
-// without materialising the product: the product BFS advances only as
-// far as the pending-region DFS needs it, for its next root in BFS order
-// or for the BFS path to a counterexample node. Both compute successors
-// through succ, so no guard is re-evaluated, no state is re-hashed and
-// no edge is stored, and the working memory is the scratch, reused from
-// check to check: one byte per slot plus the nodes the search
-// discovers. Slots are met in the order the target's ids would be
-// assigned, and node order, edge order and therefore StatesExplored
-// (the nodes the BFS discovered, the whole product for a verified
-// property) and every trace are those of the sequential implementation.
-// The check is truncated when the search has discovered more nodes than
-// the budget by the time it concludes, or when its graph is.
-func (s *responseSearch) check(sys *ts.System, p Response) Result {
+// check runs the pending-product lasso search over the graph without
+// materialising the product: the product BFS advances only as far as
+// the pending-region DFS needs it, for its next root in BFS order or for
+// the BFS path to a counterexample node. Both compute successors through
+// succ, so no guard is re-evaluated, no state is re-hashed and no edge
+// is stored, and the working memory is the scratch, reused from check
+// to check: one byte per state plus the nodes the search discovers.
+// Node order, edge order and therefore StatesExplored (the nodes the
+// BFS discovered, the whole product for a verified property) and every
+// trace are those of the sequential implementation. The check is
+// truncated when the search has discovered more nodes than the budget
+// by the time it concludes, or when it needs a row that the
+// budget-truncated graph does not have. An error is a failure to grow
+// the graph.
+func (s *responseSearch) check(sys *ts.System, p Response) (Result, error) {
 	res := Result{Property: p.PropName, Kind: "response"}
 	if !s.setUp(sys, p) {
-		return res
+		return res, nil
 	}
-	init := 2 * s.d.initSlot
-	s.state[init>>1] |= stSeen
-	s.order, s.from = append(s.order[:0], init), append(s.from[:0], -1)
+	s.state[0] |= stSeen
+	s.order, s.from = append(s.order[:0], 0), append(s.from[:0], -1)
 
-	var trace *Trace
-	concluded := false
-	if s.d.base.Truncated {
-		// A truncated graph has no rows past its frontier. Its product
-		// BFS stops at the budget within the rows it has all the same (a
-		// product node is at least as deep as its state).
-		for s.expand() {
-		}
-	} else {
-		trace, concluded = s.search(sys)
+	trace, concluded := s.search(sys)
+	if s.err != nil {
+		return res, s.err
 	}
 	res.StatesExplored = len(s.order)
 	if !concluded || len(s.order) > s.max {
 		res.Truncated = true
-		return res
+		return res, nil
 	}
 	res.Counterexample = trace
 	res.Verified = trace == nil
-	return res
+	return res, nil
 }
 
 // search looks for a pending cycle or deadlock, from each pending root
 // in BFS order, visiting each row in edge order; the stack holds each
 // pending node at most once. It returns the counterexample (nil when
-// the property holds), and false when the budget stopped the BFS before
-// the search concluded.
+// the property holds), and false when the search stopped before it
+// concluded: the budget stopped the BFS, or a row was not to be had.
 func (s *responseSearch) search(sys *ts.System) (*Trace, bool) {
-	st := s.state
 	for ri := 0; ; ri++ {
 		for ri == len(s.order) && s.expand() {
 		}
@@ -951,15 +917,18 @@ func (s *responseSearch) search(sys *ts.System) (*Trace, bool) {
 			return nil, s.head == len(s.order)
 		}
 		root := s.order[ri]
-		if root&1 == 0 || st[root>>1]&(stOnStack|stDone) != 0 {
+		if root&1 == 0 || s.state[root>>1]&(stOnStack|stDone) != 0 {
 			continue
 		}
 		s.stack = append(s.stack[:0], responseFrame{node: root})
-		st[root>>1] |= stOnStack
+		s.state[root>>1] |= stOnStack
 		for len(s.stack) > 0 {
 			f := &s.stack[len(s.stack)-1]
-			row, x := s.d.row(f.node >> 1)
-			if f.next == 0 && s.deadlocked(row, x) {
+			row, ok := s.row(f.node >> 1)
+			if !ok {
+				return nil, false
+			}
+			if len(row) == 0 {
 				path, ok := s.pathTo(f.node)
 				if !ok {
 					return nil, false
@@ -970,11 +939,11 @@ func (s *responseSearch) search(sys *ts.System) (*Trace, bool) {
 			for int(f.next) < len(row) {
 				ed := row[f.next]
 				f.next++
-				next := s.succ(f.node, ed, x)
-				if next < 0 || next&1 == 0 {
-					continue // no edge, or leaving the pending region discharges along it
+				next := s.succ(f.node, ed)
+				if next&1 == 0 {
+					continue // leaving the pending region discharges along this edge
 				}
-				switch b := st[next>>1]; {
+				switch b := s.state[next>>1]; {
 				case b&stOnStack != 0:
 					path, ok := s.pathTo(f.node)
 					if !ok {
@@ -985,10 +954,10 @@ func (s *responseSearch) search(sys *ts.System) (*Trace, bool) {
 						return nil, false
 					}
 					loopEntry := min(s.depth(entry), len(path))
-					full := append(path, s.rules[s.ruleOf(ed, x)].Name)
+					full := append(path, s.g.Rules[ed.rule].Name)
 					return buildTrace(sys, full, loopEntry), true
 				case b&stDone == 0:
-					st[next>>1] |= stOnStack
+					s.state[next>>1] |= stOnStack
 					s.stack = append(s.stack, responseFrame{node: next})
 					advanced = true
 				}
@@ -997,7 +966,7 @@ func (s *responseSearch) search(sys *ts.System) (*Trace, bool) {
 				}
 			}
 			if !advanced {
-				st[f.node>>1] = st[f.node>>1]&^stOnStack | stDone
+				s.state[f.node>>1] = s.state[f.node>>1]&^stOnStack | stDone
 				s.stack = s.stack[:len(s.stack)-1]
 			}
 		}

@@ -328,7 +328,8 @@ func TestConcurrentClonesShareOneBuild(t *testing.T) {
 // hash index and for a derived build, whose visited set is its slot
 // table: mc.visited_states is the state count, and
 // mc.peak_resident_state_bytes is the arena plus the whole visited set
-// (the dense table counted at its full size).
+// (the dense table counted at its full size, the slot table at the
+// pages its slots fall in).
 func TestExploreGaugesTrackVisitedSet(t *testing.T) {
 	for _, wide := range []bool{false, true} {
 		sys := randomSystem(t, 6, 4, 60)
@@ -387,8 +388,20 @@ func TestExploreGaugesTrackVisitedSet(t *testing.T) {
 	if got := reg.Gauge("mc.visited_states").Value(); got != int64(g.NumStates()) {
 		t.Errorf("derived: mc.visited_states = %d, want the %d states built", got, g.NumStates())
 	}
-	if visited, want := reg.Gauge("mc.peak_resident_state_bytes").Value()-g.arena.memBytes(), 4*2*int64(base.NumStates()); visited != want {
-		t.Errorf("derived: peak bytes count %d for the visited set, want the %d-byte slot table", visited, want)
+	// The slot table holds a page for every page of slots the target's
+	// states fall in: slot = base id<<1 | seen.
+	baseIDs := make(map[string]int32)
+	base.forEachState(0, func(id int32, s ts.State) bool {
+		baseIDs[string(s)] = id
+		return true
+	})
+	pages := make(map[int32]bool)
+	g.forEachState(0, func(_ int32, s ts.State) bool {
+		pages[(baseIDs[string(s[:len(s)-1])]<<1|int32(s[len(s)-1]))>>pageBits] = true
+		return true
+	})
+	if visited, want := reg.Gauge("mc.peak_resident_state_bytes").Value()-g.arena.memBytes(), int64(len(pages))*pageLen*4; visited != want {
+		t.Errorf("derived: peak bytes count %d for the visited set, want the %d-byte slot table pages", visited, want)
 	}
 	if derived := reg.Counter("mc.explorations_derived").Value(); derived != 1 {
 		t.Errorf("derived: mc.explorations_derived = %d, want 1", derived)

@@ -27,7 +27,8 @@
 // also where snapshots are checkpointed. A graph derived from a cached
 // base graph (derive.go) runs the same level loop and boundary
 // bookkeeping, with one serial pass over the base rows in place of the
-// two phases.
+// two phases; when its base cannot supply a level, it fills a visited
+// set from the states it has and goes on exploring.
 //
 // The explorer builds one level per advance call, so the engine can
 // suspend a build between levels for as long as no check needs more of
@@ -88,12 +89,15 @@ type levelExplorer struct {
 	// domains holds each variable's domain size.
 	domains []int
 
-	// When the graph derives from a base graph instead (g.derive is set),
-	// slotOf is its visited set, holding id+1 per slot and 0 for a slot
-	// not yet met, and slots maps ids back to slots (see derive.go).
-	slotOf  []int32
-	slots   []int32
-	scratch []byte
+	// When the graph derives from a base graph instead, d is the
+	// derivation, whose base view the explorer advances as it grows
+	// baseBuild; slotOf is the visited set, and slots maps ids back to
+	// slots (see derive.go).
+	d         *derivation
+	baseBuild *graphBuild
+	slotOf    slotTable
+	slots     int32Pages
+	scratch   []byte
 
 	// snapFP names and validates the build's snapshots; set only when
 	// it writes them (see snapshotFingerprint).
@@ -111,9 +115,12 @@ type levelExplorer struct {
 
 	// kind is the visited set, the span's index attribute: dense, hash
 	// or derived.
-	kind  string
-	span  *obs.Span // the build's "mc.explore" span
-	start time.Time
+	kind string
+	// span is the build's "mc.explore" span, and spanCtx the context of
+	// the caller that started the build, carrying it.
+	span    *obs.Span
+	spanCtx context.Context
+	start   time.Time
 	// partial is the mc.graphs_partial counter the build's span counted
 	// it on while it is incomplete; completion takes it back off.
 	partial *obs.Counter
@@ -142,7 +149,7 @@ func newLevelExplorer(ctx context.Context, sys *ts.System, rules *ts.RuleSet, op
 			System: sys.Name, Rules: rules.Rules, MaxStates: opts.maxStates(),
 			rules: rules, vars: slices.Clone(sys.Vars()), init: init,
 			arena: newStateArena(len(init)),
-			off:   []int32{0},
+			off:   pagesOf(0),
 		},
 		opts:  opts,
 		rules: rules,
@@ -151,7 +158,7 @@ func newLevelExplorer(ctx context.Context, sys *ts.System, rules *ts.RuleSet, op
 	}
 	// The span outlives this call: endExplore ends it, when the caller
 	// that started the build is done growing it.
-	_, e.span = obs.Start(ctx, "mc.explore", obs.A("system", sys.Name), obs.A("index", kind))
+	e.spanCtx, e.span = obs.Start(ctx, "mc.explore", obs.A("system", sys.Name), obs.A("index", kind))
 	e.bind(ctx)
 	e.explorations = e.reg.Counter("mc.explorations")
 	e.hashed = e.reg.Counter("mc.explorations_hashed")
@@ -289,8 +296,8 @@ func (e *levelExplorer) intern(s ts.State, k uint64, parent, rule int32) (int32,
 	if err != nil {
 		return -1, err
 	}
-	g.parentState = append(g.parentState, parent)
-	g.parentRule = append(g.parentRule, rule)
+	g.parentState.append(parent)
+	g.parentRule.append(rule)
 	if e.ranks != nil {
 		e.ranks.ids[pos] = id
 	} else {
@@ -302,8 +309,8 @@ func (e *levelExplorer) intern(s ts.State, k uint64, parent, rule int32) (int32,
 // visitedBytes is the visited set's resident footprint.
 func (e *levelExplorer) visitedBytes() int64 {
 	switch {
-	case e.g.derive != nil:
-		return int64(len(e.slotOf)) * 4
+	case e.d != nil:
+		return e.slotOf.memBytes()
 	case e.ranks != nil:
 		return e.ranks.memBytes()
 	}
@@ -330,10 +337,12 @@ func (e *levelExplorer) ensureIndex(extra int) {
 
 // advance explores or derives the next level of an incomplete build,
 // and marks the graph complete once a level interns no new state. Past
-// the budget it marks the graph truncated and complete instead. The
-// context is checked before the level starts, so a cancelled advance
-// leaves the build at its last completed level, free to go on later;
-// any other error leaves it unusable.
+// the budget it marks the graph truncated and complete instead. A
+// derivation first grows its base as far as the level needs, and turns
+// into an exploration when the base cannot supply it. The context is
+// checked before the level starts, so a cancelled advance leaves the
+// build at its last completed level, free to go on later; any other
+// error leaves it unusable.
 func (e *levelExplorer) advance(ctx context.Context) error {
 	g := e.g
 	if ctx.Err() != nil {
@@ -347,8 +356,17 @@ func (e *levelExplorer) advance(ctx context.Context) error {
 	}
 	e.width.Observe(float64(e.hi - e.lo))
 
+	if e.d != nil {
+		ok, err := e.growBase(ctx)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			e.explore()
+		}
+	}
 	var err error
-	if g.derive != nil {
+	if e.d != nil {
 		err = e.deriveLevel()
 	} else {
 		e.expandFrontier(e.opts.workers())
@@ -375,7 +393,7 @@ func (e *levelExplorer) markComplete() {
 	e.partial.Add(-1)
 	e.partial = nil
 	e.ranks, e.index, e.domains = nil, nil, nil
-	e.g.derive, e.slotOf, e.slots, e.scratch = nil, nil, nil, nil
+	e.dropDerivation()
 	e.chunks, e.counts = nil, nil
 }
 
@@ -470,7 +488,6 @@ func (e *levelExplorer) internLevel() error {
 		unresolved += e.chunks[i].unresolved
 	}
 	e.ensureIndex(unresolved)
-	g.off = slices.Grow(g.off, int(e.hi-e.lo))
 	stride := g.arena.stride
 	for ci := range e.chunks {
 		c := &e.chunks[ci]

@@ -8,4 +8,6 @@ var (
 	GuardReplay   = guardReplay
 	ExploreGraph  = explore
 	SameGraph     = sameGraph
+	// DeriveOneLevel reports what one derived level allocates.
+	DeriveOneLevel = deriveOneLevel
 )

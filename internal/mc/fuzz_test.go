@@ -21,11 +21,12 @@ import (
 // unused variables past denseRankLimit, so every mode below explores
 // with the hash index instead of the dense rank table.
 // Every exploration mode — one or four workers, resuming from the
-// snapshots of a truncated build, two goroutines checking the
-// properties of the system and of a refined clone in random orders
-// against one engine while lazily built graphs grow under them (the
-// clone's response properties first, over its derivation), and a
-// clone served the graph another clone built before refining itself —
+// snapshots of a build under a smaller budget, two goroutines checking
+// the properties of the system and of a refined clone against one
+// engine while lazily built graphs grow under them (first one
+// goroutine per system, so the clone derives its graph while the other
+// extends the partial base, then both in random orders), and a clone
+// served the graph another clone built before refining itself —
 // must agree with CheckSequential
 // on the verdict, the states explored, truncation and the
 // counterexample trace, for an invariant, a never-fires and three response properties (a goal rule, a goal state
@@ -145,10 +146,9 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		check("workers=1", ctx, Options{Workers: 1})
 		check("workers=4", ctx, Options{Workers: 4})
 
-		// Truncate a first build at about half the reachable states, then
-		// resume the full build from the snapshots it left behind. The
-		// first build checks a response property, which needs the whole
-		// (truncated) graph.
+		// Build a first graph under a budget of about half the reachable
+		// states, as far as a response property's search needs, then
+		// resume the full build from the snapshots it left behind.
 		g, err := explore(ctx, sys, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -175,13 +175,13 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		}
 		sameGraph(t, "partial resume", resumed, g)
 
-		// Lazy growth under concurrency: two goroutines check every
-		// property of sys and of a refined clone, each in its own random
-		// order, against one engine, so checks grow graphs, and complete
-		// a base to derive from, while others read them. An invariant
-		// check leaves sys's graph partial first; then both goroutines
-		// check the clone's response properties, before anything can
-		// complete its graph, and only then the rest.
+		// Lazy growth under concurrency: an invariant check leaves sys's
+		// graph partial. Then one goroutine checks sys's properties,
+		// extending that graph, while the other checks the refined
+		// clone's, deriving its graph from the partial one and growing it
+		// as the derivation and the response searches need; then both
+		// check every property of both systems, each in its own random
+		// order, against the same engine.
 		refined := sys.Clone()
 		refine(t, refined)
 		type job struct {
@@ -189,38 +189,34 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 			p    Property
 			want Result
 		}
-		var first, rest []job
+		var own, clone []job
 		for i, w := range sequential(refined) {
-			rest = append(rest, job{sys, props[i], want[i]})
-			if _, ok := props[i].(Response); ok {
-				first = append(first, job{refined, props[i], w})
-			} else {
-				rest = append(rest, job{refined, props[i], w})
-			}
+			own = append(own, job{sys, props[i], want[i]})
+			clone = append(clone, job{refined, props[i], w})
 		}
+		all := append(append([]job{}, own...), clone...)
 		shared := NewEngine()
 		co := obs.New()
 		cctx := obs.NewContext(ctx, co)
 		if _, err := shared.CheckContext(cctx, sys, props[0], Options{Workers: 2}); err != nil {
 			t.Fatalf("concurrent: %v", err)
 		}
-		for _, jobs := range [][]job{first, rest} {
-			orders := [2][]int{rng.Perm(len(jobs)), rng.Perm(len(jobs))}
+		for _, round := range [][2][]job{{own, clone}, {all, all}} {
 			var got [2][]Result
 			var errs [2][]error
 			var wg sync.WaitGroup
-			for w := range orders {
+			for w, jobs := range round {
 				got[w], errs[w] = make([]Result, len(jobs)), make([]error, len(jobs))
 				wg.Add(1)
-				go func(w int) {
+				go func(w int, jobs []job, order []int) {
 					defer wg.Done()
-					for _, j := range orders[w] {
+					for _, j := range order {
 						got[w][j], errs[w][j] = shared.CheckContext(cctx, jobs[j].sys, jobs[j].p, Options{Workers: 2})
 					}
-				}(w)
+				}(w, jobs, rng.Perm(len(jobs)))
 			}
 			wg.Wait()
-			for w := range orders {
+			for w, jobs := range round {
 				for j, jb := range jobs {
 					if errs[w][j] != nil {
 						t.Fatalf("concurrent %s: engine error: %v", jb.p.Name(), errs[w][j])
@@ -230,20 +226,19 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 			}
 		}
 		// Unless a residual guard rules derivation out, the clone's graph
-		// is derived, and every response check on it walked the
-		// derivation.
-		wantWalked := int64(2 * len(first))
+		// is derived.
+		wantDerived := int64(1)
 		if residualGuards(refined) {
-			wantWalked = 0
+			wantDerived = 0
 		}
-		if walked := co.Metrics().Counter("mc.responses_derived").Value(); walked != wantWalked {
-			t.Fatalf("concurrent: %d response checks walked a derivation, want %d", walked, wantWalked)
+		if derived := co.Metrics().Counter("mc.explorations_derived").Value(); derived != wantDerived {
+			t.Fatalf("concurrent: %d derived builds, want %d", derived, wantDerived)
 		}
 
-		// Product budget: with MaxStates in [N, 2N] the graph completes,
-		// so a budget error can only come from a response search that
-		// discovers more nodes than the budget before it concludes, and
-		// only when the sequential search does too.
+		// Product budget: with MaxStates in [N, 2N] the graph cannot be
+		// truncated, so a budget error can only come from a response
+		// search that discovers more nodes than the budget before it
+		// concludes, and only when the sequential search does too.
 		budget := Options{Workers: 4, MaxStates: g.NumStates() + rng.Intn(g.NumStates()+1)}
 		budgetEngine := NewEngine()
 		for _, p := range props {
@@ -278,7 +273,7 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		// guard is residual; derived graphs, complete and truncated,
 		// equal the explored ones.
 		residual := residualGuards(a)
-		wantDerived := int64(1)
+		wantDerived = 1
 		if residual {
 			wantDerived = 0
 		}

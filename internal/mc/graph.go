@@ -16,12 +16,18 @@
 // therefore never copies the edges it already holds, and a cached graph
 // holds no growth slack beyond the open segment's tail.
 //
-// A graph is built lazily, one BFS level at a time (engine.go). At each
-// level boundary the builder publishes a view: a copy of the graph's
-// headers, whose lengths cover the completed levels. Later levels only
-// append past those lengths, into storage that never moves, so a view
-// is an immutable prefix of the finished graph, readable while the
-// build goes on.
+// The per-state arrays (the row offsets and the parent tree) are stored
+// the same way, in fixed pages, so no build copies them as it grows.
+//
+// A graph is built lazily, one BFS level at a time (engine.go), only as
+// deep as its readers need. At each level boundary the builder
+// publishes a view: a copy of the graph's headers, whose lengths cover
+// the completed levels. Later levels only append past those lengths,
+// into storage that never moves, so a view is an immutable prefix of
+// the finished graph, readable while the build goes on. A view has rows
+// for its expanded prefix only; a reader that needs a row past it must
+// grow the graph first, and row refuses to answer rather than return an
+// empty row, which would read as a deadlock.
 package mc
 
 import (
@@ -70,15 +76,15 @@ type StateGraph struct {
 	// in rule order, end at off[id+1]. A row never crosses a segment: one
 	// that did not fit in the tail of the segment before it starts at its
 	// own segment's base instead of off[id] (row). Only expanded states
-	// have a row; len(off)-1 of them, always a prefix of the ids. rowAt
+	// have a row; off.len()-1 of them, always a prefix of the ids. rowAt
 	// is where the row being written starts (reserveRow).
-	off   []int32
+	off   int32Pages
 	segs  [][]graphEdge
 	rowAt int32
 	// parentState/parentRule form the BFS tree: the (state, rule) that
 	// first reached each state; -1 for the initial state.
-	parentState []int32
-	parentRule  []int32
+	parentState int32Pages
+	parentRule  int32Pages
 
 	// Truncated marks a build that hit the state budget; adjacency of
 	// unexpanded frontier states is missing then.
@@ -93,11 +99,6 @@ type StateGraph struct {
 	// the next frontier, without rows yet.
 	levels   int
 	complete bool
-	// derive is the derivation a derived graph is built from, kept while
-	// the graph is partial: a response check walks it instead of
-	// completing the graph (engine.go). Nil on an explored graph and on
-	// a complete one.
-	derive *derivation
 }
 
 // view returns an immutable copy of the graph's headers as of now.
@@ -113,25 +114,35 @@ func (g *StateGraph) view() *StateGraph {
 // NumStates reports how many states were interned.
 func (g *StateGraph) NumStates() int { return g.arena.len() }
 
-// expanded reports how many states have an adjacency row: all of them,
-// unless the build was truncated with a frontier left unexpanded.
-func (g *StateGraph) expanded() int { return len(g.off) - 1 }
+// expanded reports how many states have an adjacency row: a prefix of
+// the ids, all of them once the graph is complete, unless the budget
+// truncated it with a frontier left unexpanded.
+func (g *StateGraph) expanded() int { return g.off.len() - 1 }
 
-// row returns state id's outgoing edges in rule order; empty for a
-// state the build never expanded. The row's segment is the one holding
-// its last edge, and its start is clamped to that segment's base, which
-// skips the padding a row that did not fit left behind.
+// row returns state id's outgoing edges in rule order. The row's
+// segment is the one holding its last edge, and its start is clamped to
+// that segment's base, which skips the padding a row that did not fit
+// left behind. A state without a row has no answer here: an empty row
+// would read as a deadlock, so asking for one is a bug in the caller,
+// which must first grow the graph past id or learn that the budget
+// truncated it there.
 func (g *StateGraph) row(id int32) []graphEdge {
 	if int(id) >= g.expanded() {
-		return nil
+		g.noRow(id)
 	}
-	lo, hi := g.off[id], g.off[id+1]
+	lo, hi := g.off.at(id), g.off.at(id+1)
 	if lo == hi {
 		return nil
 	}
 	s := (hi - 1) >> edgeSegBits
 	base := s << edgeSegBits
 	return g.segs[s][max(lo, base)-base : hi-base : hi-base]
+}
+
+// noRow panics for row: the reader asked for a row the graph does not
+// have.
+func (g *StateGraph) noRow(id int32) {
+	panic(fmt.Sprintf("mc: row of state %d of %s, which has %d rows", id, g.System, g.expanded()))
 }
 
 // reserveRow makes room for the next state's row of at most n edges and
@@ -145,7 +156,7 @@ func (g *StateGraph) reserveRow(n int) ([]graphEdge, error) {
 	if n > edgeSegLen {
 		return nil, fmt.Errorf("mc: a state of %s has %d edges, more than a %d-edge segment", g.System, n, edgeSegLen)
 	}
-	at := int(g.off[len(g.off)-1])
+	at := int(g.off.last())
 	if at&(edgeSegLen-1)+n > edgeSegLen {
 		at = (at>>edgeSegBits + 1) << edgeSegBits
 	}
@@ -165,12 +176,56 @@ func (g *StateGraph) reserveRow(n int) ([]graphEdge, error) {
 // edges. An empty row ends where the previous one did, so a reservation
 // it did not use leaves no gap in off.
 func (g *StateGraph) closeRow(row []graphEdge) {
-	end := g.off[len(g.off)-1]
+	end := g.off.last()
 	if len(row) > 0 {
 		end = g.rowAt + int32(len(row))
 	}
-	g.off = append(g.off, end)
+	g.off.append(end)
 }
+
+// pageBits sizes the pages of a graph's per-state arrays: 1<<12
+// int32s, 16 KiB each, so a graph of a few states holds a few pages and
+// a large one allocates a page per 4,096 states.
+const (
+	pageBits = 12
+	pageLen  = 1 << pageBits
+)
+
+// int32Pages is an append-only int32 array stored like the edge
+// segments: in fixed pages allocated as the writer reaches them, never
+// moved or copied. Appending writes only past the length, so a copy of
+// the header is an immutable prefix, readable while the writer goes on.
+type int32Pages struct {
+	pages [][]int32
+	n     int
+}
+
+// pagesOf returns the array holding vals.
+func pagesOf(vals ...int32) int32Pages {
+	var p int32Pages
+	for _, v := range vals {
+		p.append(v)
+	}
+	return p
+}
+
+func (p *int32Pages) len() int { return p.n }
+
+func (p *int32Pages) at(i int32) int32 { return p.pages[i>>pageBits][i&(pageLen-1)] }
+
+// last returns the last element; the array must not be empty.
+func (p *int32Pages) last() int32 { return p.at(int32(p.n - 1)) }
+
+func (p *int32Pages) append(v int32) {
+	if p.n>>pageBits == len(p.pages) {
+		p.pages = append(p.pages, make([]int32, pageLen))
+	}
+	p.pages[p.n>>pageBits][p.n&(pageLen-1)] = v
+	p.n++
+}
+
+// memBytes is the array's resident footprint: every page allocated.
+func (p *int32Pages) memBytes() int64 { return int64(len(p.pages)) * pageLen * 4 }
 
 // edgeBytes is the adjacency's resident footprint: every edge segment
 // allocated so far.
@@ -189,8 +244,8 @@ func (g *StateGraph) forEachState(from int, f func(id int32, s ts.State) bool) {
 // pathTo reconstructs the rule-name path from the initial state to id.
 func (g *StateGraph) pathTo(id int32) []string {
 	var rev []string
-	for cur := id; g.parentState[cur] >= 0; cur = g.parentState[cur] {
-		rev = append(rev, g.Rules[g.parentRule[cur]].Name)
+	for cur := id; g.parentState.at(cur) >= 0; cur = g.parentState.at(cur) {
+		rev = append(rev, g.Rules[g.parentRule.at(cur)].Name)
 	}
 	out := make([]string, len(rev))
 	for i := range rev {
@@ -209,8 +264,8 @@ func (g *StateGraph) pathTo(id int32) []string {
 func (g *StateGraph) statesWhenProcessing(id, ri int32) int {
 	n := g.NumStates()
 	return 1 + sort.Search(n-1, func(i int) bool {
-		s := i + 1
-		ps, pr := g.parentState[s], g.parentRule[s]
+		s := int32(i + 1)
+		ps, pr := g.parentState.at(s), g.parentRule.at(s)
 		return ps > id || (ps == id && pr >= ri)
 	})
 }

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strconv"
 	"testing"
@@ -20,7 +21,7 @@ func samePrefix(t *testing.T, mode string, v, full *StateGraph) {
 	case n > full.NumStates() || x > full.expanded() || x > n:
 		t.Fatalf("%s: view of %d states (%d expanded) is no prefix of %d states (%d expanded)",
 			mode, n, x, full.NumStates(), full.expanded())
-	case !slices.Equal(v.parentState, full.parentState[:n]) || !slices.Equal(v.parentRule, full.parentRule[:n]):
+	case !slices.Equal(v.parentState.values(), full.parentState.values()[:n]) || !slices.Equal(v.parentRule.values(), full.parentRule.values()[:n]):
 		t.Fatalf("%s: parent tree of the %d-state view differs", mode, n)
 	}
 	for id := int32(0); int(id) < x; id++ {
@@ -134,11 +135,72 @@ func TestLazyGrowthMatchesBuildGraph(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e, err := startDerive(ctx, refined, rrules, d, opts)
+				e, err := startDerive(ctx, refined, rrules, d, nil, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				growByLevels(t, mode, e, full)
+			}
+
+			// A derivation grown in lockstep with its partial base: each
+			// round grows the base one level, then the derived graph one
+			// level, which grows the base further when the level needs it.
+			// The derived graph equals, row for row, the graph derived
+			// from the complete base, with and without a budget that
+			// truncates it. Under a base budget that truncates the base
+			// first, the derivation turns into an exploration, which
+			// assigns the same ids.
+			for _, tc := range []struct {
+				base, target Options
+				explores     bool
+			}{
+				{Options{Workers: 2}, Options{Workers: 2}, false},
+				{Options{Workers: 2}, Options{Workers: 2, MaxStates: whole.NumStates() / 2}, false},
+				{Options{Workers: 2, MaxStates: complete.NumStates() / 2}, Options{Workers: 2}, true},
+			} {
+				mode := fmt.Sprintf("derived in lockstep, base budget %d, budget %d", tc.base.maxStates(), tc.target.maxStates())
+				full, err := explore(ctx, refined, tc.target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eb, err := startBuild(ctx, sys, rules, tc.base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bb := lazyBuild(eb)
+				base := &graphReader{b: bb, ctx: ctx, g: bb.view()}
+				d, ok := planDerivation(base.g, rrules, refined.Vars(), refined.InitialState())
+				if !ok || d.base.complete {
+					t.Fatalf("%s: the refinement does not derive from its base's first level", mode)
+				}
+				e, err := startDerive(ctx, refined, rrules, d, bb, tc.target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var views []*StateGraph
+				for {
+					v := e.g.view()
+					samePrefix(t, mode, v, full)
+					views = append(views, v)
+					if v.complete {
+						break
+					}
+					if !base.g.complete {
+						if err := base.more(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := e.advance(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, v := range views {
+					samePrefix(t, mode+" after completion", v, full)
+				}
+				sameGraph(t, mode, views[len(views)-1], full)
+				if explored := e.kind != "derived"; explored != tc.explores {
+					t.Fatalf("%s: turned into an exploration = %v, want %v", mode, explored, tc.explores)
+				}
 			}
 
 			// A refinement of the refinement derives from the nearest
@@ -168,19 +230,19 @@ func TestLazyGrowthMatchesBuildGraph(t *testing.T) {
 			}
 			engine := NewEngine()
 			none := NeverFires{PropName: "none", Match: func(string) bool { return false }}
-			resp := Response{PropName: "resp", Trigger: func(string) bool { return true }}
+			first := NeverFires{PropName: "first", Match: func(string) bool { return true }}
 			o := obs.New()
 			octx := obs.NewContext(ctx, o)
 			for _, step := range []struct {
 				sys *ts.System
 				p   Property
-			}{{sys, none}, {refined, resp}, {chained, none}} {
+			}{{sys, none}, {refined, first}, {chained, none}} {
 				if _, err := engine.CheckContext(octx, step.sys, step.p, Options{Workers: 2}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if engine.cache[refined].build.view().complete {
-				t.Fatal("the response check completed the refinement's graph")
+				t.Fatal("a check violated in the initial state completed the refinement's graph")
 			}
 			derived := spansNamed(o, "mc.explore")[2]
 			if got, want := derived.Attrs["base_states"], strconv.Itoa(complete.NumStates()); got != want {
@@ -189,6 +251,15 @@ func TestLazyGrowthMatchesBuildGraph(t *testing.T) {
 			sameGraph(t, "derived from the nearest complete ancestor", engine.cache[chained].build.view(), want)
 		})
 	}
+}
+
+// lazyBuild wraps a build started outside an engine as a cached build
+// whose builder is done, so that readers and derivations grow it.
+func lazyBuild(ex *levelExplorer) *graphBuild {
+	b := &graphBuild{ex: ex, ready: make(chan struct{})}
+	close(b.ready)
+	b.published.Store(ex.g.view())
+	return b
 }
 
 // guardLead refines a system without rules r0..r2 the way the CEGAR
@@ -225,8 +296,10 @@ func spansNamed(o *obs.Observer, name string) []*obs.SpanNode {
 
 // TestEarlyExitBuildsOnlyWhatChecksNeed: an invariant violated deep in
 // a long chain builds the graph only down to the violation, and leaves
-// it partial; a response check on the same graph then completes it
-// under an mc.extend span of its own, without a new exploration, and
+// it partial; a response check on the same graph then completes it,
+// reading rows past the partial graph's levels as its search reaches
+// them (an empty row there would be a false deadlock), under an
+// mc.extend span in its mc.response span, without a new exploration, and
 // the run's totals count each state once.
 func TestEarlyExitBuildsOnlyWhatChecksNeed(t *testing.T) {
 	const k = 20
@@ -270,6 +343,9 @@ func TestEarlyExitBuildsOnlyWhatChecksNeed(t *testing.T) {
 	extends := spansNamed(o, "mc.extend")
 	if len(extends) != 1 {
 		t.Fatalf("%d mc.extend spans, want 1", len(extends))
+	}
+	if search := spansNamed(o, "mc.response"); len(search) != 1 || len(search[0].Children) != 1 || search[0].Children[0].Name != "mc.extend" {
+		t.Fatalf("the levels the response search read are not one mc.extend span under its mc.response span")
 	}
 	if a := extends[0].Attrs; a["complete"] != "true" || a["levels"] != strconv.Itoa(k*k-violation) || a["states"] != strconv.Itoa(k*k-violation-1) {
 		t.Fatalf("mc.extend attrs %v, want %d levels and %d states added to a complete graph", a, k*k-violation, k*k-violation-1)

@@ -370,9 +370,8 @@ func checkNeverFires(sys *ts.System, p NeverFires, opts Options) Result {
 // BFS path to a counterexample node. StatesExplored is the number of
 // nodes the BFS discovered, the whole product when the property holds.
 // The check is truncated when the search has discovered more nodes than
-// the budget by the time it concludes, and when the system has more
-// reachable states than the budget (its graph would be truncated), in
-// which case the BFS runs to the budget and no search is made.
+// the budget by the time it concludes, or when it needs the successors
+// of a state that the budget-truncated graph has no row for (levelBFS).
 func checkResponse(sys *ts.System, p Response, opts Options) Result {
 	res := Result{Property: p.PropName, Kind: "response"}
 
@@ -412,12 +411,17 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 	}
 	e := newExplorer(sys)
 	initSID, _ := e.intern(sys.InitialState(), -1, "")
+	graph := newLevelBFS(sys, rules, max)
 
 	// succ lists n's product successors in rule order, interning the
-	// states they reach.
-	succ := func(n node) []edge {
-		var out []edge
+	// states they reach; false when the budget-truncated graph has no
+	// row for n's state.
+	succ := func(n node) ([]edge, bool) {
 		st := e.states[n.sid]
+		if !graph.hasRow(st) {
+			return nil, false
+		}
+		var out []edge
 		for ri := range rules {
 			r := &rules[ri]
 			if !r.Enabled(st) {
@@ -437,7 +441,7 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 			sid, _ := e.intern(next, n.sid, r.Name)
 			out = append(out, edge{to: node{sid: sid, pending: pending}, rule: r.Name})
 		}
-		return out
+		return out, true
 	}
 
 	// The product BFS: order lists the nodes discovered, ids their
@@ -452,7 +456,11 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 		if head == len(order) || len(order) > max {
 			return false
 		}
-		for _, ed := range succ(order[head]) {
+		adj, ok := succ(order[head])
+		if !ok {
+			return false
+		}
+		for _, ed := range adj {
 			if _, ok := ids[ed.to]; ok {
 				continue
 			}
@@ -464,8 +472,8 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 		head++
 		return true
 	}
-	// index runs the BFS until it discovers n; -1 when the budget stops
-	// it first.
+	// index runs the BFS until it discovers n; -1 when the BFS stops
+	// first.
 	index := func(n node) int {
 		for {
 			if id, ok := ids[n]; ok {
@@ -480,11 +488,6 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 		res.Truncated = true
 		res.StatesExplored = len(order)
 		return res
-	}
-	if checkInvariant(sys, Invariant{PropName: p.PropName, Holds: ts.True{}}, opts).Truncated {
-		for expand() {
-		}
-		return truncated()
 	}
 
 	// Search the pending subgraph for a cycle or deadlock, from each
@@ -508,7 +511,11 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 		if !root.pending || colour[root] != 0 {
 			continue
 		}
-		stack := []frame{{n: root, adj: succ(root)}}
+		adj, ok := succ(root)
+		if !ok {
+			return truncated()
+		}
+		stack := []frame{{n: root, adj: adj}}
 		colour[root] = 1
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
@@ -548,8 +555,12 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 					res.Counterexample = buildTrace(sys, full, loopEntry)
 					return res
 				case 0:
+					adj, ok := succ(ed.to)
+					if !ok {
+						return truncated()
+					}
 					colour[ed.to] = 1
-					stack = append(stack, frame{n: ed.to, adj: succ(ed.to)})
+					stack = append(stack, frame{n: ed.to, adj: adj})
 					advanced = true
 				}
 				if advanced {
@@ -565,6 +576,55 @@ func checkResponse(sys *ts.System, p Response, opts Options) Result {
 	res.StatesExplored = len(order)
 	res.Verified = true
 	return res
+}
+
+// levelBFS is the budget-truncated state graph as the response check
+// sees it: a plain BFS over states, level by level, grown only as far
+// as the search asks. A state has a row, its successors, once its level
+// is expanded, and a level is expanded only while the states interned
+// so far are within the budget — where the level-synchronised explorer
+// stops and marks its graph truncated.
+type levelBFS struct {
+	rules    []ts.CompiledRule
+	depth    map[string]int
+	frontier []ts.State
+	level    int // the frontier's depth
+	max      int
+}
+
+func newLevelBFS(sys *ts.System, rules []ts.CompiledRule, max int) *levelBFS {
+	init := sys.InitialState()
+	return &levelBFS{rules: rules, depth: map[string]int{init.Key(): 0}, frontier: []ts.State{init}, max: max}
+}
+
+// hasRow reports whether the budget-truncated graph has a row for the
+// reachable state s, expanding levels until s's is.
+func (l *levelBFS) hasRow(s ts.State) bool {
+	key := s.Key()
+	for {
+		if d, ok := l.depth[key]; ok && d < l.level {
+			return true
+		}
+		if len(l.depth) > l.max || len(l.frontier) == 0 {
+			return false
+		}
+		var next []ts.State
+		for _, st := range l.frontier {
+			for ri := range l.rules {
+				r := &l.rules[ri]
+				if !r.Enabled(st) {
+					continue
+				}
+				to := r.Apply(st)
+				if _, ok := l.depth[to.Key()]; !ok {
+					l.depth[to.Key()] = l.level + 1
+					next = append(next, to)
+				}
+			}
+		}
+		l.frontier = next
+		l.level++
+	}
 }
 
 // nodePath reconstructs the rule path from the product start node to id.

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"prochecker/internal/core/props"
@@ -237,14 +238,17 @@ const prunedRule = "adv:drop:chan_ul:security_mode_complete@genuine"
 // TestResponseMatchesSequentialOnRefinements runs every catalogue
 // response property on the composed model and on three refinements,
 // whose graphs the engine derives from the composed model's: a guard
-// replay, a pruned adversary rule, and the two in a chain, which
-// derives from the composed model's complete graph while the guard
-// replay's is still partial. Each check on a refinement walks its
-// derivation and leaves the refined graph unbuilt, and must still
-// match the sequential oracle. StatesExplored is the number of product
-// nodes the lazy BFS discovered, so a search that expands more or less
-// of it than the oracle fails here, and the traces pin the lazy BFS's
-// parents, on graphs the verdict corpus does not cover.
+// replay, a pruned adversary rule, and the two in a chain. It runs them
+// twice, on fresh engines. First each refinement alone, after a check
+// that leaves the composed model's graph partial: the refinement
+// derives from that partial graph, and each search grows the refined
+// graph it reads, which grows the base as far as the derivation needs.
+// Then the composed model first, whose verified properties complete its
+// graph, and the refinements after it, derived from the complete graph.
+// Both must match the sequential oracle. StatesExplored is the number
+// of product nodes the lazy BFS discovered, so a search that expands
+// more or less of it than the oracle fails here, and the traces pin the
+// lazy BFS's parents, on graphs the verdict corpus does not cover.
 func TestResponseMatchesSequentialOnRefinements(t *testing.T) {
 	base := composedSystem(t)
 	refinements := []*ts.System{
@@ -252,62 +256,101 @@ func TestResponseMatchesSequentialOnRefinements(t *testing.T) {
 		pruneRule(t, base.Clone(), prunedRule),
 		pruneRule(t, mc.GuardReplay(t, base.Clone(), "service_accept"), prunedRule),
 	}
-	o := obs.New()
-	ctx := obs.NewContext(context.Background(), o)
-	engine := mc.NewEngine()
 	opts := mc.Options{Workers: 2}
 	resps := catalogueResponses(t)
+	want := map[*ts.System][]mc.Result{}
 	for _, sys := range append([]*ts.System{base}, refinements...) {
 		for _, p := range resps {
-			got, err := engine.CheckContext(ctx, sys, p, opts)
-			if err != nil {
-				t.Fatalf("%s on %s: engine error: %v", p.Name(), sys.Name, err)
-			}
-			assertSameResult(t, p.Name(), got, mc.CheckSequential(sys, p, opts))
-		}
-	}
-	reg := o.Metrics()
-	n := int64(len(refinements))
-	for name, want := range map[string]int64{
-		"mc.explorations":         n + 1,
-		"mc.explorations_derived": n,
-		// Every check on a refinement walked its derivation, and none
-		// built a refined graph past its initial state.
-		"mc.responses_derived": n * int64(len(resps)),
-		"mc.graphs_partial":    n,
-	} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+			want[sys] = append(want[sys], mc.CheckSequential(sys, p, opts))
 		}
 	}
 	g, err := mc.ExploreGraph(context.Background(), base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived := 0
-	o.Manifest().Spans.Walk(func(sp *obs.SpanNode) {
-		if sp.Name != "mc.explore" || sp.Attrs["index"] != "derived" {
-			return
+	n := int64(len(refinements))
+	// run checks every response property on each system in turn on a
+	// fresh engine, after the given first check, and returns the run's
+	// registry and the base_states of its derived builds.
+	run := func(first mc.Property, systems []*ts.System) (*obs.Registry, []int) {
+		t.Helper()
+		o := obs.New()
+		ctx := obs.NewContext(context.Background(), o)
+		engine := mc.NewEngine()
+		if _, err := engine.CheckContext(ctx, base, first, opts); err != nil {
+			t.Fatal(err)
 		}
-		derived++
-		if got, want := sp.Attrs["base_states"], strconv.Itoa(g.NumStates()); got != want {
-			t.Errorf("a refinement derived from a base of %s states, want the composed model's %s", got, want)
+		for _, sys := range systems {
+			for i, p := range resps {
+				got, err := engine.CheckContext(ctx, sys, p, opts)
+				if err != nil {
+					t.Fatalf("%s on %s: engine error: %v", p.Name(), sys.Name, err)
+				}
+				assertSameResult(t, p.Name(), got, want[sys][i])
+			}
 		}
-	})
-	if derived != len(refinements) {
-		t.Fatalf("%d derived mc.explore spans, want %d", derived, len(refinements))
+		var bases []int
+		o.Manifest().Spans.Walk(func(sp *obs.SpanNode) {
+			if sp.Name == "mc.explore" && sp.Attrs["index"] == "derived" {
+				b, err := strconv.Atoi(sp.Attrs["base_states"])
+				if err != nil {
+					t.Fatal(err)
+				}
+				bases = append(bases, b)
+			}
+		})
+		derived := 0
+		for _, sys := range systems {
+			if sys != base {
+				derived++
+			}
+		}
+		if len(bases) != derived {
+			t.Fatalf("%d derived mc.explore spans, want %d", len(bases), derived)
+		}
+		return o.Metrics(), bases
+	}
+
+	// Partial: an adversary rule fires from the initial state, so the
+	// first check builds one level of the composed model's graph, and
+	// each refinement, on an engine of its own, derives from that level.
+	adv := mc.NeverFires{PropName: "adv", Match: func(name string) bool { return strings.HasPrefix(name, "adv:") }}
+	for _, sys := range refinements {
+		reg, bases := run(adv, []*ts.System{sys})
+		if bases[0] >= g.NumStates() {
+			t.Errorf("%s derived from a base of %d states, want part of the composed model's %d", sys.Name, bases[0], g.NumStates())
+		}
+		if got := reg.Counter("mc.explorations_derived").Value(); got != 1 {
+			t.Errorf("partial base: mc.explorations_derived = %d, want 1", got)
+		}
+	}
+
+	// Complete: base_states is the base's state count when the
+	// derivation started, the whole composed model's here.
+	all := mc.Invariant{PropName: "all", Holds: ts.True{}}
+	reg, bases := run(all, append([]*ts.System{base}, refinements...))
+	for _, b := range bases {
+		if b != g.NumStates() {
+			t.Errorf("a refinement derived from a base of %d states, want the composed model's %d", b, g.NumStates())
+		}
+	}
+	for name, want := range map[string]int64{"mc.explorations": n + 1, "mc.explorations_derived": n} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("complete base: %s = %d, want %d", name, got, want)
+		}
 	}
 }
 
 // TestResponseTruncatesLikeSequential pins where a response check's
 // budget runs out. A check is truncated when its lasso search has
 // discovered more product nodes than the budget by the time it
-// concludes, or when the system has more reachable states than the
-// budget, so that its graph truncates. Each case finds a budget under
-// which the engine and the sequential checker both truncate and one
-// under which both conclude; at both they must agree on the result,
-// StatesExplored and the trace, and the engine must report a budget
-// error exactly when it truncates.
+// concludes, or when it needs the row of a state that the graph built
+// under the budget does not have: the graph stops expanding levels once
+// it holds more states than the budget. Each case finds the smallest
+// budget under which the sequential checker concludes, and checks the
+// engine against it there and one below, where both truncate: the
+// result, StatesExplored, the trace, and a budget error exactly when
+// the check truncates.
 func TestResponseTruncatesLikeSequential(t *testing.T) {
 	ctx := context.Background()
 	// check checks p on sys with engine under budget max, which must
@@ -325,14 +368,31 @@ func TestResponseTruncatesLikeSequential(t *testing.T) {
 		}
 		assertSameResult(t, fmt.Sprintf("%s under budget %d", name, max), got, want)
 	}
+	// boundary is the smallest budget under which the sequential checker
+	// concludes p on sys; a larger budget only lets a search go further.
+	boundary := func(sys *ts.System, p mc.Property, hi int) int {
+		t.Helper()
+		if mc.CheckSequential(sys, p, mc.Options{MaxStates: hi}).Truncated {
+			t.Fatalf("%s does not conclude under budget %d", p.Name(), hi)
+		}
+		lo := 1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if mc.CheckSequential(sys, p, mc.Options{MaxStates: mid}).Truncated {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
 
-	// The search: on a graph the budget holds, a check is truncated
-	// only by the product nodes its search discovers. Over states a, b
-	// and c, go and trig both lead from a to b, then fin and back return
-	// to a; the product reaches b and c both pending and idle. With the
-	// goal fin the property holds over 4 product nodes; with the goal go
-	// the pending region closes a lasso, found once the BFS has
-	// discovered 6. A budget of 3 or more holds the graph.
+	// The search: over states a, b and c, go and trig both lead from a
+	// to b, then fin and back return to a; the product reaches b and c
+	// both pending and idle. With the goal fin the property holds over
+	// 4 product nodes; with the goal go the pending region closes a
+	// lasso, found once the BFS has discovered 6. Every budget from 3
+	// holds the graph, so the search's nodes are the boundary.
 	sys := ts.NewSystem("loop")
 	if err := sys.AddVar("x", "a", "b", "c"); err != nil {
 		t.Fatal(err)
@@ -356,71 +416,77 @@ func TestResponseTruncatesLikeSequential(t *testing.T) {
 		if err != nil || got.Verified != tc.verified || got.StatesExplored != tc.nodes {
 			t.Fatalf("%s: verified=%v over %d nodes, error %v; want verified=%v over %d", p.Name(), got.Verified, got.StatesExplored, err, tc.verified, tc.nodes)
 		}
+		if b := boundary(sys, p, tc.nodes); b != tc.nodes {
+			t.Fatalf("%s: concludes from budget %d, want its %d nodes", p.Name(), b, tc.nodes)
+		}
 		check(p.Name(), mc.NewEngine(), ctx, sys, p, tc.nodes-1, true)
 		check(p.Name(), mc.NewEngine(), ctx, sys, p, tc.nodes, false)
 	}
 
-	// The graph: on the composed model, a counterexample the search
-	// finds within far fewer nodes than the model's states is reported
-	// once the budget holds the whole graph, and not below.
+	// The graph: on the composed model, both clauses bind checks that
+	// conclude with fewer states than the model has. S17's search
+	// concludes within the nodes it discovers, which are its boundary;
+	// S22's lasso search reads rows far deeper than its BFS reaches, so
+	// it concludes only once the budget lets the graph expand the
+	// deepest level it reads.
 	sys = composedSystem(t)
 	g, err := mc.ExploreGraph(ctx, sys, mc.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := catalogueResponses(t)[0]
-	full, err := mc.NewEngine().CheckContext(ctx, sys, p, mc.Options{Workers: 2})
-	if err != nil || full.Counterexample == nil || full.StatesExplored >= g.NumStates() {
-		t.Fatalf("%s: %d nodes for a counterexample over %d states, error %v; want a counterexample within fewer nodes than states",
-			p.Name(), full.StatesExplored, g.NumStates(), err)
+	props := map[string]mc.Response{}
+	for _, r := range catalogueResponses(t) {
+		props[r.Name()] = r
 	}
-	check(p.Name(), mc.NewEngine(), ctx, sys, p, g.NumStates()-1, true)
-	check(p.Name(), mc.NewEngine(), ctx, sys, p, g.NumStates(), false)
+	for _, tc := range []struct {
+		name     string
+		rowBound bool
+	}{{"S17", false}, {"S22", true}} {
+		p := props[tc.name]
+		full, err := mc.NewEngine().CheckContext(ctx, sys, p, mc.Options{Workers: 2})
+		if err != nil || full.Counterexample == nil {
+			t.Fatalf("%s: %+v, error %v; want a counterexample", p.Name(), full, err)
+		}
+		b := boundary(sys, p, g.NumStates())
+		if (b > full.StatesExplored) != tc.rowBound || b >= g.NumStates() {
+			t.Fatalf("%s concludes from budget %d, with %d nodes over %d states: want the %s boundary, within the model",
+				p.Name(), b, full.StatesExplored, g.NumStates(), map[bool]string{false: "nodes'", true: "rows'"}[tc.rowBound])
+		}
+		check(p.Name(), mc.NewEngine(), ctx, sys, p, b-1, true)
+		check(p.Name(), mc.NewEngine(), ctx, sys, p, b, false)
+	}
 
 	// Derived: a guard-replay refinement of the composed model, derived
-	// from the base graph each engine holds complete. Under a budget
-	// that holds the derivation's bound, the check walks the derivation;
-	// under a smaller one it completes the refined graph instead, which
-	// concludes when the budget holds the refined graph and truncates
-	// when it does not.
+	// from the base graph each engine holds complete. The check grows
+	// the refined graph as it reads, and its boundary is the refined
+	// graph's own.
+	p := props["S22"]
 	refined := mc.GuardReplay(t, sys.Clone(), "service_accept")
-	rg, err := mc.ExploreGraph(ctx, refined, mc.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := 2 * g.NumStates() // one appended bit
-	if rg.NumStates() <= g.NumStates() || rg.NumStates() >= bound {
-		t.Fatalf("the refinement has %d states over a base of %d: want more than the base and fewer than %d", rg.NumStates(), g.NumStates(), bound)
-	}
+	rb := boundary(refined, p, 2*g.NumStates())
 	for _, tc := range []struct {
 		max       int
 		truncated bool
-		walked    int64
-	}{{rg.NumStates() - 1, true, 0}, {rg.NumStates(), false, 0}, {bound, false, 1}} {
+	}{{rb - 1, true}, {rb, false}} {
 		engine := mc.NewEngine()
-		base := mc.Invariant{PropName: "all", Holds: ts.True{}}
-		if _, err := engine.CheckContext(ctx, sys, base, mc.Options{Workers: 2, MaxStates: tc.max}); err != nil {
-			t.Fatalf("the base graph under budget %d: %v", tc.max, err)
+		all := mc.Invariant{PropName: "all", Holds: ts.True{}}
+		if _, err := engine.CheckContext(ctx, sys, all, mc.Options{Workers: 2}); err != nil {
+			t.Fatalf("the base graph: %v", err)
 		}
 		o := obs.New()
 		check(p.Name()+" on the refinement", engine, obs.NewContext(ctx, o), refined, p, tc.max, tc.truncated)
-		reg := o.Metrics()
-		for name, want := range map[string]int64{"mc.explorations_derived": 1, "mc.responses_derived": tc.walked, "mc.graphs_partial": tc.walked} {
-			if got := reg.Counter(name).Value(); got != want {
-				t.Errorf("refinement under budget %d: %s = %d, want %d", tc.max, name, got, want)
-			}
+		if got := o.Metrics().Counter("mc.explorations_derived").Value(); got != 1 {
+			t.Errorf("refinement under budget %d: mc.explorations_derived = %d, want 1", tc.max, got)
 		}
 	}
 }
 
 // TestResponseCheckAllocBudget pins that a response check's working
 // memory is reused, not allocated per check: once one check has run on
-// an engine, checking a response property again on the same graph of at
-// least 50,000 states (the srsLTE profile's model) allocates less than
-// one byte per state, and checking it again over the derivation of a
-// guard-replay refinement of that model, whose graph stays unbuilt,
-// less than one byte per slot: the per-slot state bits come from the
-// engine's free list too.
+// an engine, checking a response property again on the same graph
+// allocates less than one byte per state of the srsLTE profile's model
+// (at least 50,000), on the model's own graph and on the graph of a
+// guard-replay refinement, derived from it: the per-state bits come
+// from the engine's free list.
 func TestResponseCheckAllocBudget(t *testing.T) {
 	m, err := report.BuildModel(ue.ProfileSRS)
 	if err != nil {
@@ -437,42 +503,52 @@ func TestResponseCheckAllocBudget(t *testing.T) {
 	if states < 50000 {
 		t.Fatalf("the srsLTE model has %d states, want at least 50,000", states)
 	}
-	// One appended bit: two slots per base state.
-	slots := 2 * states
 	engine := mc.NewEngine()
 	for _, p := range catalogueResponses(t) {
-		for _, tc := range []struct {
-			sys     *ts.System
-			what    string
-			per     int
-			derived int64
-		}{{sys, "state", states, 0}, {refined, "slot", slots, 1}} {
-			if _, err := engine.CheckContext(ctx, tc.sys, p, mc.Options{Workers: 2}); err != nil {
+		for _, sys := range []*ts.System{sys, refined} {
+			if _, err := engine.CheckContext(ctx, sys, p, mc.Options{Workers: 2}); err != nil {
 				t.Fatal(err)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			res, err := engine.CheckContext(ctx, tc.sys, p, mc.Options{Workers: 2})
+			res, err := engine.CheckContext(ctx, sys, p, mc.Options{Workers: 2})
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
 			allocated := after.TotalAlloc - before.TotalAlloc
-			per := float64(allocated) / float64(tc.per)
-			t.Logf("%s on %s: %d product nodes over %d %ss, %d bytes allocated (%.3f B/%s)",
-				p.Name(), tc.sys.Name, res.StatesExplored, tc.per, tc.what, allocated, per, tc.what)
+			per := float64(allocated) / float64(states)
+			t.Logf("%s on %s: %d product nodes, %d bytes allocated (%.3f B/state)",
+				p.Name(), sys.Name, res.StatesExplored, allocated, per)
 			if per >= 1 {
-				t.Errorf("%s on %s: a repeated response check allocated %d bytes, %.2f per %s; want less than 1",
-					p.Name(), tc.sys.Name, allocated, per, tc.what)
+				t.Errorf("%s on %s: a repeated response check allocated %d bytes, %.2f per state; want less than 1",
+					p.Name(), sys.Name, allocated, per)
 			}
-			// The check walked the derivation exactly when it is one.
-			o := obs.New()
-			if _, err := engine.CheckContext(obs.NewContext(ctx, o), tc.sys, p, mc.Options{Workers: 2}); err != nil {
-				t.Fatal(err)
-			}
-			if got := o.Metrics().Counter("mc.responses_derived").Value(); got != tc.derived {
-				t.Fatalf("%s on %s: mc.responses_derived = %d, want %d", p.Name(), tc.sys.Name, got, tc.derived)
-			}
+		}
+	}
+}
+
+// TestPartialDerivationAllocs: a derivation of the srsLTE model's
+// guard-replay refinement that stops after one level allocates a fixed
+// number of bytes, whatever the size of its base: the first arena and
+// edge segments and a few pages, from a base of one level as from the
+// complete graph of more than 50,000 states. The bound-sized tables it
+// replaced took 8 bytes per slot of the derivation's bound.
+func TestPartialDerivationAllocs(t *testing.T) {
+	m, err := report.BuildModel(ue.ProfileSRS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := m.Composed.System
+	refined := mc.GuardReplay(t, sys.Clone(), "service_accept")
+	for _, levels := range []int{1, -1} {
+		allocated, bound, baseStates := mc.DeriveOneLevel(t, sys, refined, levels)
+		t.Logf("one level derived from a base of %d states: %d bytes allocated, bound %d", baseStates, allocated, bound)
+		if levels < 0 && baseStates < 50000 {
+			t.Fatalf("the srsLTE model has %d states, want at least 50,000", baseStates)
+		}
+		if allocated > bound {
+			t.Errorf("one level derived from a base of %d states allocated %d bytes, want at most %d", baseStates, allocated, bound)
 		}
 	}
 }

@@ -120,11 +120,14 @@ func (e *levelExplorer) writeSnapshot() (err error) {
 		return sw.err == nil
 	})
 	for id := 0; id < n; id++ {
-		sw.i32(g.parentState[id])
-		sw.i32(g.parentRule[id])
+		sw.i32(g.parentState.at(int32(id)))
+		sw.i32(g.parentRule.at(int32(id)))
 	}
 	for id := 0; id < n; id++ {
-		edges := g.row(int32(id))
+		var edges []graphEdge // none for the frontier
+		if id < g.expanded() {
+			edges = g.row(int32(id))
+		}
 		sw.u32(uint32(len(edges)))
 		for _, ed := range edges {
 			sw.u32(uint32(ed.rule))
@@ -275,16 +278,15 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 		}
 	}
 
-	parentState := make([]int32, n)
-	parentRule := make([]int32, n)
+	var parentState, parentRule int32Pages
 	for id := 0; id < n; id++ {
-		parentState[id] = r.i32()
-		parentRule[id] = r.i32()
+		parentState.append(r.i32())
+		parentRule.append(r.i32())
 	}
 	// The adjacency is read into edge segments through the builders' row
 	// writer; the frontier must be the id suffix without rows, as the
 	// explorer leaves it at every level.
-	adj := &StateGraph{System: g.System, off: make([]int32, 1, n+1)}
+	adj := &StateGraph{System: g.System, off: pagesOf(0)}
 	for id := 0; id < n && r.err == nil; id++ {
 		count := int(r.u32())
 		if count > len(g.Rules) {
@@ -343,7 +345,8 @@ func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
 	}
 	g.parentState = parentState
 	g.parentRule = parentRule
-	g.off, g.segs = adj.off[:lo+1], adj.segs
+	adj.off.n = lo + 1 // the frontier's empty rows are not rows
+	g.off, g.segs = adj.off, adj.segs
 	e.lo, e.hi = int32(lo), int32(n)
 	e.g.levels = level
 	return level, true
