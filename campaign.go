@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"sync"
 
 	"prochecker/internal/channel"
@@ -89,37 +88,18 @@ func NormalizeJobSpec(s JobSpec) (JobSpec, error) {
 // verdicts. The spec is normalized first, so RunJob accepts the same
 // loose inputs Submit does.
 func RunJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	return runJob(ctx, spec, JobRunnerConfig{})
-}
-
-// JobRunnerConfig tunes how the job service executes each analysis:
-// worker-pool width, and a snapshot root under which every job keeps
-// its own exploration checkpoints so a crashed or killed service
-// resumes mid-exploration instead of recomputing from scratch.
-type JobRunnerConfig struct {
-	// Workers bounds the per-job worker pool (0 = GOMAXPROCS).
-	Workers int
-	// SnapshotRoot, when non-empty, gives each job a private snapshot
-	// directory keyed by the spec hash; it is removed when the job
-	// completes successfully.
-	SnapshotRoot string
+	return runJob(ctx, spec, 0)
 }
 
 // JobRunner adapts RunJob into the job service's Runner hook with a
 // fixed per-job worker-pool bound (0 = GOMAXPROCS).
 func JobRunner(workers int) jobs.Runner {
-	return JobRunnerWith(JobRunnerConfig{Workers: workers})
-}
-
-// JobRunnerWith adapts RunJob into the job service's Runner hook with
-// full control over the worker pool and snapshot placement.
-func JobRunnerWith(cfg JobRunnerConfig) jobs.Runner {
 	return func(ctx context.Context, spec jobs.Spec) (*jobs.Result, error) {
-		return runJob(ctx, spec, cfg)
+		return runJob(ctx, spec, workers)
 	}
 }
 
-func runJob(ctx context.Context, spec JobSpec, rcfg JobRunnerConfig) (*JobResult, error) {
+func runJob(ctx context.Context, spec JobSpec, workers int) (*JobResult, error) {
 	spec, err := NormalizeJobSpec(spec)
 	if err != nil {
 		return nil, err
@@ -132,8 +112,7 @@ func runJob(ctx context.Context, spec JobSpec, rcfg JobRunnerConfig) (*JobResult
 	if err != nil {
 		return nil, err
 	}
-	snapDir := jobs.SnapshotDirFor(rcfg.SnapshotRoot, spec.Key())
-	a, err := AnalyzeContext(ctx, impl, WithWorkers(rcfg.Workers), WithFaults(cfg), WithSnapshotDir(snapDir))
+	a, err := AnalyzeContext(ctx, impl, WithWorkers(workers), WithFaults(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -169,11 +148,6 @@ func runJob(ctx context.Context, spec JobSpec, rcfg JobRunnerConfig) (*JobResult
 			Vacuous:     r.Vacuous,
 			Detail:      r.Detail,
 		})
-	}
-	// The job is done and its result is about to be persisted; its
-	// exploration checkpoints have nothing left to resume.
-	if snapDir != "" {
-		os.RemoveAll(snapDir) //nolint:errcheck // best-effort cleanup
 	}
 	return res, nil
 }

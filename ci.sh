@@ -382,24 +382,6 @@ grep -q "wal checkpointed" "$smoke_dir/crash2.log" \
     || { echo "smoke: drain printed no WAL checkpoint banner"; cat "$smoke_dir/crash2.log"; exit 1; }
 echo "crash-recovery smoke OK (campaign $campaign_id survived SIGKILL, ${hits} cache hit(s) on resubmit)"
 
-echo "== snapshot-resume smoke =="
-# Run a real check that checkpoints its exploration, then run it again
-# over the same snapshot directory: the second run must resume from the
-# completed-exploration snapshots instead of recomputing.
-resume_snap="$smoke_dir/resume-snap"
-"$smoke_dir/prochecker" -impl srsLTE -check S06 -quiet \
-    -workers 2 -snapshot-dir "$resume_snap" \
-    -manifest "$smoke_dir/resume.json" \
-    || { echo "smoke: snapshotting run failed"; exit 1; }
-"$smoke_dir/prochecker" -impl srsLTE -check S06 -quiet \
-    -workers 2 -snapshot-dir "$resume_snap" \
-    -manifest "$smoke_dir/resume2.json" \
-    || { echo "smoke: resumed run failed"; exit 1; }
-resume_level=$(sed -n 's/.*"mc.resume_level": *\([0-9]*\).*/\1/p' "$smoke_dir/resume2.json" | head -1)
-[[ "${resume_level:-0}" -ge 1 ]] \
-    || { echo "smoke: second run did not resume from snapshots"; exit 1; }
-echo "snapshot-resume smoke OK (resumed at level ${resume_level})"
-
 # bench_json SERIES OUT [KEY NUM DEN [DIGITS [FIELD]]] renders the
 # `go test -bench` output on stdin into OUT, a BENCH_*.json file. Each
 # benchmark line becomes one entry: its name without the GOMAXPROCS

@@ -57,15 +57,12 @@ type serveProc struct {
 // store+WAL directories and waits for it to announce its address.
 func startServe(t *testing.T, bin, storeDir, walDir string) *serveProc {
 	t.Helper()
-	// The snapshot root lives beside the store so exploration
-	// checkpoints, like results, survive the restart cycle.
 	args := []string{
 		"-serve", "127.0.0.1:0",
 		"-store", storeDir,
 		"-wal", walDir,
 		"-workers", "2",
 		"-queue", "16",
-		"-snapshot-dir", filepath.Join(storeDir, "snapshots"),
 	}
 	cmd := exec.Command(bin, args...)
 	stderr, err := cmd.StderrPipe()
@@ -146,7 +143,8 @@ func chaosCampaign() prochecker.CampaignSpec {
 }
 
 // TestChaosKillMidCampaignResumesByteIdentical is the acceptance
-// criterion for the crash-recovery tentpole.
+// criterion for crash recovery. A job the kill interrupts reruns from
+// scratch after the restart.
 func TestChaosKillMidCampaignResumesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos harness skipped in -short mode")

@@ -97,7 +97,6 @@ func run(args []string) (err error) {
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no deadline); with -serve, bounds each execution attempt, and an expired attempt ends the job cancelled")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"worker pool size for -check: bounds both property-level parallelism and the model checker's exploration pool (1 = fully sequential)")
-	snapshotDir := fs.String("snapshot-dir", "", "checkpoint model-checker exploration at level boundaries into this directory and resume from the newest snapshot; with -serve, the root for per-job snapshot directories")
 	quiet := fs.Bool("quiet", false, "suppress progress output on stderr (results only)")
 	verbose := fs.Bool("v", false, "stream span begin/end events to stderr as they happen")
 	manifestPath := fs.String("manifest", "", "write a machine-readable run manifest (JSON) to this path")
@@ -168,7 +167,6 @@ func run(args []string) (err error) {
 			retryBackoff: *retryBackoff,
 			seed:         *seed,
 			manifestPath: *manifestPath,
-			snapshotDir:  *snapshotDir,
 			metricsAddr:  *metricsAddr,
 			eventBuf:     *eventBuf,
 		})
@@ -249,9 +247,6 @@ func run(args []string) (err error) {
 		}
 		if *timeout > 0 {
 			cfg["timeout"] = timeout.String()
-		}
-		if *snapshotDir != "" {
-			cfg["snapshot_dir"] = *snapshotDir
 		}
 		defer func() {
 			m := o.Manifest()
@@ -340,8 +335,7 @@ func run(args []string) (err error) {
 	}
 	a, err := prochecker.AnalyzeContext(ctx, implementation,
 		prochecker.WithWorkers(*workers), prochecker.WithObserver(o),
-		prochecker.WithFaults(faultCfg),
-		prochecker.WithSnapshotDir(*snapshotDir))
+		prochecker.WithFaults(faultCfg))
 	if err != nil {
 		return err
 	}

@@ -122,6 +122,16 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-impl", "nokia", "-conformance"}); err == nil {
 		t.Error("unknown implementation accepted for -conformance")
 	}
+	// Exploration snapshots are gone: a script that still asks for them
+	// fails at flag parsing, before any analysis or listener starts.
+	for _, args := range [][]string{
+		{"-impl", "srsLTE", "-check", "S06", "-snapshot-dir", "DIR"},
+		{"-serve", "127.0.0.1:0", "-snapshot-dir", "DIR"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -snapshot-dir") {
+			t.Errorf("run %q: error %v, want a flag-parse error", args, err)
+		}
+	}
 }
 
 func TestConformanceBenign(t *testing.T) {
@@ -215,7 +225,8 @@ func TestManifestWritten(t *testing.T) {
 // nested under an "mc.response" span. Level 12 is as deep as the other
 // checks read it: the deepest graph they derive, V10's refinement, has
 // 12 levels, and a derived state projects onto a base state no deeper
-// than itself.
+// than itself. Every response span carries wait_ms, the part of its
+// time spent blocked on a graph lock, which cannot exceed its duration.
 func TestResponseSpansFollowTheirBuild(t *testing.T) {
 	bin, err := buildBinary()
 	if err != nil {
@@ -288,6 +299,9 @@ func TestResponseSpansFollowTheirBuild(t *testing.T) {
 		}
 		if r.Attrs["nodes"] == "" || r.Attrs["truncated"] != "false" {
 			t.Errorf("%s: mc.response attrs %v, want nodes and truncated=false", r.Attrs["property"], r.Attrs)
+		}
+		if wait, err := strconv.ParseFloat(r.Attrs["wait_ms"], 64); err != nil || wait < 0 || wait > r.DurMS {
+			t.Errorf("%s: mc.response wait_ms %q, want a time within its %.3f ms", r.Attrs["property"], r.Attrs["wait_ms"], r.DurMS)
 		}
 	}
 	if derived == 0 {

@@ -37,7 +37,6 @@ type serveConfig struct {
 	retryBackoff time.Duration // base retry backoff
 	seed         int64         // retry-jitter seed
 	manifestPath string        // "" disables the shutdown manifest
-	snapshotDir  string        // root for per-job exploration checkpoints ("" disables)
 	metricsAddr  string        // debug endpoint (pprof/metrics/healthz); "" disables
 	eventBuf     int           // event-bus ring capacity (0 = default)
 }
@@ -66,10 +65,7 @@ func runServe(cfg serveConfig) (err error) {
 		flightDir = filepath.Join(cfg.storeDir, "flight")
 	}
 	svc, err := jobs.New(jobs.Config{
-		Runner: prochecker.JobRunnerWith(prochecker.JobRunnerConfig{
-			Workers:      cfg.workers,
-			SnapshotRoot: cfg.snapshotDir,
-		}),
+		Runner:      prochecker.JobRunner(cfg.workers),
 		Normalize:   prochecker.NormalizeJobSpec,
 		Store:       store,
 		WALDir:      cfg.walDir,

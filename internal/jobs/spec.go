@@ -16,7 +16,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 )
 
 // Spec is one analysis job's content: which implementation to analyse,
@@ -59,21 +58,6 @@ func (s Spec) Key() string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// SnapshotDirFor maps a job key onto its private exploration-snapshot
-// directory under root: each job checkpoints (and resumes) in its own
-// subdirectory so concurrent jobs never share checkpoint files. An
-// empty root or key disables snapshotting.
-func SnapshotDirFor(root, key string) string {
-	if root == "" || key == "" {
-		return ""
-	}
-	short := key
-	if len(short) > 16 {
-		short = short[:16]
-	}
-	return filepath.Join(root, "snap-"+short)
 }
 
 // Verdict is one property's outcome inside a stored Result. It carries

@@ -14,7 +14,11 @@
 // level boundary stays a valid view while later states are appended.
 package mc
 
-import "fmt"
+import (
+	"fmt"
+
+	"prochecker/internal/ts"
+)
 
 // maxArenaStates bounds interned states so ids always fit the id+1
 // packing of index slots. Far above any Options.MaxStates in use.
@@ -195,14 +199,14 @@ type rankTable struct {
 	ids   []int32
 }
 
-// newRankTable sizes the table for domains, or returns nil when their
-// product exceeds denseRankLimit.
-func newRankTable(domains []int) *rankTable {
-	radix := make([]int, len(domains))
+// newRankTable sizes the table for the domains of vars, or returns nil
+// when their product exceeds denseRankLimit.
+func newRankTable(vars []ts.Var) *rankTable {
+	radix := make([]int, len(vars))
 	n := 1
-	for v := len(domains) - 1; v >= 0; v-- {
+	for v := len(vars) - 1; v >= 0; v-- {
 		radix[v] = n
-		if n *= domains[v]; n > denseRankLimit {
+		if n *= len(vars[v].Domain); n > denseRankLimit {
 			return nil
 		}
 	}

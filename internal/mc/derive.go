@@ -200,16 +200,14 @@ func (t *slotTable) memBytes() int64 { return int64(t.used) * pageLen * 4 }
 // startDerive sets up the derivation of sys's graph from d's base
 // graph, the graph of build base, which then grows one BFS level at a
 // time by advance, under the explorer's budget truncation, gauges and
-// progress events. A derived graph writes no snapshots: a resumed run
-// re-derives it from its resumed base. Its "mc.explore" span carries
-// index=derived and the base's state count when it started.
+// progress events. Its "mc.explore" span carries index=derived and the
+// base's state count when it started.
 //
 // Nothing is sized by the derivation's bound: the slot table and the
 // per-state arrays grow in fixed pages as states are met, so a
 // derivation that stops early holds what it has built, whatever the
 // size of its base.
 func startDerive(ctx context.Context, sys *ts.System, rules *ts.RuleSet, d *derivation, base *graphBuild, opts Options) (*levelExplorer, error) {
-	opts.SnapshotDir = ""
 	e := newLevelExplorer(ctx, sys, rules, opts, "derived")
 	e.span.SetAttr("base_states", strconv.Itoa(d.base.NumStates()))
 	e.d, e.baseBuild = d, base
@@ -256,11 +254,7 @@ func (e *levelExplorer) growBase(ctx context.Context) (bool, error) {
 // exploration assign the same ids, so the graph goes on as if it had
 // been explored from the start.
 func (e *levelExplorer) explore() {
-	domains := make([]int, len(e.g.vars))
-	for i, v := range e.g.vars {
-		domains[i] = len(v.Domain)
-	}
-	e.ranks, e.domains = newRankTable(domains), domains
+	e.ranks = newRankTable(e.g.vars)
 	e.kind = "dense"
 	if e.ranks == nil {
 		e.kind = "hash"

@@ -125,9 +125,13 @@ type graphReader struct {
 	ctx      context.Context
 	g        *StateGraph
 	building bool
+	// wait is the time more has spent blocked on b.mu, while another
+	// caller grew the graph.
+	wait time.Duration
 
 	span      *obs.Span
 	spanCtx   context.Context // carries span
+	spanWait  time.Duration   // wait when span started
 	levels    int
 	states    int
 	edgeBytes int64
@@ -137,8 +141,10 @@ type graphReader struct {
 // published since r last looked, else by building the next level.
 func (r *graphReader) more() error {
 	b := r.b
+	start := time.Now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	r.wait += time.Since(start)
 	if v := b.view(); v != r.g {
 		r.g = v
 		return nil
@@ -151,6 +157,7 @@ func (r *graphReader) more() error {
 	if !r.building {
 		if r.span == nil {
 			r.spanCtx, r.span = obs.Start(r.ctx, "mc.extend", obs.A("system", ex.g.System), obs.A("build", strconv.Itoa(b.seq)))
+			r.spanWait = r.wait
 		}
 		ctx = r.spanCtx
 		ex.bind(ctx)
@@ -181,7 +188,8 @@ func (r *graphReader) complete() error {
 }
 
 // end closes r's "mc.extend" span, if it built anything, and adds the
-// states and edge bytes it built to the run's totals.
+// states and edge bytes it built to the run's totals. The span's
+// wait_ms is the time r blocked on the graph's lock while it was open.
 func (r *graphReader) end(err error) {
 	if r.span == nil {
 		return
@@ -193,6 +201,7 @@ func (r *graphReader) end(err error) {
 	r.span.SetAttr("depth", strconv.Itoa(r.g.levels))
 	r.span.SetAttr("states", strconv.Itoa(r.states))
 	r.span.SetAttr("complete", strconv.FormatBool(r.g.complete))
+	r.span.SetAttr("wait_ms", strconv.FormatFloat(obs.DurMS(r.wait-r.spanWait), 'f', -1, 64))
 	r.span.EndErr(err)
 	r.span, r.spanCtx = nil, nil
 }
@@ -670,13 +679,14 @@ func (e *Engine) putScratch(sc *responseScratch) {
 // checkResponse answers p on r's graph, explored or derived, grown as
 // the search needs rows, under the search's "mc.response" span. Before
 // the search starts, r lets go of its part in building the graph, so
-// the build's span ends first.
+// the build's span ends first. The span's wait_ms is the part of its
+// time the search spent blocked on the graph's lock.
 func (r *graphReader) checkResponse(e *Engine, sys *ts.System, p Response) (Result, error) {
 	reg := obs.FromContext(r.ctx).Metrics()
 	r.release(e)
 	ctx, span := obs.Start(r.ctx, "mc.response", obs.A("property", p.PropName))
 	r.ctx = ctx
-	start := time.Now()
+	start, wait := time.Now(), r.wait
 	sc := e.takeScratch()
 	s := &responseSearch{src: r, g: r.g, max: r.g.MaxStates, responseScratch: sc}
 	res, err := s.check(sys, p)
@@ -690,6 +700,7 @@ func (r *graphReader) checkResponse(e *Engine, sys *ts.System, p Response) (Resu
 		span.SetAttr("build", strconv.Itoa(r.b.seq))
 		span.SetAttr("nodes", strconv.Itoa(nodes))
 		span.SetAttr("truncated", strconv.FormatBool(res.Truncated))
+		span.SetAttr("wait_ms", strconv.FormatFloat(obs.DurMS(r.wait-wait), 'f', -1, 64))
 	}
 	span.EndErr(err)
 	return res, err

@@ -23,9 +23,8 @@
 // write-once edge segments (graph.go), reserving exactly the state's
 // candidate count.
 // The frontier is always the id range the previous level interned, and
-// exactly the states without an adjacency row yet. Level boundaries are
-// also where snapshots are checkpointed. A graph derived from a cached
-// base graph (derive.go) runs the same level loop and boundary
+// exactly the states without an adjacency row yet. A graph derived from
+// a cached base graph (derive.go) runs the same level loop and boundary
 // bookkeeping, with one serial pass over the base rows in place of the
 // two phases; when its base cannot supply a level, it fills a visited
 // set from the states it has and goes on exploring.
@@ -86,8 +85,6 @@ type levelExplorer struct {
 	// domains are too large for ranks.
 	ranks *rankTable
 	index *stateIndex
-	// domains holds each variable's domain size.
-	domains []int
 
 	// When the graph derives from a base graph instead, d is the
 	// derivation, whose base view the explorer advances as it grows
@@ -98,10 +95,6 @@ type levelExplorer struct {
 	slotOf    slotTable
 	slots     int32Pages
 	scratch   []byte
-
-	// snapFP names and validates the build's snapshots; set only when
-	// it writes them (see snapshotFingerprint).
-	snapFP [32]byte
 
 	// The frontier is the id range [lo, hi): the states the last level
 	// interned, none of them expanded yet.
@@ -215,51 +208,26 @@ func (e *levelExplorer) endExplore(graph *StateGraph, err error) {
 }
 
 // startBuild sets up the exploration of sys: the visited set its
-// domains call for, and its initial state, or the newest snapshot of
-// sys to resume from. rules is the system compiled. With a snapshot
-// directory, the hash of sys's SMV rendering names and validates its
-// snapshots. The graph then grows by advance.
+// domains call for, and its initial state. rules is the system
+// compiled. The graph then grows by advance.
 func startBuild(ctx context.Context, sys *ts.System, rules *ts.RuleSet, opts Options) (*levelExplorer, error) {
-	domains := make([]int, len(sys.Vars()))
-	for i, v := range sys.Vars() {
-		domains[i] = len(v.Domain)
-	}
-	ranks := newRankTable(domains)
+	ranks := newRankTable(sys.Vars())
 	kind := "dense"
 	if ranks == nil {
 		kind = "hash"
 	}
 	e := newLevelExplorer(ctx, sys, rules, opts, kind)
-	e.ranks, e.domains = ranks, domains
+	e.ranks = ranks
 	if e.ranks == nil {
 		e.index = newStateIndex()
 	}
 
-	resumed := false
-	if opts.SnapshotDir != "" {
-		e.snapFP = snapshotFingerprint(sys)
-		lvl, ok, err := e.tryResume()
-		if err != nil {
-			e.endExplore(nil, err)
-			return nil, err
-		}
-		if ok {
-			resumed = true
-			e.reg.Gauge("mc.resume_level").Set(int64(lvl))
-			e.span.SetAttr("resume_level", strconv.Itoa(lvl))
-		}
+	init := e.g.init
+	if _, err := e.intern(init, e.key(init), -1, -1); err != nil {
+		e.endExplore(nil, err)
+		return nil, err
 	}
-	if !resumed {
-		init := e.g.init
-		if _, err := e.intern(init, e.key(init), -1, -1); err != nil {
-			e.endExplore(nil, err)
-			return nil, err
-		}
-		e.lo, e.hi = 0, 1
-	}
-	if e.lo >= e.hi {
-		e.markComplete()
-	}
+	e.lo, e.hi = 0, 1
 	return e, nil
 }
 
@@ -375,9 +343,7 @@ func (e *levelExplorer) advance(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := e.endOfLevel(); err != nil {
-		return err
-	}
+	e.endOfLevel()
 	if e.lo >= e.hi {
 		e.markComplete()
 	}
@@ -392,7 +358,7 @@ func (e *levelExplorer) markComplete() {
 	e.g.complete = true
 	e.partial.Add(-1)
 	e.partial = nil
-	e.ranks, e.index, e.domains = nil, nil, nil
+	e.ranks, e.index = nil, nil
 	e.dropDerivation()
 	e.chunks, e.counts = nil, nil
 }
@@ -520,23 +486,17 @@ func (e *levelExplorer) internLevel() error {
 }
 
 // endOfLevel runs the level-boundary bookkeeping: residency and
-// occupancy instruments, and the snapshot checkpoint (every level, so
-// completed explorations resume for free).
-func (e *levelExplorer) endOfLevel() error {
+// occupancy instruments, and a progress event.
+func (e *levelExplorer) endOfLevel() {
 	g := e.g
 	e.occupancy.Set(int64(g.NumStates()))
 	e.peakBytes.SetMax(g.arena.memBytes() + e.visitedBytes())
-	if e.opts.SnapshotDir != "" {
-		if err := e.writeSnapshot(); err != nil {
-			return err
-		}
-	}
 	// One progress event per completed level: how deep the exploration
 	// is, how many states it holds, and how wide the next frontier is —
 	// the live feedback streaming clients steer budgets by. Publishing
 	// never blocks, so the level loop pays only the ring append.
 	if e.bus == nil {
-		return nil
+		return
 	}
 	e.bus.Publish(obs.BusEvent{
 		Type:  "progress",
@@ -549,5 +509,4 @@ func (e *levelExplorer) endOfLevel() error {
 			"frontier": strconv.Itoa(int(e.hi - e.lo)),
 		},
 	})
-	return nil
 }

@@ -7,7 +7,6 @@ var (
 	ComposedModel = composedModel
 	GuardReplay   = guardReplay
 	ExploreGraph  = explore
-	SameGraph     = sameGraph
 	// DeriveOneLevel reports what one derived level allocates.
 	DeriveOneLevel = deriveOneLevel
 )

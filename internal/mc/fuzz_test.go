@@ -20,8 +20,7 @@ import (
 // bitsets and the residual closures run; wide pads the system with
 // unused variables past denseRankLimit, so every mode below explores
 // with the hash index instead of the dense rank table.
-// Every exploration mode — one or four workers, resuming from the
-// snapshots of a build under a smaller budget, two goroutines checking
+// Every exploration mode — one or four workers, two goroutines checking
 // the properties of the system and of a refined clone against one
 // engine while lazily built graphs grow under them (first one
 // goroutine per system, so the clone derives its graph while the other
@@ -34,10 +33,9 @@ import (
 // and every counterexample must pass Certify. The refined clone must be
 // served by derivation from the cached graph exactly when none of its
 // guards is residual, and its derived graph, complete and truncated,
-// must equal buildGraph's, as must a graph resumed from the snapshots
-// of a build an invariant check left partial. A product-budget mode
-// checks the response properties with a state budget between the
-// graph's size N and 2N, so the graph completes and only a response
+// must equal buildGraph's. A product-budget mode checks the response
+// properties with a state budget between the graph's size N and 2N,
+// so the graph completes and only a response
 // search that discovers more product nodes than the budget can run out
 // of it. Whenever a response property verifies, its StatesExplored
 // must be the whole reachable product, as productSize counts it.
@@ -146,34 +144,10 @@ func FuzzExploreMatchesSequential(f *testing.F) {
 		check("workers=1", ctx, Options{Workers: 1})
 		check("workers=4", ctx, Options{Workers: 4})
 
-		// Build a first graph under a budget of about half the reachable
-		// states, as far as a response property's search needs, then
-		// resume the full build from the snapshots it left behind.
 		g, err := explore(ctx, sys, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := t.TempDir()
-		truncated := Options{Workers: 4, MaxStates: max(1, g.NumStates()/2), SnapshotDir: dir}
-		NewEngine().CheckContext(ctx, sys, props[2], truncated) // a budget error is expected
-		o := obs.New()
-		check("resume", obs.NewContext(ctx, o), Options{Workers: 4, SnapshotDir: dir})
-		if lvl := o.Metrics().Gauge("mc.resume_level").Value(); lvl < 1 {
-			t.Fatalf("resume: build did not resume from a snapshot (level %d)", lvl)
-		}
-
-		// Partial resume: an invariant check leaves its graph as deep as
-		// its verdict needed, with a snapshot per level built; a build
-		// resuming from them completes the graph with the same ids.
-		partialDir := t.TempDir()
-		if _, err := NewEngine().CheckContext(ctx, sys, props[0], Options{Workers: 2, SnapshotDir: partialDir}); err != nil {
-			t.Fatalf("partial resume: %v", err)
-		}
-		resumed, err := explore(ctx, sys, Options{Workers: 2, SnapshotDir: partialDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameGraph(t, "partial resume", resumed, g)
 
 		// Lazy growth under concurrency: an invariant check leaves sys's
 		// graph partial. Then one goroutine checks sys's properties,

@@ -5,10 +5,10 @@
 // the sequential explorer's so that counterexample traces come out
 // byte-identical. States live in the compact arena/index storage layer
 // (arena.go); the level-synchronised explorer that fills the graph is
-// in explore.go, and snapshot/resume in snapshot.go. A graph keeps the
-// compiled rules, variables and initial state it was built from, so a
-// refined system's graph can be derived from it (derive.go) with the
-// same ids, parent tree and edge order the explorer would produce.
+// in explore.go. A graph keeps the compiled rules, variables and
+// initial state it was built from, so a refined system's graph can be
+// derived from it (derive.go) with the same ids, parent tree and edge
+// order the explorer would produce.
 //
 // Edges are stored write-once, like the arena's states: in fixed
 // segments of edgeSegLen edges, allocated when the writer reaches them

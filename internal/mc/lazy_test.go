@@ -361,33 +361,3 @@ func TestEarlyExitBuildsOnlyWhatChecksNeed(t *testing.T) {
 		}
 	}
 }
-
-// TestPartialBuildResumesFromSnapshot: a build an invariant check left
-// partial has checkpointed its completed levels; a later build resumes
-// from that snapshot and completes the graph with the ids a fresh
-// build assigns.
-func TestPartialBuildResumesFromSnapshot(t *testing.T) {
-	const k = 20
-	sys := odometer(t, k)
-	inv := Invariant{PropName: "inv", Holds: ts.Neq{Var: "hi", Value: "d3"}}
-	dir := t.TempDir()
-	if _, err := NewEngine().CheckContext(context.Background(), sys, inv, Options{Workers: 1, SnapshotDir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	o := obs.New()
-	resumed, err := explore(obs.NewContext(context.Background(), o), sys, Options{Workers: 1, SnapshotDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lvl := o.Metrics().Gauge("mc.resume_level").Value(); lvl != 3*k {
-		t.Fatalf("resumed from level %d, want the partial build's %d", lvl, 3*k)
-	}
-	fresh, err := explore(context.Background(), sys, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameGraph(t, "resumed partial build", resumed, fresh)
-	if resumed.NumStates() != k*k {
-		t.Fatalf("resumed build holds %d states, want %d", resumed.NumStates(), k*k)
-	}
-}

@@ -139,12 +139,6 @@ type Options struct {
 	// parallelism of the report.Evaluator catalogue pool; 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-
-	// SnapshotDir, when non-empty, checkpoints exploration at every
-	// level boundary into CRC-checksummed snapshot files there and
-	// resumes from the newest valid snapshot of the same system on the
-	// next build.
-	SnapshotDir string
 }
 
 func (o Options) maxStates() int {

@@ -233,8 +233,8 @@ func NewEvaluator(m *Model) *Evaluator {
 	}
 }
 
-// SetMC tunes the model checker: state budget, worker pool and
-// snapshot/resume directory. opts.Workers (0 = GOMAXPROCS) also bounds
+// SetMC tunes the model checker: state budget and worker pool.
+// opts.Workers (0 = GOMAXPROCS) also bounds
 // EvaluateAllContext's property pool. Call it before evaluations start;
 // it is not synchronised with them.
 func (e *Evaluator) SetMC(opts mc.Options) {

@@ -157,14 +157,6 @@ func WithWorkers(n int) Option {
 	return func(a *Analysis) { a.mcOpts.Workers = n }
 }
 
-// WithSnapshotDir checkpoints model-checker exploration at level
-// boundaries into dir and resumes from the newest valid snapshot on the
-// next run of the same model — a killed analysis picks up where its
-// last completed level left off instead of re-exploring.
-func WithSnapshotDir(dir string) Option {
-	return func(a *Analysis) { a.mcOpts.SnapshotDir = dir }
-}
-
 // WithFaults runs the conformance suite that feeds model extraction
 // under the given seeded fault-injection adversary, so the analysed
 // model reflects the implementation's behaviour on a hostile link. The
